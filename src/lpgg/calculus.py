@@ -356,20 +356,6 @@ class IdentityCheck:
     derived_coefficients: dict
     details: str = ""
 
-    def to_json(self) -> dict:
-        return {
-            "identity": self.name,
-            "claim": self.claim,
-            "status": self.status,
-            "claimed_coefficients": {
-                k: str(v) for k, v in self.claimed_coefficients.items()
-            },
-            "derived_coefficients": {
-                k: str(v) for k, v in self.derived_coefficients.items()
-            },
-            "details": self.details,
-        }
-
 
 def _scalar_operator(frame, coeff_squares, coeff_crosses) -> DiffOperator:
     """Build c1 * sum_i d_i^2 + c2 * sum_{i<j} d_i d_j."""

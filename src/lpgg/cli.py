@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (corrected findings included), 1 domain error or
 failed verification, 2 usage error.  JSON output is schema-stable and
-byte-identical across runs with the same seed.  The LPGG_BACKEND
-environment variable (exact | approx) selects the default coefficient
-backend for inputs that allow both.
+byte-identical across runs with the same seed.  ``verify`` is always
+exact, and a check it reports as ``skipped`` examined nothing.  The
+LPGG_BACKEND environment variable (exact | approx) selects the
+coordinate backend of ``simplex --point``.
 """
 
 from __future__ import annotations
@@ -148,8 +149,12 @@ def cmd_verify(args) -> int:
             file=sys.stderr,
         )
         return USAGE_ERROR
+    if not 2 <= args.n_max <= frames.FRAME_LIMIT:
+        print(f"--n-max must be in 2..{frames.FRAME_LIMIT}, got {args.n_max}",
+              file=sys.stderr)
+        return USAGE_ERROR
     report: VerificationReport = verify.run_suite(
-        name, n_max=args.n_max, seed=args.seed, backend=_backend_from_env()
+        name, n_max=args.n_max, seed=args.seed
     )
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
@@ -164,19 +169,22 @@ def cmd_spectral(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"--g must be JSON: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    if not isinstance(raw, dict):
+        print("--g must be a JSON object of g_ij coefficients", file=sys.stderr)
+        return USAGE_ERROR
     coefficients = {}
     try:
         for key, value in raw.items():
             if not (len(key) == 3 and key[0] == "g" and key[1:].isdigit()):
                 raise ValueError(f"bad coefficient key {key!r}")
             i, j = int(key[1]), int(key[2])
-            if isinstance(value, str):
+            if isinstance(value, (str, int)):
                 value = Fraction(value)
-            elif isinstance(value, int):
-                value = Fraction(value)
+            elif not isinstance(value, float):
+                raise ValueError(f"{key} must be a number or a 'p/q' string")
             coefficients[(i, j)] = value
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
+    except (ValueError, ZeroDivisionError) as exc:
+        print(f"bad --g: {exc}", file=sys.stderr)
         return USAGE_ERROR
     frame = frames.build_null_frame(3, 1)
     try:
@@ -236,10 +244,10 @@ def cmd_simplex(args) -> int:
             matrix = simplex.simplicial_matrix_from_csv(
                 frame, text, barycentric=not args.free_vertices
             )
+            content, degenerate = simplex.content_vertices(matrix)
         except (OSError, ValueError) as exc:
             print(f"bad vertex rows: {exc}", file=sys.stderr)
             return USAGE_ERROR
-        content, degenerate = simplex.content_vertices(matrix)
         payload["vertices"] = {
             "rows": [[str(v) for v in row] for row in matrix.rows],
             "content": format_multivector(content),
@@ -265,7 +273,7 @@ def cmd_express(args) -> int:
     except (ParseError, AlgebraError) as exc:
         print(f"bad --mv: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    subsets, _, _ = frames.null_canonical_basis(frame)
+    subsets = frames.canonical_subsets(size)
     coefficients = frames.express_in_null_basis(frame, mv)
 
     def product_label(subset):

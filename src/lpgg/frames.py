@@ -25,7 +25,6 @@ from .algebra import Algebra, AlgebraError, Multivector, wedge_list
 from .scalars import (
     APPROX,
     EXACT,
-    InexactDivisionError,
     Radical,
     coerce,
     is_zero,
@@ -70,7 +69,7 @@ class NullFrame:
         self.vectors = tuple(vectors)
         self.t_matrix = t_matrix
         self.t_inverse = t_inverse
-        self.exact = exact  # False when inversion had to fall back to floats
+        self.exact = exact  # False for float-backed twins used in numeric work
         self.size = len(self.vectors)
         self.n = self.size - 1
         self._wedge_cache: dict | None = None
@@ -159,15 +158,8 @@ def build_null_frame(n_plus_1: int, sign: int = 1) -> NullFrame:
             row[slot_of_bit[blade.bit_length() - 1]] = value
         t_matrix.append(row)
 
-    exact = True
-    try:
-        t_inverse = linalg.invert(t_matrix, EXACT)
-    except InexactDivisionError:
-        approx = [[float(v) for v in row] for row in t_matrix]
-        t_inverse = linalg.invert(approx, APPROX)
-        exact = False
-
-    return NullFrame(algebra, sign, vectors, t_matrix, t_inverse, exact)
+    t_inverse = linalg.invert(t_matrix, EXACT)
+    return NullFrame(algebra, sign, vectors, t_matrix, t_inverse)
 
 
 # -- multiplication table -------------------------------------------------------
@@ -408,13 +400,12 @@ def canonical_subsets(size: int) -> list[int]:
 
 
 def null_canonical_basis(frame: NullFrame):
-    """The 2^(n+1) canonical products and their blade-basis matrix.
+    """The 2^(n+1) canonical products of the frame vectors.
 
-    Returns (subsets, products, matrix): products[r] is the geometric
-    product of frame vectors over subsets[r] (increasing indices) and
-    matrix[r] holds its coefficients over the blade basis in bitmask
-    order.  Linear independence is asserted via the unitriangular wedge
-    expansion; failure raises instead of passing silently.
+    Returns (subsets, products): products[r] is the geometric product of
+    frame vectors over subsets[r] (increasing indices).  Linear
+    independence is asserted via the unitriangular wedge expansion;
+    failure raises instead of passing silently.
     """
     if frame.size > CANONICAL_BASIS_LIMIT:
         raise AlgebraError(
@@ -447,11 +438,7 @@ def null_canonical_basis(frame: NullFrame):
                     "index set; basis structure violated"
                 )
 
-    matrix = [
-        [product.coefficient(blade) for blade in range(frame.algebra.dim)]
-        for product in products
-    ]
-    frame._canonical_cache = (subsets, products, matrix)
+    frame._canonical_cache = (subsets, products)
     return frame._canonical_cache
 
 
@@ -485,7 +472,7 @@ def express_in_null_basis(frame: NullFrame, mv: Multivector) -> list:
 
 
 def reconstruct_from_null_basis(frame: NullFrame, coefficients) -> Multivector:
-    subsets, products, _ = null_canonical_basis(frame)
+    _, products = null_canonical_basis(frame)
     acc = frame.algebra.zero(frame.backend)
     for c, product in zip(coefficients, products):
         acc = acc + product * c

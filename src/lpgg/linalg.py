@@ -3,7 +3,7 @@
 Gauss-Jordan inversion works over any of the scalar backends; exact
 pivoting prefers divisors the radical class can invert (one or two
 terms) and raises :class:`~lpgg.scalars.InexactDivisionError` when no
-usable pivot exists, so callers can fall back to floats.
+usable pivot exists.  Rank and determinant eliminate over Fractions.
 """
 
 from __future__ import annotations
@@ -94,29 +94,52 @@ def invert(matrix: Matrix, backend: str = EXACT) -> Matrix:
     return inv
 
 
-def rank(matrix: Matrix) -> int:
-    """Row-echelon rank over Fractions (entries must be rational)."""
+def _eliminate(matrix: Matrix) -> tuple[list, int]:
+    """Forward elimination over Fractions: (pivots, row swaps).
+
+    Entries convert exactly: rational radicals, ints, Fractions and
+    floats (by their binary value).
+    """
     rows = [
         [v.as_fraction() if isinstance(v, Radical) else Fraction(v) for v in row]
         for row in matrix
     ]
-    r = 0
+    pivots = []
+    swaps = 0
     cols = len(rows[0]) if rows else 0
     for col in range(cols):
+        r = len(pivots)
+        if r == len(rows):
+            break
         pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if pivot is None:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
+        if pivot != r:
+            rows[r], rows[pivot] = rows[pivot], rows[r]
+            swaps += 1
         lead = rows[r][col]
-        rows[r] = [v / lead for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] != 0:
-                factor = rows[i][col]
+        for i in range(r + 1, len(rows)):
+            if rows[i][col] != 0:
+                factor = rows[i][col] / lead
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
+        pivots.append(lead)
+    return pivots, swaps
+
+
+def rank(matrix: Matrix) -> int:
+    """Exact rank (entries must be rational)."""
+    return len(_eliminate(matrix)[0])
+
+
+def determinant(matrix: Matrix) -> Fraction:
+    """Exact determinant of a square matrix (entries must be rational)."""
+    pivots, swaps = _eliminate(matrix)
+    if len(pivots) < len(matrix):
+        return Fraction(0)
+    det = Fraction(-1 if swaps & 1 else 1)
+    for p in pivots:
+        det *= p
+    return det
 
 
 def matrices_equal(a: Matrix, b: Matrix) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 PASS = "pass"
@@ -32,6 +33,43 @@ class CheckResult:
         }
 
 
+class Check:
+    """Samples of one claim; ``check(ok, witness)`` records one sample.
+
+    The outcome is decided once, in :meth:`result`: an exception from the
+    check's body gives ``fail`` with ``Type: message``; a false sample
+    gives ``fail`` with the first witness; no samples at all give
+    ``skipped``; otherwise ``pass``, or ``pass-corrected`` when the claim
+    only holds as corrected.  ``details`` starts as the correction text
+    and may be replaced by a computed note.
+    """
+
+    def __init__(self, name, claim, corrected=None):
+        self.name = name
+        self.claim = claim
+        self.corrected = corrected
+        self.details = corrected or ""
+        self.samples = 0
+        self.witness = None
+
+    def __call__(self, ok, witness=""):
+        self.samples += 1
+        if not ok and self.witness is None:
+            self.witness = witness
+
+    def result(self, error=None) -> CheckResult:
+        if error is not None:
+            status, details = FAIL, f"{type(error).__name__}: {error}"
+        elif self.witness is not None:
+            status, details = FAIL, self.witness
+        elif not self.samples:
+            status, details = SKIPPED, self.details
+        else:
+            status = PASS if self.corrected is None else PASS_CORRECTED
+            details = self.details
+        return CheckResult(self.name, self.claim, status, details)
+
+
 @dataclass
 class VerificationReport:
     suite: str
@@ -43,6 +81,28 @@ class VerificationReport:
 
     def extend(self, results):
         self.checks.extend(results)
+
+    @contextmanager
+    def check_group(self, *specs):
+        """Run checks that share one body; each spec is (name, claim[, corrected]).
+
+        The results are appended in spec order when the body ends.  An
+        exception in the body fails every check of the group, and the
+        suite goes on with its next check.
+        """
+        group = [Check(*spec) for spec in specs]
+        error = None
+        try:
+            yield group
+        except Exception as exc:
+            error = exc
+        self.extend(check.result(error) for check in group)
+
+    @contextmanager
+    def check(self, name, claim, corrected=None):
+        """Run one check; see :class:`Check` for how its status is decided."""
+        with self.check_group((name, claim, corrected)) as (check,):
+            yield check
 
     def counts(self) -> dict:
         out = {status: 0 for status in STATUSES}

@@ -57,7 +57,7 @@ class SimplexPoint:
         return APPROX if APPROX in kinds else EXACT
 
     def is_barycentric(self) -> bool:
-        total = sum_values(self.coordinates)
+        total = linalg.sum_scalars(self.coordinates)
         if self.backend == EXACT:
             unit = total == 1 or Radical(0) + total == Radical(1)
         else:
@@ -79,7 +79,7 @@ class SimplexPoint:
             for j in range(i + 1, len(coords)):
                 term = coords[i] * coords[j]
                 total = term if total is None else total + term
-        if frame_sign(self.frame) < 0:
+        if self.frame.sign < 0:
             total = -total
         return total
 
@@ -95,7 +95,12 @@ class SimplexPoint:
             value = Radical(0) + value
             if value.sign() < 0:
                 raise LightConeError("|x|^2 < 0: point outside the cone interior")
-            return Radical.sqrt(value.as_fraction()) if value.is_rational() else _radical_norm(value)
+            if not value.is_rational():
+                raise LightConeError(
+                    f"|x|^2 = {value} is irrational; use the approx backend "
+                    "to normalize"
+                )
+            return Radical.sqrt(value.as_fraction())
         value = float(value)
         if value < -ON_CONE_TOLERANCE:
             raise LightConeError("|x|^2 < 0: point outside the cone interior")
@@ -105,24 +110,6 @@ class SimplexPoint:
         if self.is_on_cone():
             raise LightConeError("cannot normalize a light-cone point")
         return self.to_multivector() / self.norm()
-
-
-def _radical_norm(value: Radical):
-    raise LightConeError(
-        f"|x|^2 = {value} is irrational; use the approx backend to normalize"
-    )
-
-
-def frame_sign(frame: NullFrame) -> int:
-    return frame.sign
-
-
-def sum_values(values):
-    it = iter(values)
-    acc = next(it)
-    for v in it:
-        acc = acc + v
-    return acc
 
 
 def centroid(frame: NullFrame) -> SimplexPoint:
@@ -308,16 +295,6 @@ class LaplacianLine:
     claimed_value: str
     derived_values: dict
     details: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "identity": self.name,
-            "claim": self.claim,
-            "status": self.status,
-            "claimed_coefficients": {"value": self.claimed_value},
-            "derived_coefficients": {k: str(v) for k, v in self.derived_values.items()},
-            "details": self.details,
-        }
 
 
 def _truncated_dual_nabla(frame: NullFrame) -> DiffOperator:

@@ -24,6 +24,7 @@ from .scalars import (
     Radical,
     backend_of,
     coerce,
+    is_zero,
 )
 from .star import from_coefficient_matrix
 
@@ -267,7 +268,7 @@ def spectral_decompose(op: BivectorOperator) -> SpectralDecomposition:
     """
     claimed, derived = discriminants(op)
     backend = op.backend()
-    if is_zero_scalar(derived):
+    if is_zero(derived):
         raise DegenerateSpectrumError(
             "traceless part of G squares to zero: double root, "
             "idempotents undefined"
@@ -304,12 +305,6 @@ def spectral_decompose(op: BivectorOperator) -> SpectralDecomposition:
         op, r_minus, r_plus, p1, p2,
         claimed_discriminant=claimed, discriminant=derived,
     )
-
-
-def is_zero_scalar(value) -> bool:
-    if isinstance(value, Radical):
-        return not value
-    return value == 0
 
 
 # -- matrix representations ----------------------------------------------------------------

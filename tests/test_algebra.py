@@ -57,13 +57,18 @@ def test_e1f1_in_null_coordinates():
     assert e1 * f1 == g12.scalar(1) - (a1 * a2) * 2
 
 
-def test_associativity_exact():
+@pytest.mark.parametrize("backend", ["exact", "approx"])
+def test_associativity_exact(backend):
     rng = random.Random(5)
     for p, q in [(1, 1), (1, 2), (2, 1), (2, 2), (0, 3)]:
         algebra = Algebra(p, q)
         for _ in range(50):
-            u, v, w = (random_mv(algebra, rng) for _ in range(3))
-            assert (u * v) * w == u * (v * w)
+            u, v, w = (random_mv(algebra, rng, backend=backend) for _ in range(3))
+            left, right = (u * v) * w, u * (v * w)
+            if backend == "exact":
+                assert left == right
+            else:
+                assert left.isclose(right)
 
 
 def test_vector_product_splits_into_dot_and_wedge():

@@ -98,6 +98,26 @@ def test_verify_unknown_suite(capsys):
     assert "unknown suite" in err
 
 
+@pytest.mark.parametrize("n_max", ["13", "1", "0"])
+def test_verify_n_max_out_of_range_is_usage_error(capsys, n_max):
+    code, out, err = run_cli(capsys, "verify", "--n-max", n_max)
+    assert code == 2
+    assert out == ""
+    assert "--n-max must be in 2..12" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simplex", "--n", "7", "--vertices", "1,0,0,0,0,0,0,0"],
+    ["spectral", "--g", '{"g12": "1/0"}'],
+    ["spectral", "--g", "[1]"],
+    ["spectral", "--g", '{"g12": [1]}'],
+])
+def test_bad_input_exits_with_a_message(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.strip() and "Traceback" not in err
+
+
 def test_verify_deterministic(capsys):
     _, out1, _ = run_cli(
         capsys, "verify", "--suite", "star", "--seed", "7",

@@ -6,7 +6,7 @@ import pytest
 
 from lpgg import frames, spectral
 from lpgg.algebra import Algebra, AlgebraError
-from lpgg.scalars import Radical
+from lpgg.scalars import Radical, is_zero
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +173,7 @@ def test_spectral_identities_random(fr3):
         }
         op = spectral.BivectorOperator(fr3, coeffs)
         _, derived = spectral.discriminants(op)
-        if spectral.is_zero_scalar(derived):
+        if is_zero(derived):
             continue
         count += 1
         dec = spectral.spectral_decompose(op)

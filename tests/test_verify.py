@@ -1,6 +1,13 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
-from lpgg import verify
+import lpgg
+from lpgg import atlas, verify
 from lpgg.reporting import CheckResult, VerificationReport
 
 
@@ -20,6 +27,94 @@ def test_run_all_merges_and_prefixes():
     assert any(c.name.startswith("atlas/") for c in report.checks)
     assert report.corrected
     assert report.exit_code() == 0
+    text = json.dumps(report.to_json(), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "53722b8665e69412805f7a14e81e454940c33ca55a99ee09360a168cb65df82d"
+    )
+
+
+def statuses(report):
+    return {c.name: c.status for c in report.checks}
+
+
+def test_empty_size_range_is_skipped():
+    frame = statuses(verify.run_suite("frame", n_max=1))
+    assert frame["frame-axioms"] == "skipped"
+    assert frame["multiplication-tables"] == "skipped"
+    assert frame["transition-3"] == "pass"
+    calculus = statuses(verify.run_suite("calculus", n_max=1))
+    assert calculus["gradient-of-x"] == "skipped"
+
+
+def test_periodicity_checked_through_ten_for_any_n_max():
+    assert statuses(verify.run_suite("atlas", n_max=0))[
+        "eightfold-periodicity"] == "pass"
+
+
+def test_raising_check_fails_and_suite_goes_on(monkeypatch):
+    def broken(max_total=10):
+        raise ArithmeticError("sign pattern broken")
+
+    monkeypatch.setattr(atlas, "periodicity_classes", broken)
+    report = verify.run_suite("atlas")
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["eightfold-periodicity"].status == "fail"
+    assert by_name["eightfold-periodicity"].details == (
+        "ArithmeticError: sign pattern broken"
+    )
+    assert by_name["pair-sign-products"].status == "pass"
+    assert report.exit_code() == 1
+
+
+def test_check_status_rule():
+    report = VerificationReport("demo", 1)
+    with report.check("plain", "claim") as check:
+        check(True, "w0")
+    with report.check("fixed", "claim", "corrected text") as check:
+        check(True)
+    with report.check("false", "claim", "corrected text") as check:
+        check(True, "w0")
+        check(False, "w1")
+        check(False, "w2")
+    with report.check("empty", "claim"):
+        pass
+    with report.check_group(("first", "claim"), ("second", "claim")) as (a, b):
+        a(True)
+        b(True)
+        raise ValueError("boom")
+    with report.check("noted", "claim") as check:
+        check(True)
+        check.details = "computed note"
+    assert [(c.name, c.status, c.details) for c in report.checks] == [
+        ("plain", "pass", ""),
+        ("fixed", "pass-corrected", "corrected text"),
+        ("false", "fail", "w1"),
+        ("empty", "skipped", ""),
+        ("first", "fail", "ValueError: boom"),
+        ("second", "fail", "ValueError: boom"),
+        ("noted", "pass", "computed note"),
+    ]
+
+
+def test_spectral_suite_does_not_import_numpy():
+    src = os.path.dirname(os.path.dirname(lpgg.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    code = (
+        "import sys\n"
+        "from lpgg import verify\n"
+        "report = verify.run_suite('spectral')\n"
+        "assert not report.failed\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 def test_unknown_suite_raises():
