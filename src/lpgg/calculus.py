@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import AlgebraError, Multivector
 from .frames import (
     NullFrame,
     dual_sum,
-    k_sum,
     reciprocal_frame,
     vector_from_null_coordinates,
 )
@@ -135,17 +133,9 @@ class PolyField:
         return hash((id(self.frame), frozenset(self.terms.items())))
 
 
-def identity_field(frame: NullFrame) -> PolyField:
-    return PolyField.identity(frame)
-
-
 def square_field(frame: NullFrame) -> PolyField:
     x = PolyField.identity(frame)
     return x.multiply(x)
-
-
-def partial(field: PolyField, i: int) -> PolyField:
-    return field.partial(i)
 
 
 class DiffOperator:
@@ -281,14 +271,6 @@ def make_flat_partial(frame: NullFrame) -> DiffOperator:
     )
 
 
-def compose(op1: DiffOperator, op2: DiffOperator) -> DiffOperator:
-    return op1.compose(op2)
-
-
-def apply(op: DiffOperator, field: PolyField) -> PolyField:
-    return op.apply(field)
-
-
 def monomial_fields(frame: NullFrame, max_degree: int = 3):
     """All scalar monomial fields of total degree <= max_degree."""
 
@@ -317,47 +299,10 @@ def operators_equal_on_monomials(
     )
 
 
-# -- second-order expansion helpers -----------------------------------------------------
+# -- coefficient operators and the dual-sum oracle -------------------------------------------
 
 
-def second_order_coefficients(op: DiffOperator):
-    """Coefficients of d_i^2 and d_i d_j (i<j) in a second-order operator.
-
-    Returns (squares, crosses): squares[i] and crosses[(i, j)] are the
-    multivector coefficients.  Raises when a term is not second order.
-    """
-    squares: dict[int, Multivector] = {}
-    crosses: dict[tuple[int, int], Multivector] = {}
-    for multi_index, direction in op.terms.items():
-        support = [i for i, e in enumerate(multi_index) if e]
-        total = sum(multi_index)
-        if total != 2:
-            raise ValueError("operator is not purely second order")
-        if len(support) == 1:
-            squares[support[0]] = direction
-        else:
-            crosses[(support[0], support[1])] = direction
-    return squares, crosses
-
-
-def gradient_of(frame: NullFrame, field: PolyField) -> PolyField:
-    return make_nabla(frame).apply(field)
-
-
-# -- the decomposition-identity report ---------------------------------------------------
-
-
-@dataclass
-class IdentityCheck:
-    name: str
-    claim: str
-    status: str  # pass | pass-corrected | fail
-    claimed_coefficients: dict
-    derived_coefficients: dict
-    details: str = ""
-
-
-def _scalar_operator(frame, coeff_squares, coeff_crosses) -> DiffOperator:
+def scalar_operator(frame, coeff_squares, coeff_crosses) -> DiffOperator:
     """Build c1 * sum_i d_i^2 + c2 * sum_{i<j} d_i d_j."""
     terms = []
     one = frame.algebra.scalar(coerce(1, frame.backend))
@@ -399,224 +344,6 @@ def dual_sum_dot_oracle(frame: NullFrame):
                 elif off != scalar:
                     raise AlgebraError("dual-sum dots differ by index pair")
     return diag, off
-
-
-def identity_report(frame: NullFrame, max_degree: int = 3) -> list[IdentityCheck]:
-    """Check every gradient decomposition formula, correcting from oracles."""
-    if frame.n < 1:
-        raise ValueError("need n >= 1")
-    n = Fraction(frame.n)
-    size = frame.size
-    checks: list[IdentityCheck] = []
-
-    nabla = make_nabla(frame)
-    dual = make_dual_nabla(frame)
-    null = make_null_nabla(frame)
-    flat = make_flat_partial(frame)
-    big_a = k_sum(frame, size)
-
-    def both_routes_equal(op1, op2):
-        return op1 == op2 and operators_equal_on_monomials(op1, op2, max_degree)
-
-    def record(name, claim, holds, claimed, derived, details=""):
-        checks.append(
-            IdentityCheck(
-                name=name,
-                claim=claim,
-                status="pass" if holds else "fail",
-                claimed_coefficients=claimed,
-                derived_coefficients=derived,
-                details=details,
-            )
-        )
-
-    def record_status(check: IdentityCheck):
-        checks.append(check)
-
-    # 1. gradient via the flat sum
-    lhs = nabla
-    rhs = (flat.left_multiply(big_a) - null.scale(n)).scale(2 / n)
-    record(
-        "gradient-via-flat-sum",
-        "nabla = (2/n)(A d_flat - n nabla_null)",
-        both_routes_equal(lhs, rhs),
-        {"prefactor": "2/n"},
-        {"prefactor": "2/n"},
-    )
-
-    # 2. gradient via the dual gradient
-    rhs = (dual - null.scale(n - 1)).scale(2 / n)
-    record(
-        "gradient-via-dual",
-        "nabla = (2/n)(nabla_dual - (n-1) nabla_null)",
-        both_routes_equal(lhs, rhs),
-        {"prefactor": "2/n"},
-        {"prefactor": "2/n"},
-    )
-
-    # 3. A . nabla decomposition
-    lhs = nabla.dot_contract(big_a)
-    rhs = flat.scale(n + 1) - null.dot_contract(big_a).scale(2)
-    record(
-        "A-dot-gradient",
-        "A . nabla = (n+1) d_flat - 2 A . nabla_null",
-        both_routes_equal(lhs, rhs),
-        {"flat": "n+1", "null": "-2"},
-        {"flat": "n+1", "null": "-2"},
-    )
-
-    # 4. dual + null = A d_flat
-    lhs = dual + null
-    rhs = flat.left_multiply(big_a)
-    record(
-        "dual-plus-null",
-        "nabla_dual + nabla_null = A d_flat",
-        both_routes_equal(lhs, rhs),
-        {},
-        {},
-    )
-
-    # 5. dotted version of 4
-    lhs = dual.dot_contract(big_a) + null.dot_contract(big_a)
-    rhs = flat.scale(n * (n + 1) / 2)
-    record(
-        "A-dot-dual-plus-null",
-        "A . nabla_dual + A . nabla_null = ((n+1)n/2) d_flat",
-        both_routes_equal(lhs, rhs),
-        {"flat": "(n+1)n/2"},
-        {"flat": "(n+1)n/2"},
-    )
-
-    # 6. null Laplacian
-    lhs = null.compose(null)
-    rhs = _scalar_operator(frame, Fraction(0), Fraction(1))
-    record(
-        "null-laplacian",
-        "nabla_null^2 = sum_{i<j} d_i d_j",
-        both_routes_equal(lhs, rhs),
-        {"squares": "0", "crosses": "1"},
-        {"squares": "0", "crosses": "1"},
-    )
-
-    # 7. dual Laplacian -- claimed square coefficient (n+1)n/2 vs oracle
-    dual_sq = dual.compose(dual)
-    diag, off = dual_sum_dot_oracle(frame)
-    derived_squares = diag  # (dual_i)^2
-    derived_crosses = off * 2  # d_i d_j collects both orders
-    claimed_op = _scalar_operator(
-        frame, n * (n + 1) / 2, Fraction(frame.n**2 - frame.n + 1)
-    )
-    derived_op = _scalar_operator(frame, derived_squares, derived_crosses)
-    if both_routes_equal(dual_sq, claimed_op):
-        status = "pass"
-    elif both_routes_equal(dual_sq, derived_op):
-        status = "pass-corrected"
-    else:
-        status = "fail"
-    record_status(
-        IdentityCheck(
-            name="dual-laplacian",
-            claim="nabla_dual^2 = c_sq sum d_i^2 + c_cross sum_{i<j} d_i d_j",
-            status=status,
-            claimed_coefficients={"c_sq": "(n+1)n/2", "c_cross": "n^2-n+1"},
-            derived_coefficients={
-                "c_sq": derived_squares,
-                "c_cross": derived_crosses,
-            },
-            details=(
-                "square coefficient from the dual-sum oracle is n(n-1)/2; "
-                "the cross coefficient n^2-n+1 is confirmed"
-            ),
-        )
-    )
-
-    # 8. gradient Laplacian decomposition -- printed without the (2/n)^2
-    #    prefactor and with (n-1)^2 collapsed to 1 on the null term
-    nabla_sq = nabla.compose(nabla)
-    dual_dot_null = DiffOperator(
-        frame,
-        [
-            (dual_sum(frame, i + 1).dot(frame.vectors[j]),
-             tuple((1 if t == i else 0) + (1 if t == j else 0) for t in range(size)))
-            for i in range(size)
-            for j in range(size)
-        ],
-    )
-    null_sq = null.compose(null)
-    claimed_rhs = dual_sq - dual_dot_null.scale(2 * (n - 1)) + null_sq
-    derived_rhs = (
-        dual_sq - dual_dot_null.scale(2 * (n - 1)) + null_sq.scale((n - 1) ** 2)
-    ).scale(4 / n**2)
-    if both_routes_equal(nabla_sq, claimed_rhs):
-        status = "pass"
-    elif both_routes_equal(nabla_sq, derived_rhs):
-        status = "pass-corrected"
-    else:
-        status = "fail"
-    record_status(
-        IdentityCheck(
-            name="gradient-laplacian",
-            claim="nabla^2 = nabla_dual^2 - 2(n-1) nabla_dual.nabla_null + nabla_null^2",
-            status=status,
-            claimed_coefficients={"prefactor": "1", "null_sq": "1"},
-            derived_coefficients={"prefactor": "4/n^2", "null_sq": "(n-1)^2"},
-            details="expansion of (2/n)^2 (nabla_dual - (n-1) nabla_null)^2",
-        )
-    )
-
-    # 9. dual . null -- the printed right side is vector-valued as written;
-    #    with d_flat^2 in place of nabla_dual d_flat the identity is exact
-    flat_sq = flat.compose(flat)
-    derived_rhs = flat_sq.scale(n / 2) - null_sq
-    status = "pass-corrected" if both_routes_equal(dual_dot_null, derived_rhs) else "fail"
-    record_status(
-        IdentityCheck(
-            name="dual-dot-null",
-            claim="nabla_dual . nabla_null = (n/2) X - nabla_null^2",
-            status=status,
-            claimed_coefficients={"X": "nabla_dual d_flat"},
-            derived_coefficients={"X": "d_flat^2", "factor": n / 2},
-            details=(
-                "as printed X is grade-1 valued and cannot equal the scalar "
-                "left side; X = d_flat^2 makes the identity exact"
-            ),
-        )
-    )
-
-    # 10. a_i . A -- printed as a vector multiple of the dual sum
-    scalar_ok = all(
-        frame.vectors[i].dot(big_a) == frame.algebra.scalar(coerce(n / 2, frame.backend))
-        for i in range(size)
-    )
-    record_status(
-        IdentityCheck(
-            name="vector-dot-full-sum",
-            claim="a_i . A = n/2",
-            status="pass-corrected" if scalar_ok else "fail",
-            claimed_coefficients={"value": "(n/2) dual_i (grade-1 valued)"},
-            derived_coefficients={"value": n / 2},
-            details=(
-                "a vector dotted with a vector is a scalar; the scalar "
-                "value n/2 is exact for every i"
-            ),
-        )
-    )
-
-    # 11. dual . dual -- printed n^2-n+1, oracle gives half that
-    claimed = Fraction(frame.n**2 - frame.n + 1)
-    status = "pass" if off == claimed else "pass-corrected"
-    record_status(
-        IdentityCheck(
-            name="dual-dot-dual",
-            claim="dual_i . dual_j = n^2 - n + 1 for i != j",
-            status=status,
-            claimed_coefficients={"value": claimed},
-            derived_coefficients={"value": off},
-            details="brute-force expansion of the double pair-dot sum",
-        )
-    )
-
-    return checks
 
 
 # -- finite differences for the non-polynomial identities ------------------------------------

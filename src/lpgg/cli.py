@@ -3,36 +3,27 @@
 Exit codes: 0 success (corrected findings included), 1 domain error or
 failed verification, 2 usage error.  JSON output is schema-stable and
 byte-identical across runs with the same seed.  ``verify`` is always
-exact, and a check it reports as ``skipped`` examined nothing.  The
-LPGG_BACKEND environment variable (exact | approx) selects the
-coordinate backend of ``simplex --point``.
+exact.  A check it reports as ``skipped`` examined nothing; one reported
+as ``pass-corrected`` held on every sample, on some only in the corrected
+form its details state.  The coordinate text picks the backend of
+``simplex --point``: ``1/3`` stays exact, ``0.25`` is a float.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
 from . import __version__, atlas, frames, simplex, spectral, star, verify
 from .algebra import AlgebraError
 from .reporting import VerificationReport
-from .scalars import APPROX, EXACT, Radical
+from .scalars import Radical
 from .textform import ParseError, format_multivector, parse_multivector
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
-
-
-def _backend_from_env() -> str:
-    value = os.environ.get("LPGG_BACKEND", EXACT).strip().lower()
-    if value not in (EXACT, APPROX):
-        raise SystemExit(
-            f"LPGG_BACKEND must be 'exact' or 'approx', not {value!r}"
-        )
-    return value
 
 
 def _scalar_json(value):
@@ -51,14 +42,6 @@ def _matrix_csv_rows(name, matrix):
     yield [name]
     for row in matrix:
         yield [str(v) for v in row]
-
-
-def _parse_coordinate(text: str, backend: str):
-    text = text.strip()
-    if "." not in text and "e" not in text.lower():
-        value = Fraction(text)
-        return value if backend == EXACT else float(value)
-    return float(text)
 
 
 # -- commands ---------------------------------------------------------------------------
@@ -207,14 +190,13 @@ def cmd_simplex(args) -> int:
     if not args.point and not args.vertices and not args.vertices_file:
         print("need --point, --vertices, or --vertices-file", file=sys.stderr)
         return USAGE_ERROR
-    backend = _backend_from_env()
     frame = frames.build_null_frame(size, 1)
     payload = {"n": args.n}
 
     if args.point:
         try:
             coords = tuple(
-                _parse_coordinate(c, backend) for c in args.point.split(",")
+                simplex.parse_coordinate(c) for c in args.point.split(",")
             )
             point = simplex.SimplexPoint(frame, coords)
         except (ValueError, ZeroDivisionError) as exc:

@@ -106,12 +106,6 @@ class NullFrame:
             return list(range(n + 1))
         return [n] + list(range(n))
 
-    def standard_basis_vectors(self) -> list[Multivector]:
-        return [
-            self.algebra.generator(bit, self.backend)
-            for bit in self.standard_basis_bits()
-        ]
-
     def metric_dual_basis(self) -> list[Multivector]:
         """Row basis with b^i . b_j = delta_ij (flips the -1 generators)."""
         out = []

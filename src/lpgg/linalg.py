@@ -50,10 +50,6 @@ def sum_scalars(values) -> object:
     return acc
 
 
-def transpose(m: Matrix) -> Matrix:
-    return [list(col) for col in zip(*m)]
-
-
 def _pivot_cost(value) -> int:
     if isinstance(value, Radical):
         k = len(value.terms())

@@ -34,14 +34,17 @@ class CheckResult:
 
 
 class Check:
-    """Samples of one claim; ``check(ok, witness)`` records one sample.
+    """Samples of one claim; ``check(ok, witness, stated=None)`` records one.
 
-    The outcome is decided once, in :meth:`result`: an exception from the
-    check's body gives ``fail`` with ``Type: message``; a false sample
-    gives ``fail`` with the first witness; no samples at all give
-    ``skipped``; otherwise ``pass``, or ``pass-corrected`` when the claim
-    only holds as corrected.  ``details`` starts as the correction text
-    and may be replaced by a computed note.
+    ``ok`` says the sample held, as stated or as corrected; ``stated``
+    says it held as stated, and defaults to true only for a check declared
+    without a correction.  The outcome is decided once, in :meth:`result`:
+    an exception from the check's body gives ``fail`` with
+    ``Type: message``; a sample that held neither way gives ``fail`` with
+    the first such witness; no samples at all give ``skipped``; a sample
+    that needed the correction gives ``pass-corrected``; otherwise
+    ``pass``.  ``details`` starts as the correction text, which a ``pass``
+    drops, and may be replaced by a computed note.
     """
 
     def __init__(self, name, claim, corrected=None):
@@ -50,12 +53,18 @@ class Check:
         self.corrected = corrected
         self.details = corrected or ""
         self.samples = 0
+        self.needed_correction = False
         self.witness = None
 
-    def __call__(self, ok, witness=""):
+    def __call__(self, ok, witness="", stated=None):
         self.samples += 1
-        if not ok and self.witness is None:
-            self.witness = witness
+        if stated is None:
+            stated = self.corrected is None
+        if not ok:
+            if self.witness is None:
+                self.witness = witness
+        elif not stated:
+            self.needed_correction = True
 
     def result(self, error=None) -> CheckResult:
         if error is not None:
@@ -64,9 +73,11 @@ class Check:
             status, details = FAIL, self.witness
         elif not self.samples:
             status, details = SKIPPED, self.details
+        elif self.needed_correction:
+            status, details = PASS_CORRECTED, self.details
         else:
-            status = PASS if self.corrected is None else PASS_CORRECTED
-            details = self.details
+            status = PASS
+            details = "" if self.details == self.corrected else self.details
         return CheckResult(self.name, self.claim, status, details)
 
 
@@ -75,12 +86,6 @@ class VerificationReport:
     suite: str
     seed: int
     checks: list[CheckResult] = field(default_factory=list)
-
-    def add(self, name, claim, status, details=""):
-        self.checks.append(CheckResult(name, claim, status, details))
-
-    def extend(self, results):
-        self.checks.extend(results)
 
     @contextmanager
     def check_group(self, *specs):
@@ -96,7 +101,7 @@ class VerificationReport:
             yield group
         except Exception as exc:
             error = exc
-        self.extend(check.result(error) for check in group)
+        self.checks.extend(check.result(error) for check in group)
 
     @contextmanager
     def check(self, name, claim, corrected=None):

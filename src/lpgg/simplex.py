@@ -15,14 +15,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import AlgebraError, Multivector, wedge_list
-from .calculus import (
-    DiffOperator,
-    PolyField,
-    dual_sum_dot_oracle,
-    make_dual_nabla,
-    monomial_fields,
-    square_field,
-)
+from .calculus import DiffOperator
 from .frames import NullFrame, dual_sum, vector_from_null_coordinates
 from .scalars import APPROX, EXACT, Radical, backend_of, coerce, is_zero
 
@@ -152,9 +145,6 @@ class SimplicialMatrix:
             vector_from_null_coordinates(self.frame, row) for row in self.rows
         ]
 
-    def vertex_count(self) -> int:
-        return len(self.rows)
-
 
 def simplicial_matrix_from_csv(frame: NullFrame, text: str,
                                barycentric: bool = True) -> SimplicialMatrix:
@@ -164,26 +154,16 @@ def simplicial_matrix_from_csv(frame: NullFrame, text: str,
         line = line.strip()
         if not line:
             continue
-        rows.append([_parse_entry(cell) for cell in line.split(",")])
+        rows.append([parse_coordinate(cell) for cell in line.split(",")])
     return SimplicialMatrix(frame, rows, barycentric=barycentric)
 
 
-def simplicial_matrix_from_json(frame: NullFrame, data,
-                                barycentric: bool = True) -> SimplicialMatrix:
-    """A JSON array of coordinate rows (numbers or 'p/q' strings)."""
-    rows = [[_parse_entry(cell) for cell in row] for row in data]
-    return SimplicialMatrix(frame, rows, barycentric=barycentric)
-
-
-def _parse_entry(cell):
-    if isinstance(cell, str):
-        cell = cell.strip()
-        if "." in cell or "e" in cell.lower():
-            return float(cell)
-        return Fraction(cell)
-    if isinstance(cell, float):
-        return cell
-    return Fraction(cell)
+def parse_coordinate(text: str):
+    """Decimal text gives a float; integer and 'p/q' text stay exact."""
+    text = text.strip()
+    if "." in text or "e" in text.lower():
+        return float(text)
+    return Fraction(text)
 
 
 def content_vertices(matrix: SimplicialMatrix):
@@ -284,160 +264,17 @@ def order(matrix: SimplicialMatrix) -> int:
     return result
 
 
-# -- the simplex Laplacian report ------------------------------------------------------------
+# -- the truncated dual gradient -----------------------------------------------------------
 
 
-@dataclass
-class LaplacianLine:
-    name: str
-    claim: str
-    status: str
-    claimed_value: str
-    derived_values: dict
-    details: str = ""
+def truncated_dual_nabla(frame: NullFrame) -> DiffOperator:
+    """Dual gradient with the sum stopped at i = n (dropping the last term).
 
-
-def _truncated_dual_nabla(frame: NullFrame) -> DiffOperator:
-    """Dual gradient with the sum stopped at i = n (dropping the last term)."""
+    The printed simplex Laplacian displays sum to n; the dual gradient as
+    defined sums all n+1 terms (:func:`~lpgg.calculus.make_dual_nabla`).
+    """
     terms = []
     for i in range(frame.size - 1):
         mi = tuple(1 if j == i else 0 for j in range(frame.size))
         terms.append((dual_sum(frame, i + 1), mi))
     return DiffOperator(frame, terms)
-
-
-def simplex_laplacian_report(frame: NullFrame) -> list[LaplacianLine]:
-    """Evaluate the dual-gradient displays under both index conventions.
-
-    Convention A sums i = 1..n+1 (the dual gradient as defined);
-    convention B stops at i = n, matching the printed summation bounds.
-    Every line reports the stated value next to both computed ones.
-    """
-    if frame.n < 2:
-        raise ValueError("need n >= 2")
-    n = frame.n
-    lines: list[LaplacianLine] = []
-
-    dual_a = make_dual_nabla(frame)
-    dual_b = _truncated_dual_nabla(frame)
-    x = PolyField.identity(frame)
-    x2 = square_field(frame)
-
-    # dual gradient of x
-    applied_a = dual_a.apply(x)
-    applied_b = dual_b.apply(x)
-    value_a = applied_a.terms.get((0,) * frame.size)
-    scalar_a = (
-        value_a.scalar_part() if value_a is not None and value_a.grades() <= {0} else None
-    )
-    expected = Fraction(n * (n - 1), 2)
-    b_const = applied_b.terms.get((0,) * frame.size)
-    b_scalar = b_const is not None and b_const.grades() <= {0}
-    lines.append(
-        LaplacianLine(
-            name="dual-gradient-of-x",
-            claim="nabla_dual x = n(n-1)/2",
-            status="pass" if scalar_a == expected else "pass-corrected",
-            claimed_value=str(expected),
-            derived_values={
-                "sum-to-n+1": scalar_a,
-                "sum-to-n": "non-scalar" if not b_scalar else b_const.scalar_part(),
-            },
-            details=(
-                "summing all n+1 terms gives the scalar (n+1)n/2; stopping "
-                "at n leaves a bivector remainder"
-            ),
-        )
-    )
-
-    # scalar-valuedness of the Laplacian on scalar fields
-    lap_a = dual_a.compose(dual_a)
-    scalar_ok = all(
-        lap_a.apply(f).is_scalar_valued()
-        for f in monomial_fields(frame, 3)
-    )
-    lines.append(
-        LaplacianLine(
-            name="dual-laplacian-scalar-valued",
-            claim="nabla_dual^2 maps scalar fields to scalar fields",
-            status="pass" if scalar_ok else "fail",
-            claimed_value="scalar valued",
-            derived_values={"scalar_valued": scalar_ok},
-        )
-    )
-
-    # Laplacian coefficients vs the printed expansion
-    diag, off = dual_sum_dot_oracle(frame)
-    derived_sq = diag
-    derived_cross = off * 2
-    claimed_matches = derived_sq == 1 and derived_cross == Fraction(n * (n - 1), 2)
-    lines.append(
-        LaplacianLine(
-            name="dual-laplacian-expansion",
-            claim=(
-                "nabla_dual^2 = sum_{i<=n} d_i^2 + C(n,2) sum_{i<=j<=n} d_i d_j"
-            ),
-            status="pass" if claimed_matches else "pass-corrected",
-            claimed_value="squares 1, crosses C(n,2), indices to n",
-            derived_values={
-                "squares": derived_sq,
-                "crosses": derived_cross,
-                "indices": "1..n+1",
-            },
-            details=(
-                "computed from the dual-sum dot oracle: squares n(n-1)/2, "
-                "crosses n^2-n+1, all n+1 coordinates participate"
-            ),
-        )
-    )
-
-    # the printed three-coordinate expansion (unit coefficients over 1..3)
-    if n == 3:
-        lines.append(
-            LaplacianLine(
-                name="three-simplex-display",
-                claim=(
-                    "nabla_dual^2 = d1^2+d2^2+d3^2 + d2d3+d1d3+d1d2 on the "
-                    "3-simplex"
-                ),
-                status="pass" if (derived_sq, derived_cross) == (1, 1)
-                else "pass-corrected",
-                claimed_value="all coefficients 1, coordinates 1..3",
-                derived_values={
-                    "squares": derived_sq,
-                    "crosses": derived_cross,
-                    "coordinates": "1..4",
-                },
-                details="instance of the general expansion at n = 3",
-            )
-        )
-
-    # Laplacian of x^2 vs C(n,2)^2
-    def constant_of(field: PolyField):
-        const = field.terms.get((0,) * frame.size)
-        if const is None:
-            return Fraction(0)
-        if not const.grades() <= {0}:
-            return None
-        return const.scalar_part()
-
-    lap_b = dual_b.compose(dual_b)
-    value_a = constant_of(lap_a.apply(x2))
-    value_b = constant_of(lap_b.apply(x2))
-    claimed = Fraction(n * (n - 1), 2) ** 2
-    status = "pass" if claimed in (value_a, value_b) else "pass-corrected"
-    lines.append(
-        LaplacianLine(
-            name="dual-laplacian-of-x-squared",
-            claim="nabla_dual^2 x^2 = C(n,2)^2",
-            status=status,
-            claimed_value=str(claimed),
-            derived_values={
-                "sum-to-n+1": value_a,
-                "sum-to-n": value_b,
-            },
-            details="(n^2-n+1) C(n+1,2) over all terms; (n^2-n+1) C(n,2) truncated",
-        )
-    )
-
-    return lines

@@ -161,13 +161,13 @@ class BivectorOperator:
         backend = self.backend()
         a1, a2, a3 = (a.to_backend(backend) for a in self.frame.vectors)
         g1, g2, g3 = self.bivector_components()
-        half_tr = self._to_scalar(self.trace(), backend) * coerce(
+        half_tr = coerce(self.trace(), backend) * coerce(
             Fraction(1, 2), backend
         )
         acc = self.frame.algebra.scalar(half_tr, backend)
-        acc = acc + a2.wedge(a3) * self._to_scalar(g1, backend)
-        acc = acc + a3.wedge(a1) * self._to_scalar(g2, backend)
-        acc = acc + a1.wedge(a2) * self._to_scalar(g3, backend)
+        acc = acc + a2.wedge(a3) * coerce(g1, backend)
+        acc = acc + a3.wedge(a1) * coerce(g2, backend)
+        acc = acc + a1.wedge(a2) * coerce(g3, backend)
         return acc
 
     def element_from_matrix(self) -> Multivector:
@@ -176,12 +176,6 @@ class BivectorOperator:
             [self.entry(i, j) for j in (1, 2, 3)] for i in (1, 2, 3)
         ]
         return from_coefficient_matrix(self.frame, matrix)
-
-    @staticmethod
-    def _to_scalar(value, backend):
-        if backend == EXACT and isinstance(value, (int, Fraction)):
-            return Radical(value)
-        return coerce(value, backend)
 
 
 @dataclass
@@ -233,9 +227,9 @@ def discriminants(op: BivectorOperator):
     claimed = g1 * g1 + g2 * g2 + g3 * g3
     backend = op.backend()
     g = op.element()
-    trace = _as_backend_scalar(op.trace(), backend)
+    trace = coerce(op.trace(), backend)
     one = g.algebra.scalar(coerce(1, backend))
-    traceless = g - one * (trace * _half(backend))
+    traceless = g - one * (trace * coerce(Fraction(1, 2), backend))
     square = traceless * traceless
     if not square.grades() <= {0}:
         raise AlgebraError("traceless square is not scalar")
@@ -243,16 +237,6 @@ def discriminants(op: BivectorOperator):
     if isinstance(claimed, (int, Fraction)) and backend == EXACT:
         claimed = Radical(claimed)
     return claimed, derived
-
-
-def _as_backend_scalar(value, backend):
-    if backend == EXACT and isinstance(value, (int, Fraction)):
-        return Radical(value)
-    return coerce(value, backend)
-
-
-def _half(backend):
-    return coerce(Fraction(1, 2), backend)
 
 
 def spectral_decompose(op: BivectorOperator) -> SpectralDecomposition:
@@ -291,8 +275,8 @@ def spectral_decompose(op: BivectorOperator) -> SpectralDecomposition:
     else:
         root = cmath.sqrt(complex(derived))
 
-    trace = _as_backend_scalar(op.trace(), backend)
-    half = _half(backend)
+    trace = coerce(op.trace(), backend)
+    half = coerce(Fraction(1, 2), backend)
     r_minus = (trace - root) * half
     r_plus = (trace + root) * half
 

@@ -1,14 +1,15 @@
 """Verification suites: every stated identity, checked mechanically.
 
 Each suite returns a :class:`~lpgg.reporting.VerificationReport` whose
-checks are exact wherever the claim is exact; coefficient claims that
-only hold after oracle correction are reported as ``pass-corrected``
-with both values printed in the details.  Every suite works over the
-exact backend.  Each check feeds its samples to
-:meth:`~lpgg.reporting.VerificationReport.check`, which alone decides
-the status.  Random sampling is seeded and reproducible.
+checks are exact wherever the claim is exact.  Every suite works over
+the exact backend.  Each check feeds its samples to
+:meth:`~lpgg.reporting.VerificationReport.check` (or ``check_group``),
+which alone decides the status.  A sample reports whether the claim held
+as stated or only as corrected, and each corrected sample checks the
+value its details state: a claim that needs its correction somewhere is
+``pass-corrected``, one that holds neither way is ``fail``.  Random
+sampling is seeded and reproducible.
 """
-
 from __future__ import annotations
 
 import itertools
@@ -19,7 +20,7 @@ from fractions import Fraction
 from . import atlas as atlas_mod
 from . import calculus, frames, linalg, simplex, spectral, star
 from .algebra import Algebra, Multivector
-from .reporting import FAIL, PASS, PASS_CORRECTED, VerificationReport, merge_reports
+from .reporting import VerificationReport, merge_reports
 from .scalars import EXACT, Radical, is_zero
 from .textform import format_multivector
 
@@ -285,7 +286,8 @@ def suite_frame(n_max: int = DEFAULT_N_MAX,
 
     with report.check(
         "pseudoscalar-relation",
-        "e1 f1..fn = -(sqrt2)^(n+1)/sqrt(n) a_1^..^a_{n+1}, n = 1..7; "
+        "e1 f1..fn = -(sqrt2)^(n+1)/sqrt(n) a_1^..^a_{n+1}, "
+        f"n = 1..{n_max - 1}; "
         "the n = 2 case is -2 a1^a2^a3",
     ) as check:
         for size in range(2, n_max + 1):
@@ -355,7 +357,8 @@ def suite_frame(n_max: int = DEFAULT_N_MAX,
 # -- star ----------------------------------------------------------------------------------
 
 
-def suite_star(n_max: int = 4, seed: int = DEFAULT_SEED) -> VerificationReport:
+def suite_star(n_max: int = DEFAULT_N_MAX,
+               seed: int = DEFAULT_SEED) -> VerificationReport:
     rng = random.Random(seed)
     report = VerificationReport("star", seed)
 
@@ -437,7 +440,7 @@ def suite_calculus(n_max: int = DEFAULT_N_MAX,
     report = VerificationReport("calculus", seed)
 
     with report.check_group(
-        ("gradient-of-x", "nabla x = n+1 exactly, n = 1..7"),
+        ("gradient-of-x", f"nabla x = n+1 exactly, n = 1..{n_max - 1}"),
         ("gradient-of-x-squared", "nabla x^2 = 2x exactly"),
     ) as (gradient_x, gradient_x2):
         for size in range(2, n_max + 1):
@@ -450,27 +453,93 @@ def suite_calculus(n_max: int = DEFAULT_N_MAX,
             gradient_x2(nabla.apply(calculus.square_field(fr)) == x.scale(2),
                         f"size {size}")
 
-    name_map = {}
-    for size in (2, 3, 4, 5):
-        fr = frames.build_null_frame(size, 1)
-        for line in calculus.identity_report(fr):
-            current = name_map.get(line.name)
-            entry = (line.status, line.claim, line.details,
-                     str(line.derived_coefficients))
-            if current is None:
-                name_map[line.name] = entry
-            elif current[0] != line.status and {current[0], line.status} == \
-                    {PASS, PASS_CORRECTED}:
-                # a coefficient slip can be invisible at special n (the
-                # printed gradient-laplacian is exact at n = 2)
-                name_map[line.name] = (
-                    PASS_CORRECTED, line.claim, current[2] or line.details,
-                    current[3],
-                )
-    for name, (status, claim, details, derived) in name_map.items():
-        if status == PASS_CORRECTED and derived:
-            details = (details + "; derived " + derived).strip("; ")
-        report.add(name, claim, status, details)
+    def equal(op1, op2):
+        """Equal as operators and on every scalar monomial of degree <= 3."""
+        return op1 == op2 and calculus.operators_equal_on_monomials(op1, op2, 3)
+
+    with report.check_group(
+        ("gradient-via-flat-sum", "nabla = (2/n)(A d_flat - n nabla_null)"),
+        ("gradient-via-dual", "nabla = (2/n)(nabla_dual - (n-1) nabla_null)"),
+        ("A-dot-gradient", "A . nabla = (n+1) d_flat - 2 A . nabla_null"),
+        ("dual-plus-null", "nabla_dual + nabla_null = A d_flat"),
+        ("A-dot-dual-plus-null",
+         "A . nabla_dual + A . nabla_null = ((n+1)n/2) d_flat"),
+        ("null-laplacian", "nabla_null^2 = sum_{i<j} d_i d_j"),
+        ("dual-laplacian",
+         "nabla_dual^2 = c_sq sum d_i^2 + c_cross sum_{i<j} d_i d_j",
+         "square coefficient from the dual-sum oracle is n(n-1)/2; "
+         "the cross coefficient n^2-n+1 is confirmed"),
+        ("gradient-laplacian",
+         "nabla^2 = nabla_dual^2 - 2(n-1) nabla_dual.nabla_null + nabla_null^2",
+         "expansion of (2/n)^2 (nabla_dual - (n-1) nabla_null)^2; "
+         "derived {'prefactor': '4/n^2', 'null_sq': '(n-1)^2'}"),
+        ("dual-dot-null", "nabla_dual . nabla_null = (n/2) X - nabla_null^2",
+         "as printed X is grade-1 valued and cannot equal the scalar left "
+         "side; X = d_flat^2 makes the identity exact"),
+        ("vector-dot-full-sum", "a_i . A = n/2",
+         "a vector dotted with a vector is a scalar; the scalar value n/2 "
+         "is exact for every i"),
+        ("dual-dot-dual", "dual_i . dual_j = n^2 - n + 1 for i != j",
+         "brute-force expansion of the double pair-dot sum"),
+    ) as (via_flat, via_dual, a_dot, dual_plus_null, a_dot_sum, null_lap,
+          dual_lap, gradient_lap, dual_dot_null, vector_dot, dual_dot):
+        for size in (2, 3, 4, 5):
+            fr = frames.build_null_frame(size, 1)
+            n = Fraction(size - 1)
+            where = f"n+1 = {size}"
+            nabla = calculus.make_nabla(fr)
+            dual = calculus.make_dual_nabla(fr)
+            null = calculus.make_null_nabla(fr)
+            flat = calculus.make_flat_partial(fr)
+            big_a = frames.k_sum(fr, size)
+
+            via_flat(equal(nabla, (flat.left_multiply(big_a) - null.scale(n))
+                           .scale(2 / n)), where)
+            via_dual(equal(nabla, (dual - null.scale(n - 1)).scale(2 / n)), where)
+            a_dot(equal(nabla.dot_contract(big_a), flat.scale(n + 1)
+                        - null.dot_contract(big_a).scale(2)), where)
+            dual_plus_null(equal(dual + null, flat.left_multiply(big_a)), where)
+            a_dot_sum(equal(dual.dot_contract(big_a) + null.dot_contract(big_a),
+                            flat.scale(n * (n + 1) / 2)), where)
+            null_sq = null.compose(null)
+            null_lap(equal(null_sq, calculus.scalar_operator(fr, 0, 1)), where)
+
+            dual_sq = dual.compose(dual)
+            diag, off = calculus.dual_sum_dot_oracle(fr)
+            stated = equal(dual_sq, calculus.scalar_operator(
+                fr, n * (n + 1) / 2, n * n - n + 1))
+            corrected = (diag, off * 2) == (n * (n - 1) / 2, n * n - n + 1) \
+                and equal(dual_sq, calculus.scalar_operator(fr, diag, off * 2))
+            dual_lap(stated or corrected, where, stated=stated)
+
+            dual_dot_null_op = calculus.DiffOperator(fr, [
+                (frames.dual_sum(fr, i + 1).dot(fr.vectors[j]),
+                 tuple(int(t == i) + int(t == j) for t in range(size)))
+                for i in range(size) for j in range(size)
+            ])
+            cross = dual_sq - dual_dot_null_op.scale(2 * (n - 1))
+            nabla_sq = nabla.compose(nabla)
+            stated = equal(nabla_sq, cross + null_sq)
+            corrected = equal(nabla_sq, (cross + null_sq.scale((n - 1) ** 2))
+                              .scale(4 / n**2))
+            gradient_lap(stated or corrected, where, stated=stated)
+
+            flat_sq = flat.compose(flat)
+            dual_dot_null(equal(dual_dot_null_op, flat_sq.scale(n / 2) - null_sq),
+                          where)
+            vector_dot(all(a.dot(big_a) == fr.algebra.scalar(n / 2)
+                           for a in fr.vectors), where)
+            stated = off == n * n - n + 1
+            dual_dot(stated or off == (n * n - n + 1) / 2, where, stated=stated)
+
+            if size == 2:  # the details quote the values derived at n = 1
+                for check, derived in (
+                    (dual_lap, {"c_sq": diag, "c_cross": off * 2}),
+                    (dual_dot_null, {"X": "d_flat^2", "factor": n / 2}),
+                    (vector_dot, {"value": n / 2}),
+                    (dual_dot, {"value": off}),
+                ):
+                    check.details += f"; derived {derived}"
 
     with report.check("mixed-partials", "partial derivatives commute exactly") \
             as check:
@@ -577,32 +646,33 @@ def suite_spectral(n_max: int = DEFAULT_N_MAX,
         fr3.vectors[2].wedge(fr3.vectors[0]),
         fr3.vectors[0].wedge(fr3.vectors[1]),
     ]
-    squares_ok = all(
-        b * b == fr3.algebra.scalar(Fraction(1, 4)) for b in bivs
-    )
-    cross = [
-        (bivs[i] * bivs[j] + bivs[j] * bivs[i]).scalar_part()
-        for i, j in itertools.combinations(range(3), 2)
-    ]
-    anticommute = all(not c for c in cross)
-    report.add(
+    with report.check(
         "bivector-gram",
         "the three basis bivectors square to 1/4; pairwise symmetrized "
         "products are stated to vanish",
-        PASS_CORRECTED if squares_ok and not anticommute else (
-            PASS if squares_ok and anticommute else FAIL
-        ),
         "each pair shares a null vector: B_i B_j + B_j B_i = -1/2, not 0",
-    )
+    ) as check:
+        for i, b in enumerate(bivs):
+            check(b * b == fr3.algebra.scalar(Fraction(1, 4)), f"B_{i + 1}^2",
+                  stated=True)
+        for i, j in itertools.combinations(range(3), 2):
+            symmetrized = bivs[i] * bivs[j] + bivs[j] * bivs[i]
+            stated = symmetrized.is_zero()
+            check(stated or symmetrized == fr3.algebra.scalar(Fraction(-1, 2)),
+                  f"B_{i + 1} B_{j + 1} + B_{j + 1} B_{i + 1}", stated=stated)
 
-    half_sq = (bivs[0] * Fraction(1, 2)) * (bivs[0] * Fraction(1, 2))
-    report.add(
+    with report.check(
         "pauli-normalization",
         "(1/2 a_i^a_j)^2 compared with the unit square a Pauli vector needs",
-        PASS_CORRECTED,
-        f"computed ({format_multivector(half_sq)}); square 1 needs the "
-        "factor 2 a_i^a_j instead",
-    )
+    ) as check:
+        one = fr3.algebra.scalar(1)
+        halves = [b * Fraction(1, 2) for b in bivs]
+        for b, half in zip(bivs, halves):
+            stated = half * half == one
+            check(stated or (b * 2) * (b * 2) == one, format_multivector(b),
+                  stated=stated)
+        check.details = (f"computed ({format_multivector(halves[0] * halves[0])}); "
+                         "square 1 needs the factor 2 a_i^a_j instead")
 
     with report.check(
         "spectral-idempotents",
@@ -750,7 +820,8 @@ def suite_spectral(n_max: int = DEFAULT_N_MAX,
 # -- simplex --------------------------------------------------------------------------------
 
 
-def suite_simplex(n_max: int = 6, seed: int = DEFAULT_SEED) -> VerificationReport:
+def suite_simplex(n_max: int = DEFAULT_N_MAX,
+                  seed: int = DEFAULT_SEED) -> VerificationReport:
     rng = random.Random(seed)
     report = VerificationReport("simplex", seed)
 
@@ -884,15 +955,83 @@ def suite_simplex(n_max: int = 6, seed: int = DEFAULT_SEED) -> VerificationRepor
         check(degenerate and dup.is_zero(), "duplicate")
 
     for size in (3, 4):
-        fr_l = frames.build_null_frame(size, 1)
-        for line in simplex.simplex_laplacian_report(fr_l):
-            report.add(
-                f"laplacian-{line.name}-n{size - 1}",
-                line.claim,
-                line.status,
-                line.details,
-            )
+        _laplacian_checks(report, frames.build_null_frame(size, 1))
     return report
+
+
+def _scalar_constant(field):
+    """The constant term of a field if it is a scalar, else None."""
+    const = field.terms.get((0,) * field.frame.size)
+    if const is None:
+        return Fraction(0)
+    return const.scalar_part() if const.grades() <= {0} else None
+
+
+def _laplacian_checks(report, fr):
+    """The printed dual-gradient displays on the n-simplex, n = fr.n.
+
+    The dual gradient as defined sums i = 1..n+1; the displays stop at
+    i = n, so every line checks the stated value and the full-sum one.
+    """
+    n = fr.n
+    display = [(
+        "three-simplex-display",
+        "nabla_dual^2 = d1^2+d2^2+d3^2 + d2d3+d1d3+d1d2 on the 3-simplex",
+        "instance of the general expansion at n = 3",
+    )] if n == 3 else []
+    specs = [
+        ("dual-gradient-of-x", "nabla_dual x = n(n-1)/2",
+         "summing all n+1 terms gives the scalar (n+1)n/2; stopping at n "
+         "leaves a bivector remainder"),
+        ("dual-laplacian-scalar-valued",
+         "nabla_dual^2 maps scalar fields to scalar fields"),
+        ("dual-laplacian-expansion",
+         "nabla_dual^2 = sum_{i<=n} d_i^2 + C(n,2) sum_{i<=j<=n} d_i d_j",
+         "computed from the dual-sum dot oracle: squares n(n-1)/2, "
+         "crosses n^2-n+1, all n+1 coordinates participate"),
+        *display,
+        ("dual-laplacian-of-x-squared", "nabla_dual^2 x^2 = C(n,2)^2",
+         "(n^2-n+1) C(n+1,2) over all terms; (n^2-n+1) C(n,2) truncated"),
+    ]
+    with report.check_group(
+        *((f"laplacian-{name}-n{n}", *rest) for name, *rest in specs)
+    ) as (gradient, scalar_valued, expansion, *display_checks, x_squared):
+        full = calculus.make_dual_nabla(fr)
+        truncated = simplex.truncated_dual_nabla(fr)
+        x = calculus.PolyField.identity(fr)
+
+        value_full = _scalar_constant(full.apply(x))
+        value_truncated = _scalar_constant(truncated.apply(x))
+        stated = value_full == Fraction(n * (n - 1), 2)
+        gradient(stated or (value_full == Fraction((n + 1) * n, 2)
+                            and value_truncated is None),
+                 f"sum-to-n+1 {value_full}, sum-to-n {value_truncated}",
+                 stated=stated)
+
+        laplacian = full.compose(full)
+        for f in calculus.monomial_fields(fr, 3):
+            scalar_valued(laplacian.apply(f).is_scalar_valued(),
+                          f"monomial {next(iter(f.terms))}")
+
+        diag, off = calculus.dual_sum_dot_oracle(fr)
+        squares, crosses = diag, off * 2
+        corrected = (squares, crosses) == (Fraction(n * (n - 1), 2), n * n - n + 1) \
+            and laplacian == calculus.scalar_operator(fr, squares, crosses)
+        where = f"squares {squares}, crosses {crosses}"
+        stated = (squares, crosses) == (1, Fraction(n * (n - 1), 2))
+        expansion(stated or corrected, where, stated=stated)
+        for check in display_checks:
+            stated = (squares, crosses) == (1, 1)
+            check(stated or corrected, where, stated=stated)
+
+        x2 = calculus.square_field(fr)
+        value_full = _scalar_constant(laplacian.apply(x2))
+        value_truncated = _scalar_constant(truncated.compose(truncated).apply(x2))
+        stated = Fraction(math.comb(n, 2) ** 2) in (value_full, value_truncated)
+        x_squared(stated or (value_full, value_truncated) == (
+            (n * n - n + 1) * math.comb(n + 1, 2),
+            (n * n - n + 1) * math.comb(n, 2),
+        ), f"sum-to-n+1 {value_full}, sum-to-n {value_truncated}", stated=stated)
 
 
 # -- atlas ----------------------------------------------------------------------------------
@@ -911,7 +1050,18 @@ PRINTED_SIGN_SEQUENCE = "+,-,-+-,-+-+,+-+-+,-+-+-+"
 PRINTED_PRODUCT_SEQUENCE = "--++--"
 
 
-def suite_atlas(n_max: int = 10, seed: int = DEFAULT_SEED) -> VerificationReport:
+def _pair_sign_closed_form(level: int) -> int:
+    """Product over p+q = level and i < j of (g_i g_j)^2 = -g_i^2 g_j^2."""
+    sign = 1
+    for p in range(level + 1):
+        squares = [1] * p + [-1] * (level - p)
+        for gi, gj in itertools.combinations(squares, 2):
+            sign *= -gi * gj
+    return sign
+
+
+def suite_atlas(n_max: int = DEFAULT_N_MAX,
+                seed: int = DEFAULT_SEED) -> VerificationReport:
     report = VerificationReport("atlas", seed)
     data = atlas_mod.atlas(min(max(n_max, 6), atlas_mod.ATLAS_LIMIT))
 
@@ -922,16 +1072,21 @@ def suite_atlas(n_max: int = 10, seed: int = DEFAULT_SEED) -> VerificationReport
         for level, fixture in ATLAS_LEVEL_FIXTURES.items():
             check(data["levels"][level] == fixture, f"level {level}")
 
-    computed = data["sign_sequence"].split(",")[:6]
-    printed = PRINTED_SIGN_SEQUENCE.split(",")
-    agree = [a == b for a, b in zip(computed, printed)]
-    report.add(
+    with report.check(
         "aggregate-sign-sequence",
         "the concatenated sign sequence agrees with the printed aggregate",
-        PASS if all(agree) else PASS_CORRECTED,
         "printed item 6 (-+-+-+) contradicts the itemized level-5 list; "
         "computed +-+-+- follows the items",
-    )
+    ) as check:
+        computed = data["sign_sequence"].split(",")[:6]
+        itemized = list(ATLAS_LEVEL_FIXTURES[1]) + [
+            ATLAS_LEVEL_FIXTURES[level] for level in range(2, 6)
+        ]
+        for item, (got, printed, listed) in enumerate(
+            zip(computed, PRINTED_SIGN_SEQUENCE.split(","), itemized), 1
+        ):
+            check(got in (printed, listed), f"item {item}: {got}",
+                  stated=got == printed)
 
     with report.check(
         "product-sequence",
@@ -948,16 +1103,16 @@ def suite_atlas(n_max: int = 10, seed: int = DEFAULT_SEED) -> VerificationReport
         classes = atlas_mod.periodicity_classes(10)
         check(len(classes) == 8, f"{len(classes)} classes")
 
-    pair_note = ", ".join(
-        f"level {level}: {'+' if sign > 0 else '-'}"
-        for level, sign in sorted(data["pair_products"].items())
-    )
-    report.add(
+    with report.check(
         "pair-sign-products",
         "products of generator-pair square signs per level (data only)",
-        PASS,
-        pair_note,
-    )
+    ) as check:
+        pairs = sorted(data["pair_products"].items())
+        for level, sign in pairs:
+            check(sign == _pair_sign_closed_form(level), f"level {level}")
+        check.details = ", ".join(
+            f"level {level}: {'+' if sign > 0 else '-'}" for level, sign in pairs
+        )
     return report
 
 

@@ -198,7 +198,7 @@ def test_criterion_08_calculus():
             (nabla.dot_contract(big_a),
              flat.scale(n + 1) - null.dot_contract(big_a).scale(2)),
             (null.compose(null),
-             calculus._scalar_operator(frame, Fraction(0), Fraction(1))),
+             calculus.scalar_operator(frame, Fraction(0), Fraction(1))),
         ]
         for lhs, rhs in identities:
             assert lhs == rhs

@@ -168,3 +168,38 @@ def test_backend_scalar_coercion():
     with pytest.raises(TypeError):
         exact * 0.5
     assert (exact * Fraction(1, 2)) * 2 == exact
+
+
+def swap_count_sign(a, b, p):
+    """Sign of blade_a * blade_b by sorting the generator list pair by pair."""
+    factors = [k for k in range(16) if a >> k & 1] + \
+        [k for k in range(16) if b >> k & 1]
+    sign = 1
+    for i in range(len(factors)):
+        for j in range(len(factors) - 1 - i):
+            if factors[j] > factors[j + 1]:
+                factors[j], factors[j + 1] = factors[j + 1], factors[j]
+                sign = -sign
+    for k in range(len(factors) - 1):
+        if factors[k] == factors[k + 1] and factors[k] >= p:
+            sign = -sign
+    return sign
+
+
+def test_product_sign_matches_swap_count():
+    for total in range(7):
+        for p in range(total + 1):
+            algebra = Algebra(p, total - p)
+            for a in range(algebra.dim):
+                for b in range(algebra.dim):
+                    assert algebra.product_sign(a, b) == \
+                        swap_count_sign(a, b, p), (p, total - p, a, b)
+
+
+def test_dense_product_leaves_algebra_stateless():
+    algebra = Algebra(3, 3)
+    x = algebra.multivector({blade: blade + 1 for blade in range(algebra.dim)})
+    y = algebra.multivector({blade: 2 - blade for blade in range(algebra.dim)})
+    x * y
+    for name, value in vars(algebra).items():
+        assert not isinstance(value, (dict, list, set, tuple)), name

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lpgg import calculus, frames
+from lpgg import calculus, frames, verify
 from lpgg.calculus import DiffOperator, PolyField
 
 
@@ -111,10 +111,28 @@ def test_operator_identities(fr3, fr4):
         assert calculus.operators_equal_on_monomials(lhs, rhs, 3)
 
 
-def test_identity_report_statuses(fr3):
-    statuses = {
-        check.name: check.status for check in calculus.identity_report(fr3)
-    }
+@pytest.fixture(scope="module")
+def identity_checks():
+    report = verify.run_suite("calculus", n_max=3, seed=1)
+    return {c.name: c for c in report.checks}
+
+
+def printed_gradient_laplacian(fr):
+    """nabla_dual^2 - 2(n-1) nabla_dual.nabla_null + nabla_null^2, as printed."""
+    n = fr.n
+    dual = calculus.make_dual_nabla(fr)
+    null = calculus.make_null_nabla(fr)
+    dual_dot_null = DiffOperator(fr, [
+        (frames.dual_sum(fr, i + 1).dot(fr.vectors[j]),
+         tuple(int(t == i) + int(t == j) for t in range(fr.size)))
+        for i in range(fr.size) for j in range(fr.size)
+    ])
+    return (dual.compose(dual) - dual_dot_null.scale(2 * (n - 1))
+            + null.compose(null))
+
+
+def test_identity_report_statuses(fr3, identity_checks):
+    statuses = {name: check.status for name, check in identity_checks.items()}
     assert statuses["gradient-via-flat-sum"] == "pass"
     assert statuses["gradient-via-dual"] == "pass"
     assert statuses["A-dot-gradient"] == "pass"
@@ -125,25 +143,35 @@ def test_identity_report_statuses(fr3):
     assert statuses["dual-dot-null"] == "pass-corrected"
     assert statuses["vector-dot-full-sum"] == "pass-corrected"
     assert statuses["dual-dot-dual"] == "pass-corrected"
+    # at n = 2 the stated coefficients already fail
+    n = fr3.n
+    dual = calculus.make_dual_nabla(fr3)
+    assert dual.compose(dual) != calculus.scalar_operator(
+        fr3, Fraction(n * (n + 1), 2), n * n - n + 1)
+    _, off = calculus.dual_sum_dot_oracle(fr3)
+    assert off != n * n - n + 1
 
 
-def test_identity_report_corrected_coefficients(fr4):
-    checks = {c.name: c for c in calculus.identity_report(fr4)}
+def test_identity_report_corrected_coefficients(fr4, identity_checks):
     n = fr4.n
-    dual_lap = checks["dual-laplacian"]
-    assert dual_lap.derived_coefficients["c_sq"] == Fraction(n * (n - 1), 2)
-    assert dual_lap.derived_coefficients["c_cross"] == n * n - n + 1
-    dual_dot = checks["dual-dot-dual"]
-    assert dual_dot.derived_coefficients["value"] == Fraction(n * n - n + 1, 2)
-    assert dual_dot.claimed_coefficients["value"] == n * n - n + 1
+    dual = calculus.make_dual_nabla(fr4)
+    assert dual.compose(dual) == calculus.scalar_operator(
+        fr4, Fraction(n * (n - 1), 2), n * n - n + 1)
+    diag, off = calculus.dual_sum_dot_oracle(fr4)
+    assert (diag, off * 2) == (Fraction(n * (n - 1), 2), n * n - n + 1)
+    assert off == Fraction(n * n - n + 1, 2)
+    assert off != n * n - n + 1
+    assert identity_checks["dual-dot-dual"].claim == \
+        "dual_i . dual_j = n^2 - n + 1 for i != j"
+    assert identity_checks["dual-laplacian"].details.endswith(
+        "derived {'c_sq': Radical('0'), 'c_cross': Radical('1')}")
 
 
-def test_gradient_laplacian_exact_at_n2(fr3):
-    checks = {c.name: c for c in calculus.identity_report(fr3)}
-    assert checks["gradient-laplacian"].status == "pass"
-    fr4 = frames.build_null_frame(4, 1)
-    checks4 = {c.name: c for c in calculus.identity_report(fr4)}
-    assert checks4["gradient-laplacian"].status == "pass-corrected"
+def test_gradient_laplacian_exact_at_n2(fr3, fr4, identity_checks):
+    for fr, exact in ((fr3, True), (fr4, False)):
+        nabla = calculus.make_nabla(fr)
+        assert (nabla.compose(nabla) == printed_gradient_laplacian(fr)) is exact
+    assert identity_checks["gradient-laplacian"].status == "pass-corrected"
 
 
 def test_dual_sum_oracle(fr4):

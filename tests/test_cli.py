@@ -274,17 +274,3 @@ def test_simplex_vertices_file(capsys, tmp_path):
 def test_simplex_needs_input(capsys):
     code, _, err = run_cli(capsys, "simplex", "--n", "2")
     assert code == 2
-
-
-def test_backend_env(capsys, monkeypatch):
-    monkeypatch.setenv("LPGG_BACKEND", "approx")
-    code, out, _ = run_cli(
-        capsys, "simplex", "--n", "2", "--point", "1/3,1/3,1/3",
-    )
-    assert code == 0
-    payload = json.loads(out)
-    # fractions parse to floats under the approx backend
-    assert payload["norm_squared"] != "1/3"
-    monkeypatch.setenv("LPGG_BACKEND", "bogus")
-    with pytest.raises(SystemExit):
-        run_cli(capsys, "simplex", "--n", "2", "--point", "1/3,1/3,1/3")

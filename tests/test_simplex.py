@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lpgg import frames, linalg, simplex
+from lpgg import calculus, frames, linalg, simplex, verify
 
 
 @pytest.fixture(scope="module")
@@ -197,27 +197,30 @@ def test_grid_norm_nonnegative():
 
 
 def test_laplacian_report_statuses():
-    for size in (3, 4):
-        report = simplex.simplex_laplacian_report(
-            frames.build_null_frame(size, 1)
-        )
-        by_name = {line.name: line for line in report}
-        assert by_name["dual-gradient-of-x"].status == "pass-corrected"
-        assert by_name["dual-laplacian-scalar-valued"].status == "pass"
-        assert by_name["dual-laplacian-expansion"].status == "pass-corrected"
-        assert by_name["dual-laplacian-of-x-squared"].status == \
+    statuses = {
+        c.name: c.status for c in verify.run_suite("simplex", n_max=2).checks
+    }
+    for n in (2, 3):
+        assert statuses[f"laplacian-dual-gradient-of-x-n{n}"] == "pass-corrected"
+        assert statuses[f"laplacian-dual-laplacian-scalar-valued-n{n}"] == "pass"
+        assert statuses[f"laplacian-dual-laplacian-expansion-n{n}"] == \
             "pass-corrected"
-        if size == 4:
-            assert by_name["three-simplex-display"].status == "pass-corrected"
+        assert statuses[f"laplacian-dual-laplacian-of-x-squared-n{n}"] == \
+            "pass-corrected"
+    assert statuses["laplacian-three-simplex-display-n3"] == "pass-corrected"
+    assert "laplacian-three-simplex-display-n2" not in statuses
 
 
 def test_laplacian_derived_values():
     fr = frames.build_null_frame(4, 1)  # n = 3
-    by_name = {
-        line.name: line for line in simplex.simplex_laplacian_report(fr)
-    }
-    grad = by_name["dual-gradient-of-x"]
-    assert grad.derived_values["sum-to-n+1"] == Fraction(6)  # (n+1)n/2
-    x2 = by_name["dual-laplacian-of-x-squared"]
-    assert x2.derived_values["sum-to-n+1"] == Fraction(42)  # (n^2-n+1) C(n+1,2)
-    assert x2.derived_values["sum-to-n"] == Fraction(21)  # (n^2-n+1) C(n,2)
+    zero = (0,) * fr.size
+    full = calculus.make_dual_nabla(fr)
+    truncated = simplex.truncated_dual_nabla(fr)
+    x = calculus.PolyField.identity(fr)
+    assert full.apply(x).terms[zero] == fr.algebra.scalar(6)  # (n+1)n/2
+    assert not truncated.apply(x).terms[zero].grades() <= {0}
+    x2 = calculus.square_field(fr)
+    # (n^2-n+1) C(n+1,2) over all terms, (n^2-n+1) C(n,2) truncated
+    assert full.compose(full).apply(x2).terms[zero] == fr.algebra.scalar(42)
+    assert truncated.compose(truncated).apply(x2).terms[zero] == \
+        fr.algebra.scalar(21)

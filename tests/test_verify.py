@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import lpgg
-from lpgg import atlas, verify
+from lpgg import atlas, calculus, simplex, verify
 from lpgg.reporting import CheckResult, VerificationReport
 
 
@@ -29,7 +30,7 @@ def test_run_all_merges_and_prefixes():
     assert report.exit_code() == 0
     text = json.dumps(report.to_json(), indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "53722b8665e69412805f7a14e81e454940c33ca55a99ee09360a168cb65df82d"
+        "b2dca8e1883a2539a4b30fdf54c995ac2375780d7e19655e2992b6ee89f82f79"
     )
 
 
@@ -85,6 +86,13 @@ def test_check_status_rule():
     with report.check("noted", "claim") as check:
         check(True)
         check.details = "computed note"
+    with report.check("as-stated", "claim", "corrected text") as check:
+        check(True, "w0", stated=True)
+        check(True, "w1", stated=True)
+    with report.check("once-corrected", "claim", "corrected text") as check:
+        check(True, "w0", stated=True)
+        check(True, "w1", stated=False)
+        check(True, "w2", stated=True)
     assert [(c.name, c.status, c.details) for c in report.checks] == [
         ("plain", "pass", ""),
         ("fixed", "pass-corrected", "corrected text"),
@@ -93,7 +101,50 @@ def test_check_status_rule():
         ("first", "fail", "ValueError: boom"),
         ("second", "fail", "ValueError: boom"),
         ("noted", "pass", "computed note"),
+        ("as-stated", "pass", ""),
+        ("once-corrected", "pass-corrected", "corrected text"),
     ]
+
+
+def test_identity_failing_at_one_size_fails(monkeypatch):
+    real = calculus.make_null_nabla
+
+    def broken(frame):
+        op = real(frame)
+        return op.scale(2) if frame.size == 4 else op
+
+    monkeypatch.setattr(calculus, "make_null_nabla", broken)
+    report = verify.run_suite("calculus", n_max=3)
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["null-laplacian"].status == "fail"
+    assert by_name["null-laplacian"].details == "n+1 = 4"
+    assert report.exit_code() == 1
+
+
+def test_wrong_dual_sum_oracle_fails_its_corrections(monkeypatch):
+    def wrong(frame):
+        return 7, -5
+
+    monkeypatch.setattr(calculus, "dual_sum_dot_oracle", wrong)
+    monkeypatch.setattr(simplex, "dual_sum_dot_oracle", wrong, raising=False)
+    calc = statuses(verify.run_suite("calculus", n_max=2))
+    assert calc["dual-dot-dual"] == "fail"
+    assert calc["dual-laplacian"] == "fail"
+    simp = statuses(verify.run_suite("simplex", n_max=2))
+    for name in ("laplacian-dual-laplacian-expansion-n2",
+                 "laplacian-dual-laplacian-expansion-n3",
+                 "laplacian-three-simplex-display-n3"):
+        assert simp[name] == "fail", name
+
+
+def test_range_claims_follow_n_max():
+    calc = {c.name: c.claim for c in verify.run_suite("calculus", n_max=3).checks}
+    assert calc["gradient-of-x"] == "nabla x = n+1 exactly, n = 1..2"
+    frame = {c.name: c.claim for c in verify.run_suite("frame", n_max=3).checks}
+    assert "a_1^..^a_{n+1}, n = 1..2;" in frame["pseudoscalar-relation"]
+    for suite in verify.SUITE_FUNCTIONS.values():
+        default = inspect.signature(suite).parameters["n_max"].default
+        assert default == verify.DEFAULT_N_MAX, suite.__name__
 
 
 def test_spectral_suite_does_not_import_numpy():
@@ -124,11 +175,14 @@ def test_unknown_suite_raises():
 
 def test_exit_code_mapping():
     report = VerificationReport("demo", 1)
-    report.add("a", "claim", "pass")
+    with report.check("a", "claim") as check:
+        check(True)
     assert report.exit_code() == 0 and not report.corrected
-    report.add("b", "claim", "pass-corrected")
+    with report.check("b", "claim", "corrected text") as check:
+        check(True)
     assert report.exit_code() == 0 and report.corrected
-    report.add("c", "claim", "fail")
+    with report.check("c", "claim") as check:
+        check(False)
     assert report.exit_code() == 1
     with pytest.raises(ValueError):
         CheckResult("d", "claim", "bogus")
