@@ -13,12 +13,6 @@ from .algebra import (
     ContextMismatchError,
     DimensionLimitError,
     Multivector,
-    dot,
-    geometric_product,
-    grade_projection,
-    make_algebra,
-    outer_product,
-    reverse,
     wedge_list,
 )
 from .scalars import (
@@ -45,12 +39,6 @@ __all__ = [
     "EXACT",
     "APPROX",
     "COMPLEX",
-    "make_algebra",
-    "geometric_product",
-    "outer_product",
     "wedge_list",
-    "dot",
-    "grade_projection",
-    "reverse",
     "__version__",
 ]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import scalars
-from .scalars import APPROX, COMPLEX, EXACT, Radical, coerce, is_zero
+from .scalars import BACKENDS, COMPLEX, EXACT, Radical, coerce, is_zero
 
 DIMENSION_LIMIT = 12
 
@@ -158,10 +158,6 @@ class Algebra:
 
     def pseudoscalar(self, backend: str = EXACT) -> "Multivector":
         return self.blade(self.dim - 1, 1, backend)
-
-
-def make_algebra(p: int, q: int) -> Algebra:
-    return Algebra(p, q)
 
 
 class Multivector:
@@ -308,16 +304,10 @@ class Multivector:
         self._check_compatible(other)
         return self._product(other, keep=lambda ga, gb, gout: gout == ga + gb)
 
-    def __xor__(self, other):
-        return self.wedge(other)
-
     def dot(self, other: "Multivector") -> "Multivector":
         """Grade |r-s| part per blade pair (general inputs grade-by-grade)."""
         self._check_compatible(other)
         return self._product(other, keep=lambda ga, gb, gout: gout == abs(ga - gb))
-
-    def __or__(self, other):
-        return self.dot(other)
 
     # -- involutions and projections ------------------------------------------------
 
@@ -341,8 +331,7 @@ class Multivector:
     # -- conversions ------------------------------------------------------------------
 
     def to_backend(self, backend: str) -> "Multivector":
-        order = {EXACT: 0, APPROX: 1, COMPLEX: 2}
-        if order[backend] < order[self.backend]:
+        if BACKENDS.index(backend) < BACKENDS.index(self.backend):
             raise BackendMismatchError(f"cannot narrow {self.backend} to {backend}")
         return self.algebra.multivector(
             {blade: coerce(v, backend) for blade, v in self._coeffs.items()}, backend
@@ -397,14 +386,6 @@ class Multivector:
         return f"<{format_multivector(self)}>"
 
 
-def geometric_product(u: Multivector, v: Multivector) -> Multivector:
-    return u.geometric(v)
-
-
-def outer_product(u: Multivector, v: Multivector) -> Multivector:
-    return u.wedge(v)
-
-
 def wedge_list(vectors: list[Multivector]) -> Multivector:
     if not vectors:
         raise AlgebraError("wedge_list needs at least one factor")
@@ -413,14 +394,3 @@ def wedge_list(vectors: list[Multivector]) -> Multivector:
         result = result.wedge(v)
     return result
 
-
-def dot(u: Multivector, v: Multivector) -> Multivector:
-    return u.dot(v)
-
-
-def grade_projection(u: Multivector, k: int) -> Multivector:
-    return u.grade(k)
-
-
-def reverse(u: Multivector) -> Multivector:
-    return u.reverse()

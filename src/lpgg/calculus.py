@@ -19,13 +19,8 @@ import math
 from dataclasses import dataclass
 
 from .algebra import AlgebraError, Multivector
-from .frames import (
-    NullFrame,
-    dual_sum,
-    reciprocal_frame,
-    vector_from_null_coordinates,
-)
-from .scalars import APPROX, coerce
+from .frames import NullFrame, dual_sum, reciprocal_frame
+from .scalars import APPROX, EXACT, Radical, coerce
 
 
 class PolyField:
@@ -50,7 +45,7 @@ class PolyField:
         if len(exponents) != frame.size or any(e < 0 for e in exponents):
             raise ValueError("bad exponent multi-index")
         if coefficient is None:
-            coefficient = frame.algebra.scalar(coerce(1, frame.backend))
+            coefficient = frame.algebra.scalar(1)
         return cls(frame, {exponents: coefficient})
 
     @classmethod
@@ -111,10 +106,10 @@ class PolyField:
         return PolyField(self.frame, terms)
 
     def evaluate(self, coords) -> Multivector:
-        coords = [coerce(c, self.frame.backend) for c in coords]
-        acc = self.frame.algebra.zero(self.frame.backend)
+        coords = [coerce(c, EXACT) for c in coords]
+        acc = self.frame.algebra.zero()
         for exp, mv in self.terms.items():
-            weight = coerce(1, self.frame.backend)
+            weight = Radical(1)
             for c, e in zip(coords, exp):
                 for _ in range(e):
                     weight = weight * c
@@ -264,7 +259,7 @@ def make_null_nabla(frame: NullFrame) -> DiffOperator:
 
 def make_flat_partial(frame: NullFrame) -> DiffOperator:
     """The plain sum of partials (scalar directions)."""
-    one = frame.algebra.scalar(coerce(1, frame.backend))
+    one = frame.algebra.scalar(1)
     return DiffOperator(
         frame,
         [(one, _unit_multi_index(frame.size, i)) for i in range(frame.size)],
@@ -285,27 +280,13 @@ def monomial_fields(frame: NullFrame, max_degree: int = 3):
         yield PolyField.monomial(frame, exp)
 
 
-def operators_equal_on_monomials(
-    op1: DiffOperator, op2: DiffOperator, max_degree: int = 3
-) -> bool:
-    """Compare actions on every scalar monomial field up to a degree.
-
-    The operators here are at most second order, so degree 2 already
-    determines them; degree 3 is margin.
-    """
-    return all(
-        op1.apply(f).terms == op2.apply(f).terms
-        for f in monomial_fields(op1.frame, max_degree)
-    )
-
-
 # -- coefficient operators and the dual-sum oracle -------------------------------------------
 
 
 def scalar_operator(frame, coeff_squares, coeff_crosses) -> DiffOperator:
     """Build c1 * sum_i d_i^2 + c2 * sum_{i<j} d_i d_j."""
     terms = []
-    one = frame.algebra.scalar(coerce(1, frame.backend))
+    one = frame.algebra.scalar(1)
     size = frame.size
     for i in range(size):
         mi = tuple(2 if j == i else 0 for j in range(size))
@@ -367,7 +348,7 @@ class FiniteDifferenceReport:
         return self.max_abs_error <= tol
 
 
-def _tag_function(frame: NullFrame, tag: str):
+def _tag_function(frame: NullFrame, position, tag: str):
     size = frame.size
 
     def norm_sq(coords):
@@ -378,25 +359,26 @@ def _tag_function(frame: NullFrame, tag: str):
         )
 
     if tag == "x":
-        return lambda coords: vector_from_null_coordinates(frame, coords)
+        return position
     if tag == "x2":
         return lambda coords: frame.algebra.scalar(float(norm_sq(coords)))
     if tag == "abs_x":
         return lambda coords: frame.algebra.scalar(math.sqrt(norm_sq(coords)))
     if tag == "unit_x":
-        return lambda coords: vector_from_null_coordinates(frame, coords) / math.sqrt(
-            norm_sq(coords)
-        )
+        return lambda coords: position(coords) / math.sqrt(norm_sq(coords))
     raise ValueError(f"unsupported tag {tag!r}; expected one of {SUPPORTED_TAGS}")
 
 
 def finite_difference_check(
     frame: NullFrame, tag: str, point, step: float = 1e-5
 ) -> FiniteDifferenceReport:
-    """Central finite differences contracted with the reciprocal frame."""
+    """Central finite differences contracted with the reciprocal frame.
+
+    The frame is exact; its vectors and reciprocal vectors are converted
+    to floats here, at the boundary of the numeric work.
+    """
     if step < MIN_STEP:
         raise ValueError(f"step {step} below the cancellation guard {MIN_STEP}")
-    approx_frame = _approx_twin(frame)
     coords = [float(c) for c in point]
     if len(coords) != frame.size:
         raise ValueError(f"expected {frame.size} coordinates")
@@ -406,10 +388,17 @@ def finite_difference_check(
     )
     if norm_sq <= 0:
         raise ValueError("point lies on or inside the light cone (|x|^2 <= 0)")
-    fn = _tag_function(approx_frame, tag)
-    recip = reciprocal_frame(approx_frame)
+    vectors = [a.to_backend(APPROX) for a in frame.vectors]
+    recip = [r.to_backend(APPROX) for r in reciprocal_frame(frame)]
 
-    gradient = approx_frame.algebra.zero(APPROX)
+    def position(coords):
+        acc = frame.algebra.zero(APPROX)
+        for x, a in zip(coords, vectors):
+            acc = acc + a * x
+        return acc
+
+    fn = _tag_function(frame, position, tag)
+    gradient = frame.algebra.zero(APPROX)
     for i in range(size):
         up = list(coords)
         down = list(coords)
@@ -419,12 +408,12 @@ def finite_difference_check(
         gradient = gradient + recip[i] * delta
 
     norm = math.sqrt(norm_sq)
-    x_mv = vector_from_null_coordinates(approx_frame, coords)
+    x_mv = position(coords)
     expected = {
-        "x": approx_frame.algebra.scalar(float(size)),
+        "x": frame.algebra.scalar(float(size)),
         "x2": x_mv * 2.0,
         "abs_x": x_mv / norm,
-        "unit_x": approx_frame.algebra.scalar(frame.n / norm),
+        "unit_x": frame.algebra.scalar(frame.n / norm),
     }[tag]
     return FiniteDifferenceReport(
         tag=tag,
@@ -435,20 +424,3 @@ def finite_difference_check(
         max_abs_error=gradient.max_abs_difference(expected),
     )
 
-
-def _approx_twin(frame: NullFrame) -> NullFrame:
-    """A float-backed copy of the frame for numeric work."""
-    if frame.backend == APPROX:
-        return frame
-    twin = getattr(frame, "_approx_twin", None)
-    if twin is None:
-        twin = NullFrame(
-            frame.algebra,
-            frame.sign,
-            [a.to_backend(APPROX) for a in frame.vectors],
-            [[float(v) for v in row] for row in frame.t_matrix],
-            [[float(v) for v in row] for row in frame.t_inverse],
-            exact=False,
-        )
-        frame._approx_twin = twin
-    return twin

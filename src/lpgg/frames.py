@@ -22,13 +22,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import Algebra, AlgebraError, Multivector, wedge_list
-from .scalars import (
-    APPROX,
-    EXACT,
-    Radical,
-    coerce,
-    is_zero,
-)
+from .scalars import EXACT, Radical, coerce, is_zero
 
 FRAME_LIMIT = 12
 CANONICAL_BASIS_LIMIT = 8
@@ -61,15 +55,14 @@ class TableReport:
 
 
 class NullFrame:
-    """n+1 correlated null vectors with their transition matrix."""
+    """n+1 correlated null vectors with their exact transition matrix."""
 
-    def __init__(self, algebra, sign, vectors, t_matrix, t_inverse, exact=True):
+    def __init__(self, algebra, sign, vectors, t_matrix, t_inverse):
         self.algebra = algebra
         self.sign = sign
         self.vectors = tuple(vectors)
         self.t_matrix = t_matrix
         self.t_inverse = t_inverse
-        self.exact = exact  # False for float-backed twins used in numeric work
         self.size = len(self.vectors)
         self.n = self.size - 1
         self._wedge_cache: dict | None = None
@@ -80,39 +73,30 @@ class NullFrame:
         kind = "positive" if self.sign > 0 else "negative"
         return f"NullFrame({kind}, n+1={self.size})"
 
-    @property
-    def backend(self) -> str:
-        return EXACT if self.exact else APPROX
-
-    def correlation(self):
-        half = Fraction(1, 2) if self.sign > 0 else Fraction(-1, 2)
-        return coerce(half if self.exact else float(half), self.backend)
-
     def vector(self, i: int) -> Multivector:
         """1-based accessor for a_i."""
         return self.vectors[i - 1]
 
-    # -- ordered standard basis --------------------------------------------------
-
-    def standard_basis_bits(self) -> list[int]:
-        """Generator bit for each slot of the frame's ordered standard basis.
-
-        Positive frames read (e1, f1..fn) straight off G(1,n); negative
-        frames use (f1, e1..en) inside G(n,1), putting the sign-carrying
-        generator first in both cases.
-        """
-        n = self.n
-        if self.sign > 0:
-            return list(range(n + 1))
-        return [n] + list(range(n))
-
     def metric_dual_basis(self) -> list[Multivector]:
         """Row basis with b^i . b_j = delta_ij (flips the -1 generators)."""
         out = []
-        for bit in self.standard_basis_bits():
-            g = self.algebra.generator(bit, self.backend)
+        for bit in standard_basis_bits(self.size, self.sign):
+            g = self.algebra.generator(bit)
             out.append(g if self.algebra.generator_square(bit) > 0 else -g)
         return out
+
+
+def standard_basis_bits(n_plus_1: int, sign: int) -> list[int]:
+    """Generator bit for each slot of a frame's ordered standard basis.
+
+    Positive frames read (e1, f1..fn) straight off G(1,n); negative
+    frames use (f1, e1..en) inside G(n,1), putting the sign-carrying
+    generator first in both cases.
+    """
+    n = n_plus_1 - 1
+    if sign > 0:
+        return list(range(n + 1))
+    return [n] + list(range(n))
 
 
 def build_null_frame(n_plus_1: int, sign: int = 1) -> NullFrame:
@@ -126,10 +110,7 @@ def build_null_frame(n_plus_1: int, sign: int = 1) -> NullFrame:
     n = n_plus_1 - 1
     algebra = Algebra(1, n) if sign > 0 else Algebra(n, 1)
 
-    if sign > 0:
-        basis_bits = list(range(n + 1))
-    else:
-        basis_bits = [n] + list(range(n))
+    basis_bits = standard_basis_bits(n_plus_1, sign)
     basis = [algebra.generator(bit) for bit in basis_bits]
 
     half = Fraction(1, 2)
@@ -152,7 +133,7 @@ def build_null_frame(n_plus_1: int, sign: int = 1) -> NullFrame:
             row[slot_of_bit[blade.bit_length() - 1]] = value
         t_matrix.append(row)
 
-    t_inverse = linalg.invert(t_matrix, EXACT)
+    t_inverse = linalg.invert(t_matrix)
     return NullFrame(algebra, sign, vectors, t_matrix, t_inverse)
 
 
@@ -169,7 +150,7 @@ def verify_multiplication_table(frame: NullFrame) -> TableReport:
     s = frame.sign
     violations = []
     checked = 0
-    zero = frame.algebra.zero(frame.backend)
+    zero = frame.algebra.zero()
     for i, j in itertools.combinations(range(frame.size), 2):
         ai, aj = frame.vectors[i], frame.vectors[j]
         aij, aji = ai * aj, aj * ai
@@ -196,8 +177,8 @@ def verify_multiplication_table(frame: NullFrame) -> TableReport:
 # -- coordinate conversions ------------------------------------------------------
 
 
-def _apply_row(row: CoordinateRow, matrix, frame) -> tuple:
-    entries = [coerce(v, frame.backend) for v in row.entries]
+def _apply_row(row: CoordinateRow, matrix) -> tuple:
+    entries = [coerce(v, EXACT) for v in row.entries]
     return tuple(linalg.vec_mat(entries, matrix))
 
 
@@ -206,7 +187,7 @@ def to_null_coordinates(frame: NullFrame, row: CoordinateRow) -> CoordinateRow:
         raise ValueError("expected standard coordinates")
     if len(row.entries) != frame.size:
         raise ValueError(f"expected {frame.size} coordinates")
-    return CoordinateRow(_apply_row(row, frame.t_inverse, frame), "null")
+    return CoordinateRow(_apply_row(row, frame.t_inverse), "null")
 
 
 def to_standard_coordinates(frame: NullFrame, row: CoordinateRow) -> CoordinateRow:
@@ -214,13 +195,13 @@ def to_standard_coordinates(frame: NullFrame, row: CoordinateRow) -> CoordinateR
         raise ValueError("expected null coordinates")
     if len(row.entries) != frame.size:
         raise ValueError(f"expected {frame.size} coordinates")
-    return CoordinateRow(_apply_row(row, frame.t_matrix, frame), "standard")
+    return CoordinateRow(_apply_row(row, frame.t_matrix), "standard")
 
 
 def vector_from_null_coordinates(frame: NullFrame, coords) -> Multivector:
-    acc = frame.algebra.zero(frame.backend)
+    acc = frame.algebra.zero()
     for x, a in zip(coords, frame.vectors):
-        acc = acc + a * coerce(x, frame.backend)
+        acc = acc + a * x
     return acc
 
 
@@ -242,7 +223,7 @@ def unit_k_sum(frame: NullFrame, k: int) -> Multivector:
     if k < 2:
         raise ValueError("unit_k_sum needs k >= 2 (normalization undefined)")
     scale = Radical.sqrt(Fraction(2, k * (k - 1)))
-    return k_sum(frame, k) * coerce(scale, frame.backend)
+    return k_sum(frame, k) * scale
 
 
 def dual_sum(frame: NullFrame, i: int) -> Multivector:
@@ -261,7 +242,7 @@ def reciprocal_frame(frame: NullFrame) -> list[Multivector]:
     dual = frame.metric_dual_basis()
     out = []
     for i in range(frame.size):
-        acc = frame.algebra.zero(frame.backend)
+        acc = frame.algebra.zero()
         for kk in range(frame.size):
             acc = acc + dual[kk] * frame.t_inverse[kk][i]
         out.append(acc)
@@ -276,9 +257,9 @@ def pseudoscalar_relation(frame: NullFrame):
     if frame.sign < 0:
         raise ValueError("stated for positively correlated frames")
     n = frame.n
-    lhs = frame.algebra.pseudoscalar(frame.backend)
+    lhs = frame.algebra.pseudoscalar()
     factor = -(_sqrt2_power(n + 1) / Radical.sqrt(n))
-    rhs = wedge_list(list(frame.vectors)) * coerce(factor, frame.backend)
+    rhs = wedge_list(list(frame.vectors)) * factor
     return lhs, rhs, lhs == rhs
 
 
@@ -344,7 +325,7 @@ def _generator_null_coords(frame: NullFrame) -> dict[int, list]:
     """Null coordinates of each algebra generator (rows of T^-1)."""
     if frame._generator_null_coords is None:
         coords = {}
-        for slot, bit in enumerate(frame.standard_basis_bits()):
+        for slot, bit in enumerate(standard_basis_bits(frame.size, frame.sign)):
             coords[bit] = list(frame.t_inverse[slot])
         frame._generator_null_coords = coords
     return frame._generator_null_coords
@@ -357,7 +338,7 @@ def multivector_to_wedge_coords(frame: NullFrame, mv: Multivector) -> dict:
     gen_coords = _generator_null_coords(frame)
     total: dict[int, object] = {}
     for blade, value in mv.items():
-        expansion = {0: coerce(1, frame.backend)}
+        expansion = {0: Radical(1)}
         for bit in reversed(range(frame.algebra.n_generators)):
             if blade >> bit & 1:
                 expansion = _left_multiply_vector(
@@ -408,13 +389,12 @@ def null_canonical_basis(frame: NullFrame):
     if frame._canonical_cache is not None:
         return frame._canonical_cache
     subsets = canonical_subsets(frame.size)
-    products = []
-    for subset in subsets:
-        mv = frame.algebra.scalar(coerce(1, frame.backend))
-        for t in range(frame.size):
-            if subset >> t & 1:
-                mv = mv * frame.vectors[t]
-        products.append(mv)
+    by_subset = {0: frame.algebra.scalar(1)}
+    for subset in range(1, 1 << frame.size):
+        low = subset & -subset
+        by_subset[subset] = (frame.vectors[low.bit_length() - 1]
+                             * by_subset[subset ^ low])
+    products = [by_subset[subset] for subset in subsets]
 
     expansions = _product_wedge_expansions(frame)
     for subset in subsets:
@@ -450,11 +430,11 @@ def express_in_null_basis(frame: NullFrame, mv: Multivector) -> list:
     for subset in reversed(subsets):
         c = residual.get(subset)
         if c is None or is_zero(c):
-            coefficients.append(coerce(0, frame.backend))
+            coefficients.append(Radical(0))
             continue
         coefficients.append(c)
         for other, weight in expansions[subset].items():
-            value = residual.get(other, coerce(0, frame.backend)) - c * weight
+            value = residual.get(other, 0) - c * weight
             if is_zero(value):
                 residual.pop(other, None)
             else:
@@ -467,7 +447,7 @@ def express_in_null_basis(frame: NullFrame, mv: Multivector) -> list:
 
 def reconstruct_from_null_basis(frame: NullFrame, coefficients) -> Multivector:
     _, products = null_canonical_basis(frame)
-    acc = frame.algebra.zero(frame.backend)
+    acc = frame.algebra.zero()
     for c, product in zip(coefficients, products):
         acc = acc + product * c
     return acc

@@ -1,9 +1,10 @@
-"""Small exact-matrix helpers (lists of lists of backend scalars).
+"""Small exact-matrix helpers (lists of lists of exact scalars).
 
-Gauss-Jordan inversion works over any of the scalar backends; exact
-pivoting prefers divisors the radical class can invert (one or two
-terms) and raises :class:`~lpgg.scalars.InexactDivisionError` when no
-usable pivot exists.  Rank and determinant eliminate over Fractions.
+Gauss-Jordan inversion works over :class:`~lpgg.scalars.Radical` only;
+pivoting prefers divisors with the fewest radical terms and raises
+:class:`~lpgg.scalars.InexactDivisionError` when no pivot has at most
+the two terms the radical class can invert.  Rank and determinant
+eliminate over Fractions.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from .scalars import EXACT, InexactDivisionError, Radical, coerce, is_zero
 Matrix = list[list]
 
 
-def identity(n: int, backend: str = EXACT) -> Matrix:
-    one = coerce(1, backend)
-    zero = coerce(0, backend)
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def identity(n: int) -> Matrix:
+    return [[Radical(1 if i == j else 0) for j in range(n)] for i in range(n)]
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
@@ -50,35 +49,25 @@ def sum_scalars(values) -> object:
     return acc
 
 
-def _pivot_cost(value) -> int:
-    if isinstance(value, Radical):
-        k = len(value.terms())
-        return k if k <= 2 else 99
-    return 1
-
-
-def invert(matrix: Matrix, backend: str = EXACT) -> Matrix:
-    """Gauss-Jordan inverse; raises on singular or inexact division."""
+def invert(matrix: Matrix) -> Matrix:
+    """Exact Gauss-Jordan inverse; raises on singular or inexact division."""
     n = len(matrix)
-    a = [[coerce(v, backend) for v in row] for row in matrix]
-    inv = identity(n, backend)
+    a = [[coerce(v, EXACT) for v in row] for row in matrix]
+    inv = identity(n)
     for col in range(n):
         candidates = [r for r in range(col, n) if not is_zero(a[r][col])]
         if not candidates:
             raise ZeroDivisionError("singular matrix")
-        pivot_row = min(candidates, key=lambda r: _pivot_cost(a[r][col]))
-        if _pivot_cost(a[pivot_row][col]) > 2:
+        pivot_row = min(candidates, key=lambda r: len(a[r][col].terms()))
+        pivot = a[pivot_row][col]
+        if len(pivot.terms()) > 2:
             raise InexactDivisionError(
                 "no exactly invertible pivot in column %d" % col
             )
         if pivot_row != col:
             a[col], a[pivot_row] = a[pivot_row], a[col]
             inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        pivot = a[col][col]
-        if isinstance(pivot, Radical):
-            pivot_inv = pivot.inverse()
-        else:
-            pivot_inv = 1 / pivot
+        pivot_inv = pivot.inverse()
         a[col] = [v * pivot_inv for v in a[col]]
         inv[col] = [v * pivot_inv for v in inv[col]]
         for r in range(n):
@@ -137,15 +126,3 @@ def determinant(matrix: Matrix) -> Fraction:
         det *= p
     return det
 
-
-def matrices_equal(a: Matrix, b: Matrix) -> bool:
-    if len(a) != len(b) or any(len(ra) != len(rb) for ra, rb in zip(a, b)):
-        return False
-    for ra, rb in zip(a, b):
-        for va, vb in zip(ra, rb):
-            if isinstance(va, Radical) or isinstance(vb, Radical):
-                if Radical(0) + va != Radical(0) + vb:
-                    return False
-            elif va != vb:
-                return False
-    return True

@@ -24,7 +24,7 @@ EXACT = "exact"
 APPROX = "approx"
 COMPLEX = "complex"
 
-BACKENDS = (EXACT, APPROX, COMPLEX)
+BACKENDS = (EXACT, APPROX, COMPLEX)  # narrowest first
 
 RationalLike = Union[int, Fraction]
 
@@ -301,6 +301,11 @@ def backend_of(value) -> str:
     if isinstance(value, complex):
         return COMPLEX
     raise TypeError(f"unsupported scalar type {type(value).__name__}")
+
+
+def widest_backend(values) -> str:
+    """The widest backend among raw values (exact < approx < complex)."""
+    return max(map(backend_of, values), key=BACKENDS.index, default=EXACT)
 
 
 def coerce(value, backend: str):

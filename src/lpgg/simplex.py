@@ -52,7 +52,7 @@ class SimplexPoint:
     def is_barycentric(self) -> bool:
         total = linalg.sum_scalars(self.coordinates)
         if self.backend == EXACT:
-            unit = total == 1 or Radical(0) + total == Radical(1)
+            unit = total == 1
         else:
             unit = abs(float(total) - 1.0) <= ON_CONE_TOLERANCE
         return unit and all(_scalar_sign(c) >= 0 for c in self.coordinates)
@@ -79,13 +79,13 @@ class SimplexPoint:
     def is_on_cone(self) -> bool:
         value = self.norm_squared()
         if self.backend == EXACT:
-            return is_zero(Radical(0) + value)
+            return is_zero(value)
         return abs(float(value)) <= ON_CONE_TOLERANCE
 
     def norm(self):
         value = self.norm_squared()
         if self.backend == EXACT:
-            value = Radical(0) + value
+            value = coerce(value, EXACT)
             if value.sign() < 0:
                 raise LightConeError("|x|^2 < 0: point outside the cone interior")
             if not value.is_rational():
@@ -148,13 +148,16 @@ class SimplicialMatrix:
 
 def simplicial_matrix_from_csv(frame: NullFrame, text: str,
                                barycentric: bool = True) -> SimplicialMatrix:
-    """One vertex per line, comma-separated null coordinates."""
+    """One vertex per line, comma-separated exact null coordinates."""
     rows = []
     for line in text.strip().splitlines():
         line = line.strip()
         if not line:
             continue
-        rows.append([parse_coordinate(cell) for cell in line.split(",")])
+        row = [parse_coordinate(cell) for cell in line.split(",")]
+        if any(isinstance(value, float) for value in row):
+            raise ValueError(f"vertex row {line!r} must be exact (integers or p/q)")
+        rows.append(row)
     return SimplicialMatrix(frame, rows, barycentric=barycentric)
 
 
@@ -188,7 +191,7 @@ def content_null(frame: NullFrame) -> Multivector:
     diffs = [a - first for a in frame.vectors[1:]]
     product_form = wedge_list(diffs) * Fraction(1, math.factorial(n))
 
-    alternating = frame.algebra.zero(frame.backend)
+    alternating = frame.algebra.zero()
     for i in range(frame.size):
         others = [a for j, a in enumerate(frame.vectors) if j != i]
         term = wedge_list(others)

@@ -22,9 +22,9 @@ from .scalars import (
     COMPLEX,
     EXACT,
     Radical,
-    backend_of,
     coerce,
     is_zero,
+    widest_backend,
 )
 from .star import from_coefficient_matrix
 
@@ -111,7 +111,7 @@ def pseudoscalar_endo_3d(frame: NullFrame, x: Multivector) -> Multivector:
 def pseudoscalar_endo_3d_expanded(frame: NullFrame, coords) -> Multivector:
     """Bivector expansion (x1+x2) a1^a2 + (x2+x3) a2^a3 + (x1+x3) a3^a1."""
     _require_frame_size(frame, 3)
-    x1, x2, x3 = (coerce(c, frame.backend) for c in coords)
+    x1, x2, x3 = (coerce(c, EXACT) for c in coords)
     a1, a2, a3 = frame.vectors
     return (
         a1.wedge(a2) * (x1 + x2)
@@ -149,12 +149,7 @@ class BivectorOperator:
         return g1, g2, g3
 
     def backend(self) -> str:
-        kinds = {backend_of(v) for v in self.coefficients.values()}
-        if COMPLEX in kinds:
-            return COMPLEX
-        if APPROX in kinds:
-            return APPROX
-        return EXACT
+        return widest_backend(self.coefficients.values())
 
     def element(self) -> Multivector:
         """The multivector G, assembled from the trace and bivector parts."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .algebra import AlgebraError, Multivector
 from .frames import NullFrame, k_sum, unit_k_sum
-from .scalars import coerce
+from .scalars import coerce, widest_backend
 
 
 def star(frame: NullFrame, g: Multivector, k: int | None = None) -> Multivector:
@@ -121,16 +121,7 @@ def from_coefficient_matrix(frame: NullFrame, matrix) -> Multivector:
     size = frame.size
     if len(matrix) != size or any(len(row) != size for row in matrix):
         raise ValueError(f"expected a {size}x{size} matrix")
-    from .scalars import backend_of
-
-    backend = frame.backend
-    for row in matrix:
-        for value in row:
-            kind = backend_of(value)
-            if kind == "complex":
-                backend = "complex"
-            elif kind == "approx" and backend != "complex":
-                backend = "approx"
+    backend = widest_backend(value for row in matrix for value in row)
     acc = frame.algebra.zero(backend)
     for i in range(size):
         ai = frame.vectors[i].to_backend(backend)

@@ -78,7 +78,7 @@ def _parse_exact_factor(text: str) -> Radical:
     """Parse ``rational``, ``sqrt(m)`` or ``rational*sqrt(m)``."""
     text = text.strip()
     sign = 1
-    while text[:1] in "+-":
+    while text[:1] in ("+", "-"):
         if text[0] == "-":
             sign = -sign
         text = text[1:].strip()
@@ -90,7 +90,10 @@ def _parse_exact_factor(text: str) -> Radical:
         if m:
             value = Radical.sqrt(int(m.group(1)))
         elif _RATIONAL_RE.fullmatch(text):
-            value = Radical(Fraction(text))
+            try:
+                value = Radical(Fraction(text))
+            except ZeroDivisionError:
+                raise ParseError(f"zero denominator in {text!r}") from None
         else:
             raise ParseError(f"bad exact coefficient {text!r}")
     return -value if sign < 0 else value
@@ -133,7 +136,7 @@ def parse_multivector(text: str, algebra: Algebra, backend: str = EXACT) -> Mult
     for piece in _split_top_level_sum(text):
         piece = piece.strip()
         sign = 1
-        while piece[:1] in "+-":
+        while piece[:1] in ("+", "-"):
             if piece[0] == "-":
                 sign = -sign
             piece = piece[1:].strip()

@@ -59,13 +59,13 @@ def test_criterion_03_transition_matrices():
     """T3 and T8/T8^-1 entry-for-entry; T T^-1 = I exact."""
     fr3 = frames.build_null_frame(3, 1)
     t3, t3_inv = verify._t3_fixture()
-    assert linalg.matrices_equal(fr3.t_matrix, t3)
-    assert linalg.matrices_equal(fr3.t_inverse, t3_inv)
+    assert fr3.t_matrix == t3
+    assert fr3.t_inverse == t3_inv
 
     fr8 = frames.build_null_frame(8, 1)
     t8, t8_inv = verify._t8_fixture()
-    assert linalg.matrices_equal(fr8.t_matrix, t8)
-    assert linalg.matrices_equal(fr8.t_inverse, t8_inv)
+    assert fr8.t_matrix == t8
+    assert fr8.t_inverse == t8_inv
     # the stated (4,4) entry of T8^-1 is -2/sqrt(3); it must be +2/sqrt(3)
     # for T T^-1 = I (row 4 of T dotted with column 4 gives -1 otherwise),
     # so the fixture carries the corrected sign and the report records it
@@ -76,10 +76,9 @@ def test_criterion_03_transition_matrices():
 
     for size in range(2, 9):
         fr = frames.build_null_frame(size, 1)
-        assert fr.exact
-        assert linalg.matrices_equal(
-            linalg.matmul(fr.t_matrix, fr.t_inverse), linalg.identity(size)
-        )
+        assert all(isinstance(v, Radical)
+                   for row in fr.t_matrix + fr.t_inverse for v in row)
+        assert linalg.matmul(fr.t_matrix, fr.t_inverse) == linalg.identity(size)
     announce(3, "T3, T8, T8^-1 reproduced (one documented sign slip); "
                 "T T^-1 = I exact")
 
@@ -202,7 +201,6 @@ def test_criterion_08_calculus():
         ]
         for lhs, rhs in identities:
             assert lhs == rhs
-            assert calculus.operators_equal_on_monomials(lhs, rhs, 3)
 
     rng = random.Random(SEED)
     checked = 0

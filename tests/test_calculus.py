@@ -108,7 +108,6 @@ def test_operator_identities(fr3, fr4):
         lhs = nabla.dot_contract(big_a)
         rhs = flat.scale(n + 1) - null.dot_contract(big_a).scale(2)
         assert lhs == rhs
-        assert calculus.operators_equal_on_monomials(lhs, rhs, 3)
 
 
 @pytest.fixture(scope="module")

@@ -56,8 +56,11 @@ def test_parse_approx(g12):
 def test_parse_errors(g12):
     with pytest.raises(Exception):
         parse_multivector("1*e9", g12)
-    with pytest.raises(ParseError):
-        parse_multivector("huh*e1", g12)
+    # empty factors and zero denominators are parse errors too
+    for text in ("huh*e1", "*", "-", "+", "2*", "*e1", "(+)", "1/0*e1", "0/0",
+                 "(1/0)*e1"):
+        with pytest.raises(ParseError):
+            parse_multivector(text, g12)
 
 
 def test_zero_round_trip(g12):
