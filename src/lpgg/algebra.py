@@ -138,26 +138,24 @@ class Algebra:
             backend = scalars.backend_of(value)
         return self.multivector({0: value}, backend)
 
-    def blade(self, blade: int, value=1, backend: str | None = None) -> "Multivector":
-        if backend is None:
-            backend = scalars.backend_of(value)
-        return self.multivector({blade: value}, backend)
+    def blade(self, blade: int, value=1) -> "Multivector":
+        return self.multivector({blade: value})
 
-    def generator(self, k: int, backend: str = EXACT) -> "Multivector":
-        return self.blade(1 << k, 1, backend)
+    def generator(self, k: int) -> "Multivector":
+        return self.blade(1 << k)
 
-    def e(self, i: int, backend: str = EXACT) -> "Multivector":
+    def e(self, i: int) -> "Multivector":
         if not 1 <= i <= self.p:
             raise AlgebraError(f"e{i} not present in {self!r}")
-        return self.generator(i - 1, backend)
+        return self.generator(i - 1)
 
-    def f(self, j: int, backend: str = EXACT) -> "Multivector":
+    def f(self, j: int) -> "Multivector":
         if not 1 <= j <= self.q:
             raise AlgebraError(f"f{j} not present in {self!r}")
-        return self.generator(self.p + j - 1, backend)
+        return self.generator(self.p + j - 1)
 
-    def pseudoscalar(self, backend: str = EXACT) -> "Multivector":
-        return self.blade(self.dim - 1, 1, backend)
+    def pseudoscalar(self) -> "Multivector":
+        return self.blade(self.dim - 1)
 
 
 class Multivector:

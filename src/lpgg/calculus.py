@@ -7,14 +7,16 @@ canonical instance.  Differentiation treats the coordinates as free
 re-imposed on simplex inputs only), so d/dx_i applied to the identity
 field is the constant field a_i.
 
-Operators are finite sums of (direction multivector, partial-derivative
-monomial) terms applied by left multiplication.  The gradient uses the
-reciprocal frame for its directions; the dual-sum and null gradients use
-the dual n-sums and the frame vectors themselves.
+Operators are the same polynomials with partials in place of the
+coordinates, sum_alpha d_alpha d^alpha, applied by left multiplication
+(the vector derivative of Hestenes & Sobczyk, 1984, ch. 2).  The
+gradient uses the reciprocal frame for its directions; the dual-sum and
+null gradients use the dual n-sums and the frame vectors themselves.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,86 +26,98 @@ from .scalars import APPROX, EXACT, Radical, coerce
 
 
 class PolyField:
-    """Polynomial map R^{n+1} -> G(1,n): exponent tuple -> coefficient."""
+    """Polynomial map R^{n+1} -> G(1,n): exponent tuple -> coefficient.
+
+    Built from (coefficient, exponents) pairs: repeated exponents add up,
+    zero coefficients drop out, and every exponent tuple must have one
+    entry >= 0 per coordinate.  Arithmetic builds ``type(self)``, so the
+    subclass :class:`DiffOperator` stays an operator.
+    """
 
     __slots__ = ("frame", "terms")
 
-    def __init__(self, frame: NullFrame, terms: dict):
+    def __init__(self, frame: NullFrame, terms):
         self.frame = frame
+        merged: dict = {}
+        for coefficient, exponents in terms:
+            exponents = tuple(exponents)
+            if len(exponents) != frame.size or any(e < 0 for e in exponents):
+                raise ValueError("bad exponent multi-index")
+            if exponents in merged:
+                merged[exponents] = merged[exponents] + coefficient
+            else:
+                merged[exponents] = coefficient
         self.terms = {
-            exponents: mv for exponents, mv in terms.items() if not mv.is_zero()
+            exponents: mv for exponents, mv in merged.items() if not mv.is_zero()
         }
 
     @classmethod
     def constant(cls, frame: NullFrame, mv: Multivector) -> "PolyField":
-        zero_exp = (0,) * frame.size
-        return cls(frame, {zero_exp: mv})
+        return cls(frame, [(mv, (0,) * frame.size)])
 
     @classmethod
     def monomial(cls, frame: NullFrame, exponents, coefficient=None) -> "PolyField":
-        exponents = tuple(exponents)
-        if len(exponents) != frame.size or any(e < 0 for e in exponents):
-            raise ValueError("bad exponent multi-index")
         if coefficient is None:
             coefficient = frame.algebra.scalar(1)
-        return cls(frame, {exponents: coefficient})
+        return cls(frame, [(coefficient, exponents)])
+
+    @classmethod
+    def linear(cls, frame: NullFrame, coefficients) -> "PolyField":
+        """sum_i c_i x_i, or sum_i c_i d_i for an operator.
+
+        With fewer coefficients than coordinates the tail is left out.
+        """
+        return cls(frame, (
+            (c, (0,) * i + (1,) + (0,) * (frame.size - i - 1))
+            for i, c in enumerate(coefficients)
+        ))
 
     @classmethod
     def identity(cls, frame: NullFrame) -> "PolyField":
         """The position field sum_i x_i a_i."""
-        terms = {}
-        for i, a in enumerate(frame.vectors):
-            exp = tuple(1 if j == i else 0 for j in range(frame.size))
-            terms[exp] = a
-        return cls(frame, terms)
+        return cls.linear(frame, frame.vectors)
 
     def __add__(self, other: "PolyField") -> "PolyField":
         if self.frame is not other.frame:
-            raise AlgebraError("fields over different frames")
-        terms = dict(self.terms)
-        for exp, mv in other.terms.items():
-            terms[exp] = terms[exp] + mv if exp in terms else mv
-        return PolyField(self.frame, terms)
+            raise AlgebraError("polynomials over different frames")
+        return type(self)(self.frame, (
+            (mv, exp) for terms in (self.terms, other.terms)
+            for exp, mv in terms.items()
+        ))
 
     def __sub__(self, other: "PolyField") -> "PolyField":
         return self + other.scale(-1)
 
     def scale(self, value) -> "PolyField":
-        return PolyField(
-            self.frame, {exp: mv * value for exp, mv in self.terms.items()}
+        return type(self)(
+            self.frame, ((mv * value, exp) for exp, mv in self.terms.items())
         )
 
     def left_multiply(self, mv: Multivector) -> "PolyField":
-        return PolyField(
-            self.frame, {exp: mv * coeff for exp, coeff in self.terms.items()}
+        return type(self)(
+            self.frame, ((mv * coeff, exp) for exp, coeff in self.terms.items())
         )
 
     def multiply(self, other: "PolyField") -> "PolyField":
-        """Product field; coefficients multiply geometrically."""
+        """Product polynomial; coefficients multiply geometrically, self first."""
         if self.frame is not other.frame:
-            raise AlgebraError("fields over different frames")
-        terms: dict = {}
-        for e1, m1 in self.terms.items():
-            for e2, m2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                prod = m1 * m2
-                terms[exp] = terms[exp] + prod if exp in terms else prod
-        return PolyField(self.frame, terms)
+            raise AlgebraError("polynomials over different frames")
+        return type(self)(self.frame, (
+            (m1 * m2, tuple(a + b for a, b in zip(e1, e2)))
+            for e1, m1 in self.terms.items()
+            for e2, m2 in other.terms.items()
+        ))
 
     def partial(self, i: int) -> "PolyField":
         """Exact formal partial derivative in x_i (1-based)."""
         if not 1 <= i <= self.frame.size:
             raise ValueError(f"coordinate index {i} outside 1..{self.frame.size}")
         idx = i - 1
-        terms: dict = {}
-        for exp, mv in self.terms.items():
-            e = exp[idx]
-            if e == 0:
-                continue
-            new_exp = exp[:idx] + (e - 1,) + exp[idx + 1 :]
-            scaled = mv * e
-            terms[new_exp] = terms[new_exp] + scaled if new_exp in terms else scaled
-        return PolyField(self.frame, terms)
+        return type(self)(self.frame, (
+            (mv * exp[idx], exp[:idx] + (exp[idx] - 1,) + exp[idx + 1 :])
+            for exp, mv in self.terms.items()
+            if exp[idx]
+        ))
 
     def evaluate(self, coords) -> Multivector:
         coords = [coerce(c, EXACT) for c in coords]
@@ -120,7 +134,7 @@ class PolyField:
         return all(mv.grades() <= {0} for mv in self.terms.values())
 
     def __eq__(self, other):
-        if not isinstance(other, PolyField):
+        if type(other) is not type(self):
             return NotImplemented
         return self.frame is other.frame and self.terms == other.terms
 
@@ -133,30 +147,19 @@ def square_field(frame: NullFrame) -> PolyField:
     return x.multiply(x)
 
 
-class DiffOperator:
-    """Finite sum of (direction, derivative multi-index) terms."""
+class DiffOperator(PolyField):
+    """sum_alpha d_alpha d^alpha: the terms read as (multi-index, direction).
 
-    __slots__ = ("frame", "terms")
+    The directions are constant and the partials commute, so composing
+    two operators is multiplying their polynomials.
+    """
 
-    def __init__(self, frame: NullFrame, terms):
-        self.frame = frame
-        merged: dict[tuple, Multivector] = {}
-        for direction, multi_index in terms:
-            multi_index = tuple(multi_index)
-            if len(multi_index) != frame.size:
-                raise ValueError("multi-index length must match the frame size")
-            if multi_index in merged:
-                merged[multi_index] = merged[multi_index] + direction
-            else:
-                merged[multi_index] = direction
-        self.terms = {
-            mi: d for mi, d in merged.items() if not d.is_zero()
-        }
+    __slots__ = ()
 
     def apply(self, field: PolyField) -> PolyField:
         if field.frame is not self.frame:
             raise AlgebraError("field over a different frame")
-        result = PolyField(self.frame, {})
+        result = PolyField(self.frame, ())
         for multi_index, direction in self.terms.items():
             diffed = field
             for i, reps in enumerate(multi_index):
@@ -165,119 +168,43 @@ class DiffOperator:
             result = result + diffed.left_multiply(direction)
         return result
 
-    def compose(self, other: "DiffOperator") -> "DiffOperator":
-        """self after other: directions multiply in application order."""
-        if other.frame is not self.frame:
-            raise AlgebraError("operators over different frames")
-        terms = []
-        for mi1, d1 in self.terms.items():
-            for mi2, d2 in other.terms.items():
-                terms.append(
-                    (d1 * d2, tuple(a + b for a, b in zip(mi1, mi2)))
-                )
-        return DiffOperator(self.frame, terms)
-
-    def __add__(self, other: "DiffOperator") -> "DiffOperator":
-        if other.frame is not self.frame:
-            raise AlgebraError("operators over different frames")
-        return DiffOperator(
-            self.frame,
-            list(self.terms_list()) + list(other.terms_list()),
-        )
-
-    def __sub__(self, other: "DiffOperator") -> "DiffOperator":
-        return self + other.scale(-1)
-
-    def scale(self, value) -> "DiffOperator":
-        return DiffOperator(
-            self.frame,
-            [(d * value, mi) for mi, d in self.terms.items()],
-        )
-
-    def left_multiply(self, mv: Multivector) -> "DiffOperator":
-        return DiffOperator(
-            self.frame,
-            [(mv * d, mi) for mi, d in self.terms.items()],
-        )
+    # self after other: directions multiply in application order
+    compose = PolyField.multiply
 
     def dot_contract(self, vector: Multivector) -> "DiffOperator":
         """Replace each direction d by vector . d (scalar directions)."""
-        return DiffOperator(
-            self.frame,
-            [(vector.dot(d), mi) for mi, d in self.terms.items()],
+        return type(self)(
+            self.frame, ((vector.dot(d), mi) for mi, d in self.terms.items())
         )
-
-    def terms_list(self):
-        return [(d, mi) for mi, d in self.terms.items()]
-
-    def __eq__(self, other):
-        if not isinstance(other, DiffOperator):
-            return NotImplemented
-        return self.frame is other.frame and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((id(self.frame), frozenset(self.terms.items())))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-
-def _unit_multi_index(size: int, i: int) -> tuple:
-    return tuple(1 if j == i else 0 for j in range(size))
 
 
 def make_nabla(frame: NullFrame) -> DiffOperator:
     """The vector derivative: reciprocal directions a^i with d/dx_i."""
-    recip = reciprocal_frame(frame)
-    return DiffOperator(
-        frame,
-        [(recip[i], _unit_multi_index(frame.size, i)) for i in range(frame.size)],
-    )
+    return DiffOperator.linear(frame, reciprocal_frame(frame))
 
 
 def make_dual_nabla(frame: NullFrame) -> DiffOperator:
     """Dual-sum gradient: directions are the dual n-sums."""
-    return DiffOperator(
-        frame,
-        [
-            (dual_sum(frame, i + 1), _unit_multi_index(frame.size, i))
-            for i in range(frame.size)
-        ],
+    return DiffOperator.linear(
+        frame, [dual_sum(frame, i) for i in range(1, frame.size + 1)]
     )
 
 
 def make_null_nabla(frame: NullFrame) -> DiffOperator:
     """Null gradient: directions are the frame vectors themselves."""
-    return DiffOperator(
-        frame,
-        [
-            (frame.vectors[i], _unit_multi_index(frame.size, i))
-            for i in range(frame.size)
-        ],
-    )
+    return DiffOperator.linear(frame, frame.vectors)
 
 
 def make_flat_partial(frame: NullFrame) -> DiffOperator:
     """The plain sum of partials (scalar directions)."""
-    one = frame.algebra.scalar(1)
-    return DiffOperator(
-        frame,
-        [(one, _unit_multi_index(frame.size, i)) for i in range(frame.size)],
-    )
+    return DiffOperator.linear(frame, [frame.algebra.scalar(1)] * frame.size)
 
 
 def monomial_fields(frame: NullFrame, max_degree: int = 3):
     """All scalar monomial fields of total degree <= max_degree."""
-
-    def exponents(prefix, remaining, slots):
-        if slots == 0:
-            yield tuple(prefix)
-            return
-        for e in range(remaining + 1):
-            yield from exponents(prefix + [e], remaining - e, slots - 1)
-
-    for exp in exponents([], max_degree, frame.size):
-        yield PolyField.monomial(frame, exp)
+    for exp in itertools.product(range(max_degree + 1), repeat=frame.size):
+        if sum(exp) <= max_degree:
+            yield PolyField.monomial(frame, exp)
 
 
 # -- coefficient operators and the dual-sum oracle -------------------------------------------
@@ -285,17 +212,12 @@ def monomial_fields(frame: NullFrame, max_degree: int = 3):
 
 def scalar_operator(frame, coeff_squares, coeff_crosses) -> DiffOperator:
     """Build c1 * sum_i d_i^2 + c2 * sum_{i<j} d_i d_j."""
-    terms = []
     one = frame.algebra.scalar(1)
-    size = frame.size
-    for i in range(size):
-        mi = tuple(2 if j == i else 0 for j in range(size))
-        terms.append((one * coeff_squares, mi))
-    for i in range(size):
-        for j in range(i + 1, size):
-            mi = tuple(1 if t in (i, j) else 0 for t in range(size))
-            terms.append((one * coeff_crosses, mi))
-    return DiffOperator(frame, terms)
+    return DiffOperator(frame, (
+        (one * (coeff_squares if i == j else coeff_crosses),
+         tuple(int(t == i) + int(t == j) for t in range(frame.size)))
+        for i, j in itertools.combinations_with_replacement(range(frame.size), 2)
+    ))
 
 
 def dual_sum_dot_oracle(frame: NullFrame):

@@ -389,6 +389,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, list):  # argparse turns `--opt=--` into []
+            print(f"--{name.replace('_', '-')} needs a value", file=sys.stderr)
+            return USAGE_ERROR
     try:
         return args.func(args)
     except AlgebraError as exc:

@@ -287,11 +287,6 @@ class Radical:
         return cls._raw(terms)
 
 
-ZERO = Radical(0)
-ONE = Radical(1)
-HALF = Radical(Fraction(1, 2))
-
-
 def backend_of(value) -> str:
     """Classify a raw coefficient value into one of the three backends."""
     if isinstance(value, (Radical, Fraction, int)):

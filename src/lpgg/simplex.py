@@ -276,8 +276,6 @@ def truncated_dual_nabla(frame: NullFrame) -> DiffOperator:
     The printed simplex Laplacian displays sum to n; the dual gradient as
     defined sums all n+1 terms (:func:`~lpgg.calculus.make_dual_nabla`).
     """
-    terms = []
-    for i in range(frame.size - 1):
-        mi = tuple(1 if j == i else 0 for j in range(frame.size))
-        terms.append((dual_sum(frame, i + 1), mi))
-    return DiffOperator(frame, terms)
+    return DiffOperator.linear(
+        frame, [dual_sum(frame, i) for i in range(1, frame.size)]
+    )

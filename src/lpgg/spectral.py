@@ -361,18 +361,21 @@ def rep_g12(mv: Multivector):
     ]
 
 
-def regular_representation(mv: Multivector) -> list[list[float]]:
-    """Matrix of left multiplication on the blade basis (bitmask order)."""
+def regular_representation(mv: Multivector) -> list[list]:
+    """Matrix of left multiplication on the blade basis (bitmask order).
+
+    Entry (b ^ c, c) is the blade sign times the coefficient of blade b,
+    so the entries are exact for an exact element.
+    """
     algebra = mv.algebra
     if algebra.n_generators > 8:
         raise AlgebraError("regular representation limited to p+q <= 8")
     if mv.backend == COMPLEX:
         raise AlgebraError("regular representation emits a real matrix")
     dim = algebra.dim
-    matrix = [[0.0] * dim for _ in range(dim)]
+    zero = coerce(0, mv.backend)
+    matrix = [[zero] * dim for _ in range(dim)]
     for b, cb in mv.items():
-        value = float(cb)
         for col in range(dim):
-            out = b ^ col
-            matrix[out][col] += algebra.product_sign(b, col) * value
+            matrix[b ^ col][col] = cb * algebra.product_sign(b, col)
     return matrix

@@ -16,7 +16,7 @@ import re
 from fractions import Fraction
 
 from .algebra import Algebra, Multivector
-from .scalars import EXACT, Radical
+from .scalars import Radical
 
 
 def _format_coefficient(value) -> tuple[str, bool]:
@@ -67,7 +67,6 @@ def format_multivector(mv: Multivector) -> str:
 
 _SQRT_RE = re.compile(r"sqrt\(\s*(\d+)\s*\)")
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
-_FLOAT_RE = re.compile(r"[+-]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
 
 
 class ParseError(ValueError):
@@ -106,7 +105,7 @@ def _split_top_level_sum(text: str) -> list[str]:
             depth += 1
         elif ch == ")":
             depth -= 1
-        if ch in "+-" and depth == 0 and current.strip() and current.rstrip()[-1:] not in "eE*(/+-":
+        if ch in "+-" and depth == 0 and current.strip() and current.rstrip()[-1:] not in "*(/+-":
             parts.append(current)
             current = ch
         else:
@@ -119,19 +118,21 @@ def _split_top_level_sum(text: str) -> list[str]:
 def _parse_exact_coefficient(text: str) -> Radical:
     text = text.strip()
     if text.startswith("(") and text.endswith(")"):
-        inner = text[1:-1]
+        pieces = _split_top_level_sum(text[1:-1])
+        if not pieces:
+            raise ParseError(f"empty group {text!r}")
         total = Radical(0)
-        for piece in _split_top_level_sum(inner):
+        for piece in pieces:
             total = total + _parse_exact_factor(piece)
         return total
     return _parse_exact_factor(text)
 
 
-def parse_multivector(text: str, algebra: Algebra, backend: str = EXACT) -> Multivector:
-    """Inverse of :func:`format_multivector`."""
+def parse_multivector(text: str, algebra: Algebra) -> Multivector:
+    """Inverse of :func:`format_multivector`; coefficients are exact."""
     text = text.strip()
     if text in ("0", ""):
-        return algebra.zero(backend)
+        return algebra.zero()
     coeffs: dict[int, object] = {}
     for piece in _split_top_level_sum(text):
         piece = piece.strip()
@@ -159,15 +160,8 @@ def parse_multivector(text: str, algebra: Algebra, backend: str = EXACT) -> Mult
             coef_text = "1"
             blade_text = piece
         blade = algebra.blade_from_name(blade_text) if blade_text else 0
-        if backend == EXACT:
-            value = _parse_exact_coefficient(coef_text)
-            if sign < 0:
-                value = -value
-            prior = coeffs.get(blade, Radical(0))
-            coeffs[blade] = prior + value
-        else:
-            if not _FLOAT_RE.fullmatch(coef_text.strip()):
-                raise ParseError(f"bad numeric coefficient {coef_text!r}")
-            value = float(coef_text) * sign
-            coeffs[blade] = coeffs.get(blade, 0.0) + value
-    return algebra.multivector(coeffs, backend)
+        value = _parse_exact_coefficient(coef_text)
+        if sign < 0:
+            value = -value
+        coeffs[blade] = coeffs.get(blade, Radical(0)) + value
+    return algebra.multivector(coeffs)

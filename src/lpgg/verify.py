@@ -725,14 +725,6 @@ def suite_spectral(n_max: int = DEFAULT_N_MAX,
         check(spectral.rep_g12(x) == [[5j, complex(2)], [complex(7), -5j]],
               "x = (2, -3, 5)")
 
-    def matmul2(a, b):
-        return [
-            [a[0][0] * b[0][0] + a[0][1] * b[1][0],
-             a[0][0] * b[0][1] + a[0][1] * b[1][1]],
-            [a[1][0] * b[0][0] + a[1][1] * b[1][0],
-             a[1][0] * b[0][1] + a[1][1] * b[1][1]],
-        ]
-
     g11 = Algebra(1, 1)
     g12_full = Algebra(1, 2)
     with report.check(
@@ -742,13 +734,13 @@ def suite_spectral(n_max: int = DEFAULT_N_MAX,
         for sample in range(100):
             u = random_multivector(g11, rng, terms=4)
             v = random_multivector(g11, rng, terms=4)
-            prod = matmul2(spectral.rep_g11(u), spectral.rep_g11(v))
+            prod = linalg.matmul(spectral.rep_g11(u), spectral.rep_g11(v))
             target = spectral.rep_g11(u * v)
             check(prod == target, f"G(1,1) sample {sample}")
         for sample in range(100):
             u = random_multivector(g12_full, rng, terms=5)
             v = random_multivector(g12_full, rng, terms=5)
-            prod = matmul2(spectral.rep_g12(u), spectral.rep_g12(v))
+            prod = linalg.matmul(spectral.rep_g12(u), spectral.rep_g12(v))
             target = spectral.rep_g12(u * v)
             err = max(
                 abs(prod[r][c] - target[r][c]) for r in range(2) for c in range(2)
@@ -763,15 +755,13 @@ def suite_spectral(n_max: int = DEFAULT_N_MAX,
         for blade in range(8):
             reg = spectral.regular_representation(g12_full.blade(blade, 1))
             recovered = [reg[row][0] for row in range(8)]
-            expected = [1.0 if row == blade else 0.0 for row in range(8)]
-            check(recovered == expected, f"blade {blade}")
+            check(recovered == [int(row == blade) for row in range(8)],
+                  f"blade {blade}")
         for sample in range(20):
             u = random_multivector(g12_full, rng, terms=5)
             reg = spectral.regular_representation(u)
-            check(all(
-                abs(reg[row][0] - float(u.coefficient(row))) < 1e-12
-                for row in range(8)
-            ), f"sample {sample}")
+            check([reg[row][0] for row in range(8)]
+                  == [u.coefficient(row) for row in range(8)], f"sample {sample}")
 
     with report.check(
         "rep-regular-similarity",
@@ -785,7 +775,7 @@ def suite_spectral(n_max: int = DEFAULT_N_MAX,
             tr2 = m[0][0] + m[1][1]
             det2 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
             where = f"G(1,2) sample {sample}"
-            trace = sum(reg[i][i] for i in range(8))
+            trace = float(linalg.sum_scalars(reg[i][i] for i in range(8)))
             check(abs(trace - 4 * tr2.real) <= 1e-8, where)
             scale = max(1.0, abs(det2) ** 4)
             check(abs(linalg.determinant(reg) - abs(det2) ** 4) <= 1e-8 * scale,
@@ -794,13 +784,11 @@ def suite_spectral(n_max: int = DEFAULT_N_MAX,
             u = random_multivector(g11, rng, terms=4)
             reg = spectral.regular_representation(u)
             m = spectral.rep_g11(u)
-            tr2 = float(m[0][0] + m[1][1])
-            det2 = float(m[0][0] * m[1][1] - m[0][1] * m[1][0])
+            tr2 = m[0][0] + m[1][1]
+            det2 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
             where = f"G(1,1) sample {sample}"
-            trace = sum(reg[i][i] for i in range(4))
-            check(abs(trace - 2 * tr2) <= 1e-8, where)
-            scale = max(1.0, det2 ** 2)
-            check(abs(linalg.determinant(reg) - det2 ** 2) <= 1e-8 * scale, where)
+            check(linalg.sum_scalars(reg[i][i] for i in range(4)) == tr2 * 2, where)
+            check(linalg.determinant(reg) == det2 * det2, where)
     return report
 
 

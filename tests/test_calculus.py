@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lpgg import calculus, frames, verify
+from lpgg import calculus, frames, simplex, verify
 from lpgg.calculus import DiffOperator, PolyField
 
 
@@ -213,3 +213,41 @@ def test_finite_difference_guards(fr3):
                                          step=1e-9)
     with pytest.raises(ValueError):
         calculus.finite_difference_check(fr3, "nope", (0.5, 0.3, 0.2))
+
+
+def test_identity_field_has_the_null_gradient_terms(fr3, fr4):
+    for fr in (fr3, fr4):
+        assert PolyField.identity(fr).terms == calculus.make_null_nabla(fr).terms
+
+
+def test_linear_with_n_coefficients_is_the_truncated_dual_gradient(fr3, fr4):
+    for fr in (fr3, fr4):
+        duals = [frames.dual_sum(fr, i) for i in range(1, fr.size)]
+        truncated = simplex.truncated_dual_nabla(fr)
+        assert DiffOperator.linear(fr, duals) == truncated
+        assert len(truncated.terms) == fr.n
+        assert all(mi[-1] == 0 for mi in truncated.terms)
+    with pytest.raises(ValueError):
+        DiffOperator.linear(fr3, fr4.vectors)
+
+
+def test_operator_arithmetic_returns_operators(fr3):
+    null = calculus.make_null_nabla(fr3)
+    flat = calculus.make_flat_partial(fr3)
+    a1 = fr3.vector(1)
+    for op in (null.scale(2), null.left_multiply(a1), null + flat, null - flat,
+               null.compose(flat), null.dot_contract(a1)):
+        assert type(op) is DiffOperator
+    assert null != PolyField.identity(fr3)
+
+
+def test_terms_merge_and_exponents_are_checked(fr3):
+    a1, a2 = fr3.vector(1), fr3.vector(2)
+    op = DiffOperator(fr3, [(a1, (1, 0, 0)), (a2, (1, 0, 0)),
+                            (a1, (0, 1, 0)), (-a1, [0, 1, 0])])
+    assert op.terms == {(1, 0, 0): a1 + a2}
+    for bad in ((1, 0), (1, 0, 0, 0), (0, -1, 1)):
+        with pytest.raises(ValueError):
+            DiffOperator(fr3, [(a1, bad)])
+        with pytest.raises(ValueError):
+            PolyField.monomial(fr3, bad)

@@ -113,7 +113,9 @@ def test_verify_n_max_out_of_range_is_usage_error(capsys, n_max):
     ["spectral", "--g", '{"g12": [1]}'],
     ["simplex", "--n", "2", "--vertices", "0.5,0.5,0;0,0.5,0.5"],
     *(["express", "--n", "2", "--mv", mv]
-      for mv in ("*", "-", "+", "2*", "1/0*e1", "0/0")),
+      for mv in ("*", "-", "+", "2*", "1/0*e1", "0/0", "()", "( )")),
+    ["express", "--n", "2", "--mv=--"],
+    ["spectral", "--g=--"],
 ])
 def test_bad_input_exits_with_a_message(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

@@ -47,18 +47,12 @@ def test_parse_round_trip_random(g12):
         assert parse_multivector(text, g12) == mv
 
 
-def test_parse_approx(g12):
-    mv = parse_multivector("0.5*e1 - 1.25*f1^f2", g12, backend="approx")
-    assert mv.coefficient(0b001) == 0.5
-    assert mv.coefficient(0b110) == -1.25
-
-
 def test_parse_errors(g12):
     with pytest.raises(Exception):
         parse_multivector("1*e9", g12)
-    # empty factors and zero denominators are parse errors too
+    # empty factors, empty groups and zero denominators are parse errors too
     for text in ("huh*e1", "*", "-", "+", "2*", "*e1", "(+)", "1/0*e1", "0/0",
-                 "(1/0)*e1"):
+                 "(1/0)*e1", "()", "( )"):
         with pytest.raises(ParseError):
             parse_multivector(text, g12)
 
