@@ -14,7 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import scalars
-from .scalars import BACKENDS, COMPLEX, EXACT, Radical, coerce, is_zero
+from .scalars import (BACKENDS, COMPLEX, EXACT, Radical, add_products, coerce,
+                      is_zero, over_common_denominator)
 
 DIMENSION_LIMIT = 12
 
@@ -278,6 +279,8 @@ class Multivector:
     def _product(self, other: "Multivector", keep) -> "Multivector":
         """Blade-pair accumulation; ``keep(ga, gb, gout)`` filters terms."""
         sign_of = self.algebra.product_sign
+        if self.backend == EXACT:
+            return self._exact_product(other, keep, sign_of)
         coeffs: dict = {}
         for a, ca in self._coeffs.items():
             ga = a.bit_count()
@@ -292,6 +295,36 @@ class Multivector:
                 current = coeffs.get(out)
                 coeffs[out] = term if current is None else current + term
         return self._wrap(coeffs)
+
+    def _exact_product(self, other: "Multivector", keep, sign_of) -> "Multivector":
+        """The exact ``_product``: integer numerators summed per output blade.
+
+        Each operand is put over its own common denominator, so every pair
+        adds integer products per sqrt key, and one normalized
+        :class:`Radical` is built per output blade over the product of the
+        two denominators.
+        """
+        den_a, nums_a = over_common_denominator(self._coeffs.values())
+        den_b, nums_b = over_common_denominator(other._coeffs.values())
+        pairs_b = list(zip(other._coeffs, nums_b))
+        sums: dict[int, dict[int, int]] = {}
+        for a, terms_a in zip(self._coeffs, nums_a):
+            ga = a.bit_count()
+            for b, terms_b in pairs_b:
+                out = a ^ b
+                if keep is not None and not keep(ga, b.bit_count(), out.bit_count()):
+                    continue
+                acc = sums.get(out)
+                if acc is None:
+                    acc = sums[out] = {}
+                add_products(acc, terms_a, terms_b, sign_of(a, b) < 0)
+        den = den_a * den_b
+        coeffs = {}
+        for out, acc in sums.items():
+            value = Radical.from_numerators(acc, den)
+            if value:
+                coeffs[out] = value
+        return Multivector(self.algebra, coeffs, self.backend)
 
     def geometric(self, other: "Multivector") -> "Multivector":
         self._check_compatible(other)
@@ -351,6 +384,9 @@ class Multivector:
         )
 
     def __hash__(self):
+        if not self._coeffs.keys() - {0}:
+            # A scalar equals its raw value (``mv == 1``), so hash like it.
+            return hash(self._coeffs.get(0, 0))
         return hash(
             (self.algebra, self.backend, frozenset(self._coeffs.items()))
         )

@@ -4,8 +4,11 @@ Three coefficient domains are supported:
 
 * ``exact``   -- :class:`Radical`, finite sums ``sum_m r_m * sqrt(m)`` with
   rational ``r_m`` and squarefree positive ``m`` (the rational part lives
-  under the key ``m = 1``).  Closed under ``+``, ``-``, ``*``; division is
-  exact when the divisor has at most two terms.
+  under the key ``m = 1``).  Stored as integer numerators over one common
+  denominator, ``(sum_m n_m * sqrt(m)) / den``, in a unique normal form, so
+  arithmetic runs on Python ints and builds no ``Fraction`` until a value
+  is printed or read out.  Closed under ``+``, ``-``, ``*``; division is
+  exact when the divisor has at most two terms; ``sign`` is exact.
 * ``approx``  -- IEEE binary64 floats.
 * ``complex`` -- pairs of binary64 (Python ``complex``).
 
@@ -69,55 +72,160 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected a rational value, got {type(value).__name__}")
 
 
-class Radical:
-    """An exact scalar ``sum_m terms[m] * sqrt(m)``.
+def _largest_prime(m: int) -> int:
+    """Largest prime factor of a squarefree ``m > 0`` (1 for ``m = 1``)."""
+    largest, d = 1, 2
+    while d * d <= m:
+        if m % d == 0:
+            largest = d
+            m //= d
+        d += 1 if d == 2 else 2
+    return m if m > 1 else largest
 
-    Keys are squarefree positive integers, values nonzero Fractions.
-    Instances are immutable by convention; all operators return new values.
+
+def add_products(acc: dict[int, int], a: dict[int, int], b: dict[int, int],
+                 negate: bool = False) -> None:
+    """Add ``a*b`` (``-a*b`` when ``negate``) into ``acc``.
+
+    All three map a squarefree key ``m`` to the integer numerator of
+    ``sqrt(m)``; ``acc`` may be left holding zeros.
+    """
+    for m1, c1 in a.items():
+        if negate:
+            c1 = -c1
+        for m2, c2 in b.items():
+            if m1 == 1:
+                key, c = m2, c1 * c2
+            elif m2 == 1:
+                key, c = m1, c1 * c2
+            else:
+                # sqrt(m1)*sqrt(m2) = g*sqrt(u*v) with m1 = g*u, m2 = g*v.
+                g = math.gcd(m1, m2)
+                key, c = (m1 // g) * (m2 // g), c1 * c2 * g
+            acc[key] = acc.get(key, 0) + c
+
+
+def over_common_denominator(values) -> tuple[int, list[dict[int, int]]]:
+    """``(den, numerators)``: each ``Radical`` as ``numerators[i] / den``."""
+    values = list(values)
+    den = 1
+    for v in values:
+        den = math.lcm(den, v._den)
+    return den, [
+        v._terms if v._den == den
+        else {m: c * (den // v._den) for m, c in v._terms.items()}
+        for v in values
+    ]
+
+
+def _sign_of_terms(terms: dict[int, int]) -> int:
+    """Exact sign of ``sum_m c_m * sqrt(m)`` with nonzero integers ``c_m``.
+
+    Write the value as ``a + b*sqrt(p)`` with ``p`` the largest prime in any
+    key and ``a``, ``b`` free of ``p``.  When ``a`` and ``b`` have opposite
+    signs, the sign is ``sign(a) * sign(a^2 - p*b^2)``, a value with one
+    prime fewer.  That value is never zero: square roots of distinct
+    squarefree integers are linearly independent over the rationals
+    (Besicovitch, 1940).
+    """
+    if len(terms) <= 1:
+        for c in terms.values():
+            return 1 if c > 0 else -1
+        return 0
+    p = max(map(_largest_prime, terms))
+    a: dict[int, int] = {}
+    b: dict[int, int] = {}
+    for m, c in terms.items():
+        if m % p:
+            a[m] = c
+        else:
+            b[m // p] = c
+    sa, sb = _sign_of_terms(a), _sign_of_terms(b)
+    if sa == 0:
+        return sb
+    if sa == sb:
+        return sa
+    norm: dict[int, int] = {}
+    add_products(norm, a, a)
+    add_products(norm, b, {m: p * c for m, c in b.items()}, negate=True)
+    return sa * _sign_of_terms({m: c for m, c in norm.items() if c})
+
+
+class Radical:
+    """An exact scalar ``(sum_m terms[m] * sqrt(m)) / den``.
+
+    Keys are squarefree positive integers, numerators nonzero ints, and
+    ``den`` a positive int with ``gcd(den, *numerators) == 1``; zero is
+    ``({}, 1)``.  That normal form is unique, so ``==`` compares
+    ``(den, terms)`` directly.  Instances are immutable by convention; all
+    operators return new values.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_den")
 
     def __init__(self, value: "Radical | RationalLike" = 0):
         if isinstance(value, Radical):
-            self._terms = value._terms
+            self._terms, self._den = value._terms, value._den
+        elif isinstance(value, int):
+            self._terms, self._den = ({1: value} if value else {}), 1
+        elif isinstance(value, Fraction):
+            self._terms = {1: value.numerator} if value else {}
+            self._den = value.denominator
         else:
-            q = _as_fraction(value)
-            self._terms = {1: q} if q else {}
+            raise TypeError(f"expected a rational value, got {type(value).__name__}")
 
     @classmethod
-    def _raw(cls, terms: dict[int, Fraction]) -> "Radical":
+    def from_numerators(cls, terms: dict[int, int], den: int) -> "Radical":
+        """The normal form of ``terms / den`` (``den > 0``; zeros allowed).
+
+        ``terms`` must be a fresh dict: the result may keep it.
+        """
         self = object.__new__(cls)
-        self._terms = {m: c for m, c in terms.items() if c}
+        if 0 in terms.values():
+            terms = {m: c for m, c in terms.items() if c}
+        if not terms:
+            den = 1
+        elif den != 1:
+            # Folded pairwise, like the lcm in over_common_denominator: a
+            # star-args call builds a tuple of every size, and CPython keeps
+            # up to 2,000 freed tuples per size, about 1 MB of peak RSS per
+            # verify report.
+            g = den
+            for c in terms.values():
+                g = math.gcd(g, c)
+            if g != 1:
+                den //= g
+                terms = {m: c // g for m, c in terms.items()}
+        self._terms, self._den = terms, den
         return self
 
     @classmethod
     def sqrt(cls, value: "Radical | RationalLike") -> "Radical":
         """Exact square root of a nonnegative rational-valued scalar."""
         if isinstance(value, Radical):
-            if not value._terms:
-                return cls(0)
             if not value.is_rational():
                 raise InexactSqrtError(f"sqrt({value}) leaves the radical class")
-            value = value._terms[1]
+            value = value.rational_part()
         q = _as_fraction(value)
         if q < 0:
             raise InexactSqrtError("sqrt of a negative scalar")
         if q == 0:
             return cls(0)
         s, u = squarefree_decompose(q.numerator * q.denominator)
-        return cls._raw({u: Fraction(s, q.denominator)})
+        return cls.from_numerators({u: s}, q.denominator)
 
     # -- inspection --------------------------------------------------------
 
     def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
+        den = self._den
+        return {m: Fraction(c, den) for m, c in self._terms.items()}
 
     def is_rational(self) -> bool:
-        return all(m == 1 for m in self._terms)
+        terms = self._terms
+        return not terms or (len(terms) == 1 and 1 in terms)
 
     def rational_part(self) -> Fraction:
-        return self._terms.get(1, Fraction(0))
+        return Fraction(self._terms.get(1, 0), self._den)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
@@ -125,27 +233,8 @@ class Radical:
         return self.rational_part()
 
     def sign(self) -> int:
-        """Exact sign for <= 2 terms; float-based beyond (with a guard)."""
-        n = len(self._terms)
-        if n == 0:
-            return 0
-        if n == 1:
-            ((_, c),) = self._terms.items()
-            return 1 if c > 0 else -1
-        if n == 2:
-            (m1, c1), (m2, c2) = sorted(self._terms.items())
-            if c1 > 0 and c2 > 0:
-                return 1
-            if c1 < 0 and c2 < 0:
-                return -1
-            # c1*sqrt(m1) vs -c2*sqrt(m2): compare squares (signs differ).
-            lhs, rhs = c1 * c1 * m1, c2 * c2 * m2
-            bigger_first = lhs > rhs  # cannot tie: m1 != m2 squarefree
-            return (1 if c1 > 0 else -1) if bigger_first else (1 if c2 > 0 else -1)
-        x = float(self)
-        if abs(x) < 1e-9:
-            raise ValueError(f"sign of {self!r} numerically ambiguous")
-        return 1 if x > 0 else -1
+        """Exact sign, by peeling off one prime square root at a time."""
+        return _sign_of_terms(self._terms)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -160,15 +249,21 @@ class Radical:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        terms = dict(self._terms)
+        da, db = self._den, other._den
+        g = math.gcd(da, db)
+        scale_a, scale_b = db // g, da // g
+        terms = {m: c * scale_a for m, c in self._terms.items()}
         for m, c in other._terms.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return Radical._raw(terms)
+            terms[m] = terms.get(m, 0) + c * scale_b
+        return Radical.from_numerators(terms, da * scale_a)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Radical._raw({m: -c for m, c in self._terms.items()})
+        result = object.__new__(Radical)
+        result._terms = {m: -c for m, c in self._terms.items()}
+        result._den = self._den
+        return result
 
     def __sub__(self, other):
         other = self._coerced(other)
@@ -186,15 +281,9 @@ class Radical:
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        terms: dict[int, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                # sqrt(m1)*sqrt(m2) = g*sqrt(u*v) with m1 = g*u, m2 = g*v.
-                g = math.gcd(m1, m2)
-                key = (m1 // g) * (m2 // g)
-                coeff = c1 * c2 * g
-                terms[key] = terms.get(key, Fraction(0)) + coeff
-        return Radical._raw(terms)
+        terms: dict[int, int] = {}
+        add_products(terms, self._terms, other._terms)
+        return Radical.from_numerators(terms, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -202,16 +291,19 @@ class Radical:
         n = len(self._terms)
         if n == 0:
             raise ZeroDivisionError("radical division by zero")
+        den = self._den
         if n == 1:
+            # (c/den)*sqrt(m) has inverse den*sqrt(m) / (c*m).
             ((m, c),) = self._terms.items()
-            return Radical._raw({m: Fraction(1) / (c * m)})
+            return Radical.from_numerators({m: den if c > 0 else -den}, abs(c) * m)
         if n == 2:
             # Rationalize by the conjugate: the cross terms cancel and the
-            # denominator c1^2*m1 - c2^2*m2 is a nonzero rational.
+            # denominator c1^2*m1 - c2^2*m2 is a nonzero integer.
             (m1, c1), (m2, c2) = self._terms.items()
-            conj = Radical._raw({m1: c1, m2: -c2})
-            denom = c1 * c1 * m1 - c2 * c2 * m2
-            return conj * (Fraction(1) / denom)
+            norm = c1 * c1 * m1 - c2 * c2 * m2
+            if norm < 0:
+                norm, den = -norm, -den
+            return Radical.from_numerators({m1: den * c1, m2: -den * c2}, norm)
         raise InexactDivisionError(
             f"cannot invert {self!r} exactly (more than two radical terms)"
         )
@@ -231,7 +323,8 @@ class Radical:
     # -- conversions and comparisons ----------------------------------------
 
     def __float__(self) -> float:
-        return float(sum(float(c) * math.sqrt(m) for m, c in self._terms.items()))
+        den = self._den
+        return float(sum(c / den * math.sqrt(m) for m, c in self._terms.items()))
 
     def __complex__(self) -> complex:
         return complex(float(self))
@@ -240,13 +333,19 @@ class Radical:
         return bool(self._terms)
 
     def __eq__(self, other):
+        if isinstance(other, float):
+            # Exactly as the rational value compares; never for irrationals.
+            return self.is_rational() and self.rational_part() == other
         other = self._coerced(other)
         if other is None:
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._terms == other._terms
 
     def __hash__(self):
-        return hash(frozenset(self._terms.items()))
+        # A rational value hashes like the int, Fraction or float it equals.
+        if self.is_rational():
+            return hash(self.rational_part())
+        return hash((self._den, frozenset(self._terms.items())))
 
     def __repr__(self):
         return f"Radical({str(self)!r})"
@@ -255,7 +354,7 @@ class Radical:
         if not self._terms:
             return "0"
         parts = []
-        for m, c in sorted(self._terms.items()):
+        for m, c in sorted(self.terms().items()):
             if m == 1:
                 text = str(c)
             elif c == 1:
@@ -274,17 +373,15 @@ class Radical:
 
     def to_json_terms(self) -> list[dict]:
         return [
-            {"rational": str(c), "sqrt": m} for m, c in sorted(self._terms.items())
+            {"rational": str(c), "sqrt": m} for m, c in sorted(self.terms().items())
         ]
 
     @classmethod
     def from_json_terms(cls, items: list[dict]) -> "Radical":
-        terms: dict[int, Fraction] = {}
+        total = cls(0)
         for item in items:
-            m = int(item["sqrt"])
-            c = Fraction(item["rational"])
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return cls._raw(terms)
+            total = total + cls.sqrt(int(item["sqrt"])) * Fraction(item["rational"])
+        return total
 
 
 def backend_of(value) -> str:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -203,3 +204,61 @@ def test_dense_product_leaves_algebra_stateless():
     x * y
     for name, value in vars(algebra).items():
         assert not isinstance(value, (dict, list, set, tuple)), name
+
+
+def random_radical(rng):
+    """One to three terms over keys that share primes, mixed denominators."""
+    value = Radical(0)
+    for m in rng.sample([1, 2, 3, 6, 10, 15], rng.randint(1, 3)):
+        value = value + Radical.sqrt(m) * Fraction(rng.randint(-9, 9),
+                                                    rng.randint(1, 12))
+    return value
+
+
+def reference_product(x, y, keep):
+    """Per-pair ``Radical`` products with the swap-count sign."""
+    out = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            if not keep(a.bit_count(), b.bit_count(), (a ^ b).bit_count()):
+                continue
+            term = ca * cb * swap_count_sign(a, b, x.algebra.p)
+            out[a ^ b] = out.get(a ^ b, Radical(0)) + term
+    return {blade: v for blade, v in out.items() if v}
+
+
+PRODUCTS = {
+    "geometric": lambda ga, gb, gout: True,
+    "wedge": lambda ga, gb, gout: gout == ga + gb,
+    "dot": lambda ga, gb, gout: gout == abs(ga - gb),
+}
+
+
+@pytest.mark.parametrize("p,q", [(p, t - p) for t in range(6) for p in range(t + 1)])
+def test_exact_kernel_matches_per_pair_reference(p, q):
+    algebra = Algebra(p, q)
+    rng = random.Random(1000 * p + q)
+    for _ in range(6):
+        x, y = (
+            algebra.multivector({rng.randrange(algebra.dim): random_radical(rng)
+                                 for _ in range(rng.randint(1, 6))})
+            for _ in range(2)
+        )
+        for name, keep in PRODUCTS.items():
+            result = getattr(x, name)(y)
+            assert result.coefficients() == reference_product(x, y, keep), name
+            for value in result.coefficients().values():
+                terms, den = value._terms, value._den
+                assert den > 0 and all(terms.values())
+                assert math.gcd(den, *terms.values()) == 1
+
+
+def test_scalar_multivector_hashes_like_the_scalar_it_equals():
+    g = Algebra(1, 1)
+    assert {g.scalar(1): 0}.get(1) == 0
+    assert {g.scalar(Fraction(1, 2)): 0}.get(Fraction(1, 2)) == 0
+    assert {g.zero(): 0}.get(0) == 0
+    assert {g.scalar(0.5): 0}.get(0.5) == 0
+    assert g.scalar(Radical.sqrt(2)) == Radical.sqrt(2)
+    assert hash(g.scalar(Radical.sqrt(2))) == hash(Radical.sqrt(2))
+    assert len({g.e(1), g.e(1) * 1, g.f(1)}) == 2

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -133,6 +134,18 @@ def test_verify_deterministic(capsys):
         "--format", "json",
     )
     assert out1 == out2
+
+
+def test_verify_all_report_is_pinned(capsys):
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "all", "--seed", "2024", "--format", "json",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "9821fa2e97220a4a641ad7e141373cd6f38fceda070881255c99e86f392c6c5b"
+    )
+    statuses = [c["status"] for c in json.loads(out)["checks"]]
+    assert (statuses.count("pass"), statuses.count("pass-corrected")) == (53, 23)
 
 
 def test_spectral_command(capsys):

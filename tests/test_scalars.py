@@ -1,3 +1,5 @@
+import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -116,3 +118,81 @@ def test_float_consistency(a):
 def test_scalar_multiplication_matches_float(a, q):
     assert approx_equal(float(a * q), float(a) * float(q), rel=1e-12,
                         abs_tol=1e-12)
+
+
+def assert_normal(value):
+    """The stored form is the unique one: den > 0, gcd 1, no zero numerators."""
+    terms, den = value._terms, value._den
+    assert isinstance(den, int) and den > 0
+    assert all(isinstance(c, int) and c for c in terms.values())
+    assert all(squarefree_decompose(m)[0] == 1 for m in terms)
+    if terms:
+        assert math.gcd(den, *terms.values()) == 1
+    else:
+        assert den == 1
+
+
+@given(radical_strategy(), radical_strategy())
+def test_results_are_in_normal_form(a, b):
+    for value in (a, b, a + b, a - b, a * b, -a, a * Fraction(6, 4)):
+        assert_normal(value)
+    if b and len(b.terms()) <= 2:
+        assert_normal(b.inverse())
+        assert_normal(a / b)
+
+
+def test_normal_form_cancels_common_factors():
+    value = Radical.sqrt(2) * Fraction(2, 3) + Radical.sqrt(3) * Fraction(4, 3)
+    assert (value._terms, value._den) == ({2: 2, 3: 4}, 3)
+    half = value * Fraction(3, 2)
+    assert (half._terms, half._den) == ({2: 1, 3: 2}, 1)
+    zero = value - value
+    assert (zero._terms, zero._den) == ({}, 1)
+
+
+def test_rational_radical_hashes_like_its_fraction():
+    assert {Radical(1): 0}.get(1) == 0
+    assert {Radical(Fraction(1, 2)): 0}.get(Fraction(1, 2)) == 0
+    assert {1: 0}.get(Radical(1)) == 0
+    assert hash(Radical(0)) == hash(0)
+    assert hash(Radical(Fraction(-7, 3))) == hash(Fraction(-7, 3))
+    assert len({Radical(2), 2, Fraction(2), 2.0}) == 1
+
+
+def test_float_comparison_is_exact():
+    assert Radical(1) == 1.0
+    assert Radical(Fraction(1, 2)) == 0.5
+    assert Radical(0) == 0.0
+    assert Radical(Fraction(1, 3)) != 1 / 3
+    assert Radical.sqrt(2) != 2 ** 0.5
+    assert Radical.sqrt(4) == 2.0
+    assert Radical(1) != float("nan")
+
+
+def test_sign_of_three_or_more_terms_is_exact():
+    # sqrt(2) + sqrt(3) - sqrt(10) + delta, with delta a 30-digit rational
+    # approximation of sqrt(10) - sqrt(2) - sqrt(3): the sum is within
+    # 1e-30 of zero, far below what a float can resolve.
+    with localcontext(prec=80):
+        gap = Decimal(10).sqrt() - Decimal(2).sqrt() - Decimal(3).sqrt()
+        deltas = [gap.quantize(Decimal(1).scaleb(-d)) for d in (10, 20, 30)]
+    base = Radical.sqrt(2) + Radical.sqrt(3) - Radical.sqrt(10)
+    for delta in deltas:
+        expected = 1 if delta > gap else -1
+        assert (base + Fraction(delta)).sign() == expected
+        assert (-(base + Fraction(delta))).sign() == -expected
+    assert (base + Fraction(1, 10)).sign() == 1
+    assert (Radical.sqrt(6) - Radical.sqrt(2) - Radical.sqrt(3) + 1).sign() == 1
+    assert (Radical.sqrt(2) + Radical.sqrt(3) + Radical.sqrt(5)
+            - Radical.sqrt(30)).sign() == -1
+
+
+@given(radical_strategy())
+def test_sign_matches_high_precision_value(a):
+    with localcontext(prec=60):
+        value = sum(
+            (Decimal(c.numerator) / c.denominator * Decimal(m).sqrt()
+             for m, c in a.terms().items()),
+            Decimal(0),
+        )
+    assert a.sign() == (value > 0) - (value < 0)
