@@ -372,9 +372,14 @@ class Multivector:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Radical, float, complex)):
-            other = self._lift(other)
-            if other is NotImplemented:
-                return NotImplemented
+            lifted = self._lift(other)
+            if lifted is NotImplemented:
+                # A number this backend cannot hold (a float against an
+                # exact element) is equal to a scalar with that value, as
+                # ``__hash__`` already assumes.
+                return (not self._coeffs.keys() - {0}
+                        and self.coefficient(0) == other)
+            other = lifted
         if not isinstance(other, Multivector):
             return NotImplemented
         return (

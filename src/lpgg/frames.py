@@ -22,7 +22,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import Algebra, AlgebraError, Multivector, wedge_list
-from .scalars import EXACT, Radical, coerce, is_zero
+from .scalars import EXACT, Radical, coerce
 
 FRAME_LIMIT = 12
 CANONICAL_BASIS_LIMIT = 8
@@ -65,8 +65,6 @@ class NullFrame:
         self.t_inverse = t_inverse
         self.size = len(self.vectors)
         self.n = self.size - 1
-        self._wedge_cache: dict | None = None
-        self._generator_null_coords: list | None = None
         self._canonical_cache: tuple | None = None
 
     def __repr__(self):
@@ -271,99 +269,42 @@ def _sqrt2_power(k: int) -> Radical:
     return value
 
 
-# -- null-wedge coordinates (internal) -------------------------------------------------
+# -- canonical null products ----------------------------------------------------------
 #
-# The canonical products a_{i1}...a_{ik} expand over wedges of frame
-# vectors with *rational* structure constants (all dots are +-1/2), which
-# keeps the canonical-basis linear algebra exact and cheap: the product of
-# the subset S has wedge support only on subsets of S, with coefficient 1
-# on S itself, so the change of basis is unitriangular.
+# P[S] is the canonical product a_{t1} a_{t2} ... (t1 < t2 < ...) over the
+# subset S.  With s the correlation sign, a_i^2 = 0 and a_i . a_j = s/2
+# give a_j a_i = s - a_i a_j for i != j, so a frame vector times P[S] is
+# an integer combination of canonical products: with t_1 < ... < t_m the
+# members of S below j,
+#
+#     a_j P[S] = sum_{i=1..m} (-1)^(i-1) s P[S - {t_i}] + (-1)^m P[S + {j}],
+#
+# where the last term is present only when j is not in S (a_j a_j = 0).
 
 
-def _dual_pairing(frame: NullFrame, i: int, j: int):
-    return Fraction(0) if i == j else (
-        Fraction(1, 2) if frame.sign > 0 else Fraction(-1, 2)
-    )
+def _left_multiply_vector(sign: int, coords, expansion: dict) -> dict:
+    """(sum_j coords[j] a_j) * (sum_S expansion[S] P[S]), by the rule above."""
+    out: dict[int, Radical] = {}
 
+    def add(subset, value):
+        current = out.get(subset)
+        out[subset] = value if current is None else current + value
 
-def _left_multiply_vector(frame: NullFrame, coords, wedge_coeffs: dict) -> dict:
-    """Multiply (sum_j coords[j] a_j) onto a wedge-coordinate multivector."""
-    out: dict[int, object] = {}
-
-    def add(key, value):
-        if is_zero(value):
-            return
-        current = out.get(key)
-        total = value if current is None else current + value
-        if is_zero(total):
-            out.pop(key, None)
-        else:
-            out[key] = total
-
-    size = frame.size
-    for subset, c in wedge_coeffs.items():
-        members = [t for t in range(size) if subset >> t & 1]
-        for j, vj in enumerate(coords):
-            if is_zero(vj):
+    for subset, c in expansion.items():
+        for j, cj in enumerate(coords):
+            if not cj:
                 continue
-            # contraction: a_j . (a_t1 ^ a_t2 ^ ...) with alternating signs
-            for pos, t in enumerate(members):
-                pairing = _dual_pairing(frame, j, t)
-                if not pairing:
-                    continue
-                term = vj * pairing * c
-                add(subset & ~(1 << t), -term if pos & 1 else term)
-            # wedge: insert a_j unless already present
+            term = cj * c
+            dropped = term if sign > 0 else -term
+            below = subset & ((1 << j) - 1)
+            while below:
+                low = below & -below
+                add(subset ^ low, dropped)
+                dropped = -dropped
+                below ^= low
             if not subset >> j & 1:
-                below = (subset & ((1 << j) - 1)).bit_count()
-                term = vj * c
-                add(subset | (1 << j), -term if below & 1 else term)
-    return out
-
-
-def _generator_null_coords(frame: NullFrame) -> dict[int, list]:
-    """Null coordinates of each algebra generator (rows of T^-1)."""
-    if frame._generator_null_coords is None:
-        coords = {}
-        for slot, bit in enumerate(standard_basis_bits(frame.size, frame.sign)):
-            coords[bit] = list(frame.t_inverse[slot])
-        frame._generator_null_coords = coords
-    return frame._generator_null_coords
-
-
-def multivector_to_wedge_coords(frame: NullFrame, mv: Multivector) -> dict:
-    """Coordinates of mv over the wedges of frame vectors (subset bitmasks)."""
-    if mv.algebra != frame.algebra:
-        raise AlgebraError("multivector from a different algebra")
-    gen_coords = _generator_null_coords(frame)
-    total: dict[int, object] = {}
-    for blade, value in mv.items():
-        expansion = {0: Radical(1)}
-        for bit in reversed(range(frame.algebra.n_generators)):
-            if blade >> bit & 1:
-                expansion = _left_multiply_vector(
-                    frame, gen_coords[bit], expansion
-                )
-        for subset, c in expansion.items():
-            term = c * value
-            current = total.get(subset)
-            total[subset] = term if current is None else current + term
-    return {s: c for s, c in total.items() if not is_zero(c)}
-
-
-def _product_wedge_expansions(frame: NullFrame) -> dict[int, dict]:
-    """Wedge expansion of every canonical product, keyed by subset bitmask."""
-    if frame._wedge_cache is None:
-        one = Fraction(1)
-        cache: dict[int, dict] = {0: {0: one}}
-        for subset in range(1, 1 << frame.size):
-            low = subset & -subset
-            rest = subset ^ low
-            j = low.bit_length() - 1
-            coords = [one if t == j else Fraction(0) for t in range(frame.size)]
-            cache[subset] = _left_multiply_vector(frame, coords, cache[rest])
-        frame._wedge_cache = cache
-    return frame._wedge_cache
+                add(subset | (1 << j), dropped if sign > 0 else -dropped)
+    return {subset: c for subset, c in out.items() if c}
 
 
 def canonical_subsets(size: int) -> list[int]:
@@ -375,12 +316,11 @@ def canonical_subsets(size: int) -> list[int]:
 
 
 def null_canonical_basis(frame: NullFrame):
-    """The 2^(n+1) canonical products of the frame vectors.
+    """The 2^(n+1) canonical products P[S] of the frame vectors.
 
     Returns (subsets, products): products[r] is the geometric product of
-    frame vectors over subsets[r] (increasing indices).  Linear
-    independence is asserted via the unitriangular wedge expansion;
-    failure raises instead of passing silently.
+    frame vectors over subsets[r] (increasing indices), built as
+    P[S] = a_low P[S - {low}] with low the smallest index in S.
     """
     if frame.size > CANONICAL_BASIS_LIMIT:
         raise AlgebraError(
@@ -394,55 +334,34 @@ def null_canonical_basis(frame: NullFrame):
         low = subset & -subset
         by_subset[subset] = (frame.vectors[low.bit_length() - 1]
                              * by_subset[subset ^ low])
-    products = [by_subset[subset] for subset in subsets]
-
-    expansions = _product_wedge_expansions(frame)
-    for subset in subsets:
-        expansion = expansions[subset]
-        top = expansion.get(subset)
-        if top is None or top != 1:
-            raise AlgebraError(
-                "canonical products are not unitriangular over the frame "
-                f"wedges (subset {subset:#x}); basis would be singular"
-            )
-        for other in expansion:
-            if other & ~subset:
-                raise AlgebraError(
-                    f"product over subset {subset:#x} leaks outside its "
-                    "index set; basis structure violated"
-                )
-
-    frame._canonical_cache = (subsets, products)
+    frame._canonical_cache = (subsets, [by_subset[s] for s in subsets])
     return frame._canonical_cache
 
 
 def express_in_null_basis(frame: NullFrame, mv: Multivector) -> list:
-    """Coefficients of mv over the canonical null products (subset order).
+    """Coefficients of mv over the canonical products P[S] (subset order).
 
-    Solved exactly by back-substitution down the grades: the residual
-    wedge coordinate at a subset S is the coefficient of the product
-    over S once all supersets have been stripped.
+    A standard blade is the product of its generators in increasing bit
+    order, and each generator is sum_j T^-1[slot][j] a_j.  Multiplying
+    the generators in from the right with a_j P[S] expanded by the rule
+    above gives the blade's canonical-product coordinates exactly.
     """
-    subsets = canonical_subsets(frame.size)
-    expansions = _product_wedge_expansions(frame)
-    residual = multivector_to_wedge_coords(frame, mv)
-    coefficients = []
-    for subset in reversed(subsets):
-        c = residual.get(subset)
-        if c is None or is_zero(c):
-            coefficients.append(Radical(0))
-            continue
-        coefficients.append(c)
-        for other, weight in expansions[subset].items():
-            value = residual.get(other, 0) - c * weight
-            if is_zero(value):
-                residual.pop(other, None)
-            else:
-                residual[other] = value
-    if any(not is_zero(v) for v in residual.values()):
-        raise AlgebraError("expression in the null basis left a residual")
-    coefficients.reverse()
-    return coefficients
+    if mv.algebra != frame.algebra:
+        raise AlgebraError("multivector from a different algebra")
+    rows = dict(zip(standard_basis_bits(frame.size, frame.sign),
+                    frame.t_inverse))
+    total: dict[int, Radical] = {}
+    for blade, value in mv.items():
+        expansion = {0: value}
+        for bit in reversed(range(frame.size)):
+            if blade >> bit & 1:
+                expansion = _left_multiply_vector(frame.sign, rows[bit],
+                                                  expansion)
+        for subset, c in expansion.items():
+            current = total.get(subset)
+            total[subset] = c if current is None else current + c
+    zero = Radical(0)
+    return [total.get(subset) or zero for subset in canonical_subsets(frame.size)]
 
 
 def reconstruct_from_null_basis(frame: NullFrame, coefficients) -> Multivector:

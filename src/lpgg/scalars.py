@@ -323,8 +323,10 @@ class Radical:
     # -- conversions and comparisons ----------------------------------------
 
     def __float__(self) -> float:
+        # fsum rounds the exact sum of the float terms once, so equal values
+        # convert alike whatever order their terms were added in.
         den = self._den
-        return float(sum(c / den * math.sqrt(m) for m, c in self._terms.items()))
+        return math.fsum(c / den * math.sqrt(m) for m, c in self._terms.items())
 
     def __complex__(self) -> complex:
         return complex(float(self))

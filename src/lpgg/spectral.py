@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import Algebra, AlgebraError, Multivector
+from .algebra import AlgebraError, Multivector
 from .frames import NullFrame, wedge_list
 from .scalars import (
     APPROX,
@@ -289,75 +289,45 @@ def spectral_decompose(op: BivectorOperator) -> SpectralDecomposition:
 # -- matrix representations ----------------------------------------------------------------
 
 
-def rep_g11(mv: Multivector):
-    """2x2 matrix of an element of G(1,1) in the spectral basis.
-
-    The basis grid is [[a2 a1, a2], [a1, a1 a2]]: these four products
-    multiply exactly like the matrix units, so the map is an exact
-    algebra isomorphism.  Writing mv = s + u e1 + v f1 + w e1^f1 and
-    using a1 = (e1+f1)/2, a2 = (e1-f1)/2 gives the closed form below.
-    """
-    if (mv.algebra.p, mv.algebra.q) != (1, 1):
-        raise AlgebraError("rep_g11 expects an element of G(1,1)")
-    s = mv.coefficient(0)
-    u = mv.coefficient(0b01)
-    v = mv.coefficient(0b10)
-    w = mv.coefficient(0b11)
+def _spectral_matrix(s, u, v, w):
+    """The spectral-basis matrix of s + u e1 + v f1 + w e1^f1."""
     return [
         [s + w, u - v],
         [u + v, s - w],
     ]
 
 
-_G12 = Algebra(1, 2)
+def rep_g11(mv: Multivector):
+    """2x2 matrix of an element of G(1,1) in the spectral basis.
 
-
-def _g12_split(mv: Multivector):
-    """Split an element of G(1,2) as P + i Q over the G(1,1)-like part.
-
-    The center is {1, i = e1^f1^f2}; i times the blades {1, e1, f1,
-    e1^f1} covers the remaining four blades.
+    The basis grid is [[a2 a1, a2], [a1, a1 a2]]: these four products
+    multiply exactly like the matrix units, so the map is an exact
+    algebra isomorphism.  Writing mv = s + u e1 + v f1 + w e1^f1 and
+    using a1 = (e1+f1)/2, a2 = (e1-f1)/2 gives the closed form of
+    ``_spectral_matrix``.
     """
-    if mv.algebra != _G12:
-        raise AlgebraError("expected an element of G(1,2)")
-    # blades of G(1,2): bits e1=1, f1=2, f2=4; multiplying by i sends
-    # 1 -> e1^f1^f2, e1 -> f1^f2, f1 -> e1^f2, e1^f1 -> f2, all with sign +1
-    base_blades = (0, 1, 2, 3)  # 1, e1, f1, e1^f1
-    partner = {0: 7, 1: 6, 2: 5, 3: 4}
-    p_coeffs = {}
-    q_coeffs = {}
-    for blade in base_blades:
-        c = mv.coefficient(blade)
-        if c:
-            p_coeffs[blade] = c
-        c = mv.coefficient(partner[blade])
-        if c:
-            q_coeffs[blade] = c
-    g11 = Algebra(1, 1)
-    backend = mv.backend
-    p = g11.multivector(
-        {b: coerce(v, backend) for b, v in p_coeffs.items()}, backend
-    )
-    q = g11.multivector(
-        {b: coerce(v, backend) for b, v in q_coeffs.items()}, backend
-    )
-    return p, q
+    if (mv.algebra.p, mv.algebra.q) != (1, 1):
+        raise AlgebraError("rep_g11 expects an element of G(1,1)")
+    return _spectral_matrix(*(mv.coefficient(b) for b in range(4)))
 
 
 def rep_g12(mv: Multivector):
     """2x2 complex matrix of an element of G(1,2).
 
     The central pseudoscalar i = e1 f1 f2 squares to -1 and maps to the
-    imaginary unit; the G(1,1) part uses the spectral-basis matrix.
+    imaginary unit.  Writing mv = P + i Q with P and Q on the blades
+    {1, e1, f1, e1^f1}: i times those blades gives e1^f1^f2, f1^f2, e1^f2
+    and f2, all with sign +1, so Q reads blades 7, 6, 5, 4 of mv.  P and Q
+    take the G(1,1) closed form; each entry becomes complex only after
+    its exact sum.
     """
-    p, q = _g12_split(mv)
-    mp = rep_g11(p)
-    mq = rep_g11(q)
+    if (mv.algebra.p, mv.algebra.q) != (1, 2):
+        raise AlgebraError("expected an element of G(1,2)")
+    p = _spectral_matrix(*(mv.coefficient(b) for b in (0, 1, 2, 3)))
+    q = _spectral_matrix(*(mv.coefficient(b) for b in (7, 6, 5, 4)))
     return [
-        [complex(mp[0][0]) + 1j * complex(mq[0][0]),
-         complex(mp[0][1]) + 1j * complex(mq[0][1])],
-        [complex(mp[1][0]) + 1j * complex(mq[1][0]),
-         complex(mp[1][1]) + 1j * complex(mq[1][1])],
+        [complex(x) + 1j * complex(y) for x, y in zip(p_row, q_row)]
+        for p_row, q_row in zip(p, q)
     ]
 
 

@@ -262,3 +262,14 @@ def test_scalar_multivector_hashes_like_the_scalar_it_equals():
     assert g.scalar(Radical.sqrt(2)) == Radical.sqrt(2)
     assert hash(g.scalar(Radical.sqrt(2))) == hash(Radical.sqrt(2))
     assert len({g.e(1), g.e(1) * 1, g.f(1)}) == 2
+
+
+def test_exact_scalar_multivector_equals_the_float_it_equals():
+    g = Algebra(1, 1)
+    assert g.scalar(1) == 1.0
+    assert g.zero() == 0.0
+    assert g.scalar(Fraction(1, 2)) == 0.5
+    assert g.scalar(Radical.sqrt(2)) != 2 ** 0.5
+    assert g.e(1) != 1.0
+    assert g.e(1) + 1 != 1.0
+    assert g.scalar(1) != 2.0

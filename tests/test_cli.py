@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -146,6 +147,28 @@ def test_verify_all_report_is_pinned(capsys):
     )
     statuses = [c["status"] for c in json.loads(out)["checks"]]
     assert (statuses.count("pass"), statuses.count("pass-corrected")) == (53, 23)
+
+
+REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
+EXPRESS_REFERENCES = [
+    entry for entry in json.loads(REFERENCES.read_text())["cli_pool"]
+    if entry["argv"][0] == "express"
+]
+
+
+@pytest.mark.parametrize(
+    "entry", EXPRESS_REFERENCES,
+    ids=lambda entry: "n" + entry["argv"][2]
+    + ("-a-matrix" if "--a-matrix" in entry["argv"] else ""),
+)
+def test_express_matches_benchmark_reference(capsys, entry):
+    code, out, _ = run_cli(capsys, *entry["argv"])
+    assert code == entry["exit"]
+    assert hashlib.sha256(out.encode()).hexdigest() == entry["stdout_sha256"]
+
+
+def test_express_has_four_benchmark_references():
+    assert len(EXPRESS_REFERENCES) == 4
 
 
 def test_spectral_command(capsys):

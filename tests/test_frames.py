@@ -226,6 +226,20 @@ def test_canonical_basis_round_trip(size):
         assert frames.reconstruct_from_null_basis(fr, expressed) == mv
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("size", range(2, 7))
+def test_every_blade_round_trips_through_the_null_basis(size, sign):
+    # 2^(n+1) products that span all 2^(n+1) blades are a basis.
+    fr = frames.build_null_frame(size, sign)
+    subsets, products = frames.null_canonical_basis(fr)
+    assert sorted(subsets) == list(range(fr.algebra.dim))
+    assert len(products) == fr.algebra.dim
+    for blade in range(fr.algebra.dim):
+        mv = fr.algebra.blade(blade)
+        expressed = frames.express_in_null_basis(fr, mv)
+        assert frames.reconstruct_from_null_basis(fr, expressed) == mv
+
+
 def test_canonical_basis_limit():
     with pytest.raises(AlgebraError):
         frames.null_canonical_basis(frames.build_null_frame(9, 1))

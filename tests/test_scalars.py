@@ -169,6 +169,18 @@ def test_float_comparison_is_exact():
     assert Radical(1) != float("nan")
 
 
+def test_float_does_not_depend_on_term_order():
+    # 19/3*sqrt(2) - 69/16*sqrt(3) + sqrt(13): its terms summed left to
+    # right in these two insertion orders give 5.09276806285281 and
+    # 5.092768062852809.
+    parts = [Radical.sqrt(2) * Fraction(19, 3), Radical.sqrt(13),
+             Radical.sqrt(3) * Fraction(-69, 16)]
+    forward = parts[0] + parts[1] + parts[2]
+    backward = parts[2] + parts[1] + parts[0]
+    assert forward == backward
+    assert float(forward) == float(backward)
+
+
 def test_sign_of_three_or_more_terms_is_exact():
     # sqrt(2) + sqrt(3) - sqrt(10) + delta, with delta a 30-digit rational
     # approximation of sqrt(10) - sqrt(2) - sqrt(3): the sum is within
