@@ -277,8 +277,8 @@ def cmd_express(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if args.max > atlas.ATLAS_LIMIT:
-        print(f"--max must be <= {atlas.ATLAS_LIMIT}", file=sys.stderr)
+    if not 1 <= args.max <= atlas.ATLAS_LIMIT:
+        print(f"--max must be in 1..{atlas.ATLAS_LIMIT}", file=sys.stderr)
         return USAGE_ERROR
     data = atlas.atlas(args.max)
     if args.format == "json":

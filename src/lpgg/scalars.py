@@ -105,19 +105,6 @@ def add_products(acc: dict[int, int], a: dict[int, int], b: dict[int, int],
             acc[key] = acc.get(key, 0) + c
 
 
-def over_common_denominator(values) -> tuple[int, list[dict[int, int]]]:
-    """``(den, numerators)``: each ``Radical`` as ``numerators[i] / den``."""
-    values = list(values)
-    den = 1
-    for v in values:
-        den = math.lcm(den, v._den)
-    return den, [
-        v._terms if v._den == den
-        else {m: c * (den // v._den) for m, c in v._terms.items()}
-        for v in values
-    ]
-
-
 def _sign_of_terms(terms: dict[int, int]) -> int:
     """Exact sign of ``sum_m c_m * sqrt(m)`` with nonzero integers ``c_m``.
 
@@ -186,10 +173,9 @@ class Radical:
         if not terms:
             den = 1
         elif den != 1:
-            # Folded pairwise, like the lcm in over_common_denominator: a
-            # star-args call builds a tuple of every size, and CPython keeps
-            # up to 2,000 freed tuples per size, about 1 MB of peak RSS per
-            # verify report.
+            # Folded pairwise: a star-args call builds a tuple of every
+            # size, and CPython keeps up to 2,000 freed tuples per size,
+            # about 1 MB of peak RSS per verify report.
             g = den
             for c in terms.values():
                 g = math.gcd(g, c)

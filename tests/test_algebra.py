@@ -247,10 +247,105 @@ def test_exact_kernel_matches_per_pair_reference(p, q):
         for name, keep in PRODUCTS.items():
             result = getattr(x, name)(y)
             assert result.coefficients() == reference_product(x, y, keep), name
+            assert_normal_form(result)
             for value in result.coefficients().values():
                 terms, den = value._terms, value._den
                 assert den > 0 and all(terms.values())
                 assert math.gcd(den, *terms.values()) == 1
+
+
+def assert_normal_form(mv):
+    """One positive denominator, no empty blade, no zero numerator, and
+    gcd(den, all numerators) == 1; zero is ({}, 1)."""
+    den, coeffs = mv._den, mv._coeffs
+    assert isinstance(den, int) and den > 0
+    numerators = [c for terms in coeffs.values() for c in terms.values()]
+    assert all(coeffs.values()) and all(numerators)
+    assert all(isinstance(c, int) for c in numerators)
+    assert math.gcd(den, *numerators) == 1
+    if not coeffs:
+        assert den == 1
+
+
+def per_blade(x, y, op):
+    """``op`` applied blade by blade to the ``Radical`` coefficients."""
+    out = {b: op(x.coefficient(b), y.coefficient(b))
+           for b in set(x.coefficients()) | set(y.coefficients())}
+    return {b: v for b, v in out.items() if v}
+
+
+def per_blade_map(x, op):
+    return {b: v for b, v in ((b, op(b, c)) for b, c in x.items()) if v}
+
+
+def exact_scalars(rng):
+    """Ints (zero too), Fractions and Radicals of one to three terms."""
+    return [rng.randint(-4, 4), 0, Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+            random_radical(rng), random_radical(rng)]
+
+
+def invertible(value):
+    return value != 0 and not (isinstance(value, Radical) and len(value._terms) > 2)
+
+
+@pytest.mark.parametrize("p,q", [(p, t - p) for t in range(6) for p in range(t + 1)])
+def test_exact_operations_match_per_blade_reference(p, q):
+    algebra = Algebra(p, q)
+    rng = random.Random(2000 * p + q)
+    for _ in range(6):
+        x, y = (
+            algebra.multivector({rng.randrange(algebra.dim): random_radical(rng)
+                                 for _ in range(rng.randint(0, 6))})
+            for _ in range(2)
+        )
+        results = [
+            (x + y, per_blade(x, y, lambda a, b: a + b)),
+            (x - y, per_blade(x, y, lambda a, b: a - b)),
+            (x - x, {}),
+            (-x, per_blade_map(x, lambda b, c: -c)),
+            (x.reverse(), per_blade_map(
+                x, lambda b, c: -c if b.bit_count() % 4 in (2, 3) else c)),
+        ]
+        for k in range(algebra.n_generators + 1):
+            results.append((x.grade(k), per_blade_map(
+                x, lambda b, c: c if b.bit_count() == k else 0)))
+        for scalar in exact_scalars(rng):
+            results.append((x * scalar, per_blade_map(x, lambda b, c: c * scalar)))
+            results.append((scalar * x, per_blade_map(x, lambda b, c: c * scalar)))
+            if invertible(scalar):
+                results.append((x / scalar, per_blade_map(
+                    x, lambda b, c: c * Radical(scalar).inverse())))
+        for name, keep in PRODUCTS.items():
+            results.append((getattr(x, name)(y), reference_product(x, y, keep)))
+        results.append((x * y, reference_product(x, y, PRODUCTS["geometric"])))
+        for result, expected in results:
+            assert result.coefficients() == expected
+            assert_normal_form(result)
+
+
+def test_equal_exact_values_hash_equal():
+    rng = random.Random(31)
+    for p, q in [(1, 1), (1, 2), (2, 2), (1, 4)]:
+        algebra = Algebra(p, q)
+        for _ in range(10):
+            u, v = (
+                algebra.multivector({rng.randrange(algebra.dim): random_radical(rng)
+                                     for _ in range(4)})
+                for _ in range(2)
+            )
+            pairs = [((u + v) - v, u), ((u * 2) / 2, u),
+                     ((u * Fraction(3, 7)) / Fraction(3, 7), u),
+                     ((u * 2) * (v * 3), (u * v) * 6),
+                     (u.reverse().reverse(), u), (-(-u), u)]
+            for left, right in pairs:
+                assert left == right
+                assert hash(left) == hash(right)
+                assert left._den == right._den and left._coeffs == right._coeffs
+            assert len({(u + v) - v, u, (u * 2) / 2}) == 1
+    g = Algebra(1, 1)
+    half = g.scalar(Fraction(1, 2))
+    assert hash((g.e(1) * g.e(1)) / 2) == hash(half) == hash(Fraction(1, 2))
+    assert hash(g.e(1) - g.e(1)) == hash(g.zero()) == hash(0)
 
 
 def test_scalar_multivector_hashes_like_the_scalar_it_equals():

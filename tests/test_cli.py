@@ -264,6 +264,14 @@ def test_classify_limit(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_classify_rejects_nonpositive_max(capsys, value):
+    code, out, err = run_cli(capsys, "classify", "--max", value)
+    assert code == 2
+    assert out == ""
+    assert "--max must be in 1..10" in err
+
+
 def test_express_canonical_form(capsys):
     code, out, _ = run_cli(capsys, "express", "--n", "3", "--mv", "e1^f2")
     assert code == 0
