@@ -2,15 +2,17 @@
 
 Blades are bitmasks over the generator list ``e1..ep, f1..fq`` (bit ``k``
 set means generator ``k`` is a factor; generators with index ``< p``
-square to ``+1``, the rest to ``-1``).  A multivector is a pruned map
-from blade bitmask to a scalar coefficient, with all coefficients drawn
-from a single backend (exact radicals, floats, or complex floats).
+square to ``+1``, the rest to ``-1``).  All coefficients of a multivector
+are drawn from a single backend (exact radicals, floats, or complex
+floats).
 
-An exact multivector is stored like a :class:`Radical` one level up: one
-positive denominator and, per blade, a map from squarefree key to a
-nonzero int numerator, with ``gcd(den, *all numerators) == 1`` and zero
-``({}, 1)``.  Arithmetic runs on those ints and normalizes once per
-result; a ``Radical`` is built only when a coefficient is read.
+Every backend shares one storage shape, a :class:`Radical` one level up:
+one positive denominator and, per blade, a map from squarefree key to a
+nonzero numerator.  Exact numerators are ints with
+``gcd(den, *all numerators) == 1``; a float or complex coefficient ``c``
+is ``{1: c}`` over denominator 1.  Zero is ``({}, 1)``.  Arithmetic runs
+on the numerators and normalizes once per result, with no gcd over
+denominator 1; a ``Radical`` is built only when a coefficient is read.
 
 Everything here is immutable and pure: values can be shared freely.
 """
@@ -22,7 +24,7 @@ from fractions import Fraction
 
 from . import scalars
 from .scalars import (BACKENDS, COMPLEX, EXACT, Radical, add_products, coerce,
-                      is_zero)
+                      from_numerators, is_zero, to_numerators)
 
 DIMENSION_LIMIT = 12
 
@@ -106,7 +108,12 @@ class Algebra:
         return blade
 
     def product_sign(self, a: int, b: int) -> int:
-        """Sign of ``blade_a * blade_b`` (the result blade is ``a ^ b``).
+        """Sign of ``blade_a * blade_b`` (the result blade is ``a ^ b``)."""
+        return -1 if (b & self._sign_mask(a)).bit_count() & 1 else 1
+
+    def _sign_mask(self, a: int) -> int:
+        """Bitmap ``m`` with ``blade_a * blade_b`` negative iff ``b & m`` has
+        odd parity, so the product kernel computes it once per left blade.
 
         Bit j of ``t`` is the parity of the bits of ``a`` above j, so
         ``b & t`` counts the transpositions that sort ``a b``; the shared
@@ -114,18 +121,6 @@ class Algebra:
         method of Dorst, Fontijne and Mann, *Geometric Algebra for Computer
         Science*, ch. 19).
         """
-        t = a >> 1
-        t ^= t >> 1
-        t ^= t >> 2
-        t ^= t >> 4
-        t ^= t >> 8
-        return -1 if (b & (t ^ (a & self._negative))).bit_count() & 1 else 1
-
-    def _sign_mask(self, a: int) -> int:
-        """Bitmap ``m`` with ``product_sign(a, b) == -1`` iff ``b & m`` has
-        odd parity: the closed form above, for hoisting out of a loop over
-        ``b``.  ``product_sign`` keeps its own copy, since calling this
-        from it made each of its calls about 25% slower."""
         t = a >> 1
         t ^= t >> 1
         t ^= t >> 2
@@ -142,23 +137,20 @@ class Algebra:
                 backend = scalars.backend_of(value)
                 break
         converted = {}
+        den = 1
         for blade, value in coeffs.items():
             if not 0 <= blade < self.dim:
                 raise AlgebraError(f"blade {blade:#x} outside {self!r}")
             value = coerce(value, backend)
             if not is_zero(value):
-                converted[blade] = value
-        if backend != EXACT:
-            return Multivector(self, converted, backend)
-        # Each Radical is in normal form, so over the lcm of their
+                terms, d = to_numerators(value)
+                converted[blade] = terms, d
+                den = math.lcm(den, d)
+        # Each value is in normal form, so over the lcm of their
         # denominators no prime divides the denominator and every numerator.
-        den = 1
-        for value in converted.values():
-            den = math.lcm(den, value._den)
         return Multivector(self, {
-            blade: value._terms if value._den == den
-            else {m: c * (den // value._den) for m, c in value._terms.items()}
-            for blade, value in converted.items()
+            blade: terms if d == den else {m: c * (den // d) for m, c in terms.items()}
+            for blade, (terms, d) in converted.items()
         }, backend, den)
 
     def zero(self, backend: str = EXACT) -> "Multivector":
@@ -189,8 +181,9 @@ class Algebra:
         return self.blade(self.dim - 1)
 
 
-def _exact(algebra: Algebra, coeffs: dict, den: int) -> "Multivector":
-    """The exact multivector ``coeffs / den`` in normal form.
+def _normalized(algebra: Algebra, coeffs: dict, den: int,
+                backend: str) -> "Multivector":
+    """The multivector ``coeffs / den`` in normal form.
 
     ``coeffs`` maps blade to ``{key: numerator}`` and may hold zero
     numerators and empty blades.  The result may keep its inner dicts, so
@@ -213,16 +206,15 @@ def _exact(algebra: Algebra, coeffs: dict, den: int) -> "Multivector":
         den //= g
         out = {blade: {m: c // g for m, c in terms.items()}
                for blade, terms in out.items()}
-    return Multivector(algebra, out, EXACT, den)
+    return Multivector(algebra, out, backend, den)
 
 
 class Multivector:
     """Immutable element of G(p,q) over one scalar backend.
 
-    ``_coeffs`` maps blade to coefficient; for the exact backend the
-    coefficient is ``{key: numerator}`` over the common denominator
-    ``_den`` (1 for the float backends), in the normal form of the module
-    docstring, so ``==`` compares ``(_den, _coeffs)`` directly.
+    ``_coeffs`` maps blade to ``{key: numerator}`` over the common
+    denominator ``_den``, in the normal form of the module docstring, for
+    every backend, so ``==`` compares ``(_den, _coeffs)`` directly.
     """
 
     __slots__ = ("algebra", "_coeffs", "_den", "backend")
@@ -239,19 +231,11 @@ class Multivector:
         return dict(self.items())
 
     def coefficient(self, blade: int):
-        value = self._coeffs.get(blade)
-        if value is None:
-            return coerce(0, self.backend)
-        if self.backend == EXACT:
-            # A fresh dict: from_numerators may keep the one it is given.
-            return Radical.from_numerators(dict(value), self._den)
-        return value
+        return from_numerators(self._coeffs.get(blade, {}), self._den, self.backend)
 
     def items(self):
-        if self.backend != EXACT:
-            return self._coeffs.items()
-        den = self._den
-        return [(blade, Radical.from_numerators(dict(terms), den))
+        den, backend = self._den, self.backend
+        return [(blade, from_numerators(terms, den, backend))
                 for blade, terms in self._coeffs.items()]
 
     def is_zero(self) -> bool:
@@ -270,14 +254,6 @@ class Multivector:
                 f"mixed backends {self.backend!r} and {other.backend!r}"
             )
 
-    def _wrap(self, coeffs: dict) -> "Multivector":
-        """A float or complex result, with its zero coefficients pruned."""
-        return Multivector(
-            self.algebra,
-            {blade: v for blade, v in coeffs.items() if not is_zero(v)},
-            self.backend,
-        )
-
     # -- linear structure ------------------------------------------------------
 
     def _combine(self, other, sign: int):
@@ -286,27 +262,26 @@ class Multivector:
         if other is NotImplemented:
             return NotImplemented
         self._check_compatible(other)
-        if self.backend != EXACT:
-            coeffs = dict(self._coeffs)
-            for blade, value in other._coeffs.items():
-                if sign < 0:
-                    value = -value
-                current = coeffs.get(blade)
-                coeffs[blade] = value if current is None else current + value
-            return self._wrap(coeffs)
+        # A scale of 1 or -1 copies or negates rather than multiplies:
+        # ``c * 1`` and ``c * -1`` can flip the sign of a complex zero part.
         da, db = self._den, other._den
         g = math.gcd(da, db)
         scale_a, scale_b = db // g, sign * (da // g)
-        coeffs = {blade: {m: c * scale_a for m, c in terms.items()}
+        coeffs = {blade: dict(terms) if scale_a == 1
+                  else {m: c * scale_a for m, c in terms.items()}
                   for blade, terms in self._coeffs.items()}
         for blade, terms in other._coeffs.items():
+            if scale_b == -1:
+                terms = {m: -c for m, c in terms.items()}
+            elif scale_b != 1:
+                terms = {m: c * scale_b for m, c in terms.items()}
             acc = coeffs.get(blade)
             if acc is None:
-                coeffs[blade] = {m: c * scale_b for m, c in terms.items()}
+                coeffs[blade] = terms
             else:
                 for m, c in terms.items():
-                    acc[m] = acc.get(m, 0) + c * scale_b
-        return _exact(self.algebra, coeffs, da * scale_a)
+                    acc[m] = acc.get(m, 0) + c
+        return _normalized(self.algebra, coeffs, da * scale_a, self.backend)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -314,12 +289,10 @@ class Multivector:
     __radd__ = __add__
 
     def __neg__(self):
-        if self.backend != EXACT:
-            return self._wrap({blade: -v for blade, v in self._coeffs.items()})
         return Multivector(self.algebra, {
             blade: {m: -c for m, c in terms.items()}
             for blade, terms in self._coeffs.items()
-        }, EXACT, self._den)
+        }, self.backend, self._den)
 
     def __sub__(self, other):
         return self._combine(other, -1)
@@ -340,14 +313,12 @@ class Multivector:
             return NotImplemented
 
     def scale(self, value) -> "Multivector":
-        value = coerce(value, self.backend)
-        if self.backend != EXACT:
-            return self._wrap({blade: v * value for blade, v in self._coeffs.items()})
+        factor, den = to_numerators(coerce(value, self.backend))
         coeffs = {}
         for blade, terms in self._coeffs.items():
             acc = coeffs[blade] = {}
-            add_products(acc, terms, value._terms)
-        return _exact(self.algebra, coeffs, self._den * value._den)
+            add_products(acc, terms, factor)
+        return _normalized(self.algebra, coeffs, self._den * den, self.backend)
 
     def __mul__(self, other):
         if not isinstance(other, Multivector):
@@ -377,33 +348,16 @@ class Multivector:
     # -- products ----------------------------------------------------------------
 
     def _product(self, other: "Multivector", keep) -> "Multivector":
-        """Blade-pair accumulation; ``keep(ga, gb, gout)`` filters terms."""
-        if self.backend == EXACT:
-            return self._exact_product(other, keep)
-        sign_of = self.algebra.product_sign
-        coeffs: dict = {}
-        for a, ca in self._coeffs.items():
-            ga = a.bit_count()
-            for b, cb in other._coeffs.items():
-                out = a ^ b
-                if keep is not None and not keep(ga, b.bit_count(), out.bit_count()):
-                    continue
-                term = ca * cb
-                sign = sign_of(a, b)
-                if sign < 0:
-                    term = -term
-                current = coeffs.get(out)
-                coeffs[out] = term if current is None else current + term
-        return self._wrap(coeffs)
+        """Blade-pair accumulation over ``(blade, key, numerator)`` rows;
+        ``keep(ga, gb, gout)`` filters blade pairs.
 
-    def _exact_product(self, other: "Multivector", keep) -> "Multivector":
-        """The exact ``_product``, over ``(blade, key, numerator)`` rows.
-
-        Every row pair adds one integer product per output blade and key
-        (the key rule of ``scalars.add_products``, inlined); the result is
-        over the product of the two denominators and is normalized once.
-        The sign mask of each left blade is computed once, and ``keep`` is
-        asked once per blade pair.
+        Every row pair adds one product per output blade and key (the key
+        rule of ``scalars.add_products``, inlined).  A float or complex row
+        has key 1 only, so the first term of each output blade is stored as
+        is, never as ``0 + c``, which would lose a complex ``-0.0`` part.
+        The result is over the product of the two denominators and is
+        normalized once.  The sign mask of each left blade is computed
+        once, and ``keep`` is asked once per blade pair.
         """
         algebra = self.algebra
         right = other._coeffs
@@ -435,7 +389,7 @@ class Multivector:
                         sums[out] = {key: c}
                     else:
                         acc[key] = acc.get(key, 0) + c
-        return _exact(algebra, sums, self._den * other._den)
+        return _normalized(algebra, sums, self._den * other._den, self.backend)
 
     def geometric(self, other: "Multivector") -> "Multivector":
         self._check_compatible(other)
@@ -457,17 +411,14 @@ class Multivector:
         if not 0 <= k <= self.algebra.n_generators:
             raise AlgebraError(f"grade {k} outside 0..{self.algebra.n_generators}")
         coeffs = {blade: v for blade, v in self._coeffs.items() if blade.bit_count() == k}
-        if self.backend == EXACT:
-            return _exact(self.algebra, coeffs, self._den)
-        return self._wrap(coeffs)
+        return _normalized(self.algebra, coeffs, self._den, self.backend)
 
     def reverse(self) -> "Multivector":
-        exact = self.backend == EXACT
         coeffs = {}
         for blade, v in self._coeffs.items():
             k = blade.bit_count()
             if (k * (k - 1) // 2) & 1:
-                v = {m: -c for m, c in v.items()} if exact else -v
+                v = {m: -c for m, c in v.items()}
             coeffs[blade] = v
         return Multivector(self.algebra, coeffs, self.backend, self._den)
 
@@ -508,13 +459,9 @@ class Multivector:
         if not self._coeffs.keys() - {0}:
             # A scalar equals its raw value (``mv == 1``), so hash like it.
             return hash(self.coefficient(0))
-        if self.backend == EXACT:
-            return hash((self.algebra, self._den, frozenset(
-                (blade, frozenset(terms.items()))
-                for blade, terms in self._coeffs.items())))
-        return hash(
-            (self.algebra, self.backend, frozenset(self._coeffs.items()))
-        )
+        return hash((self.algebra, self._den, frozenset(
+            (blade, frozenset(terms.items()))
+            for blade, terms in self._coeffs.items())))
 
     def isclose(self, other: "Multivector", rel=scalars.REL_TOL, abs_tol=scalars.ABS_TOL) -> bool:
         if self.algebra != other.algebra:

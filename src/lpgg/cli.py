@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import __version__, atlas, frames, simplex, spectral, star, verify
 from .algebra import AlgebraError
 from .reporting import VerificationReport
-from .scalars import Radical
+from .scalars import InexactSqrtError, Radical
 from .textform import ParseError, format_multivector, parse_multivector
 
 USAGE_ERROR = 2
@@ -161,7 +161,7 @@ def cmd_spectral(args) -> int:
             if not (len(key) == 3 and key[0] == "g" and key[1:].isdigit()):
                 raise ValueError(f"bad coefficient key {key!r}")
             i, j = int(key[1]), int(key[2])
-            if isinstance(value, (str, int)):
+            if isinstance(value, (str, int)) and not isinstance(value, bool):
                 value = Fraction(value)
             elif not isinstance(value, float):
                 raise ValueError(f"{key} must be a number or a 'p/q' string")
@@ -173,7 +173,7 @@ def cmd_spectral(args) -> int:
     try:
         op = spectral.BivectorOperator(frame, coefficients)
         decomposition = spectral.spectral_decompose(op)
-    except (spectral.DegenerateSpectrumError, ValueError) as exc:
+    except (spectral.DegenerateSpectrumError, ValueError, InexactSqrtError) as exc:
         print(f"spectral error: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
     payload = decomposition.to_json()
@@ -252,7 +252,7 @@ def cmd_express(args) -> int:
     frame = frames.build_null_frame(size, 1)
     try:
         mv = parse_multivector(args.mv, frame.algebra)
-    except (ParseError, AlgebraError) as exc:
+    except (ParseError, AlgebraError, InexactSqrtError) as exc:
         print(f"bad --mv: {exc}", file=sys.stderr)
         return USAGE_ERROR
     subsets = frames.canonical_subsets(size)

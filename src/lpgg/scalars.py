@@ -45,13 +45,33 @@ class InexactSqrtError(ArithmeticError):
     """Square root is not representable in the radical class."""
 
 
+# Trial division stops here; see squarefree_decompose.
+TRIAL_DIVISION_LIMIT = 10 ** 6
+
+
 def squarefree_decompose(n: int) -> tuple[int, int]:
-    """Return ``(s, u)`` with ``n = s*s*u`` and ``u`` squarefree (n > 0)."""
+    """Return ``(s, u)`` with ``n = s*s*u`` and ``u`` squarefree (n > 0).
+
+    Trial division stops at ``TRIAL_DIVISION_LIMIT``.  A cofactor left
+    below the cube of that limit has at most two prime factors, so it is
+    a square or squarefree; a larger one raises ``InexactSqrtError``
+    instead of being factored further.
+    """
     if n <= 0:
         raise ValueError("positive integer required")
     s, u = 1, 1
     d = 2
     while d * d <= n:
+        if d > TRIAL_DIVISION_LIMIT:
+            if n >= TRIAL_DIVISION_LIMIT ** 3:
+                raise InexactSqrtError(
+                    f"radicand has a {len(str(n))}-digit cofactor with no "
+                    f"prime factor up to {TRIAL_DIVISION_LIMIT}; too large "
+                    "to reduce")
+            r = math.isqrt(n)
+            if r * r == n:
+                return s * r, u
+            break
         if n % d == 0:
             e = 0
             while n % d == 0:
@@ -87,8 +107,10 @@ def add_products(acc: dict[int, int], a: dict[int, int], b: dict[int, int],
                  negate: bool = False) -> None:
     """Add ``a*b`` (``-a*b`` when ``negate``) into ``acc``.
 
-    All three map a squarefree key ``m`` to the integer numerator of
-    ``sqrt(m)``; ``acc`` may be left holding zeros.
+    All three map a squarefree key ``m`` to the numerator of ``sqrt(m)``
+    (an int, or a float or complex under key 1); ``acc`` may be left
+    holding zeros.  The first term under a key is stored as is, not as
+    ``0 + c``, which would turn a complex ``-0.0`` part into ``0.0``.
     """
     for m1, c1 in a.items():
         if negate:
@@ -102,7 +124,8 @@ def add_products(acc: dict[int, int], a: dict[int, int], b: dict[int, int],
                 # sqrt(m1)*sqrt(m2) = g*sqrt(u*v) with m1 = g*u, m2 = g*v.
                 g = math.gcd(m1, m2)
                 key, c = (m1 // g) * (m2 // g), c1 * c2 * g
-            acc[key] = acc.get(key, 0) + c
+            old = acc.get(key)
+            acc[key] = c if old is None else old + c
 
 
 def _sign_of_terms(terms: dict[int, int]) -> int:
@@ -409,6 +432,27 @@ def coerce(value, backend: str):
             return complex(value)
         raise TypeError(f"cannot use {type(value).__name__} in the complex backend")
     raise ValueError(f"unknown backend {backend!r}")
+
+
+def to_numerators(value) -> tuple[dict, int]:
+    """``(terms, den)`` with ``value == sum_m terms[m] * sqrt(m) / den``.
+
+    ``value`` is a backend value: a ``Radical`` gives its normal form, a
+    float or complex ``({1: value}, 1)``.  ``terms`` may be the value's own
+    dict, so it must not be changed.
+    """
+    if isinstance(value, Radical):
+        return value._terms, value._den
+    return {1: value}, 1
+
+
+def from_numerators(terms: dict, den: int, backend: str):
+    """The ``backend`` value ``sum_m terms[m] * sqrt(m) / den``, the inverse
+    of :func:`to_numerators` (zero for empty ``terms``)."""
+    if backend == EXACT:
+        # A fresh dict: Radical.from_numerators may keep the one it is given.
+        return Radical.from_numerators(dict(terms), den)
+    return terms[1] if terms else coerce(0, backend)
 
 
 def is_zero(value) -> bool:

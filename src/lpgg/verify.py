@@ -801,6 +801,7 @@ def suite_simplex(n_max: int = DEFAULT_N_MAX,
     report = VerificationReport("simplex", seed)
 
     sizes = range(2, min(n_max, 6) + 1)
+    small_sizes = [size for size in (3, 4) if size <= n_max]
     with report.check_group(
         ("content-forms",
          "both content expressions agree with the 1/n! normalization"),
@@ -838,7 +839,7 @@ def suite_simplex(n_max: int = DEFAULT_N_MAX,
         "vertices-on-cone",
         "frame vertices lie on the light cone (|x|^2 = 0 and x^2 = 0)",
     ) as check:
-        for size in (3, 4):
+        for size in small_sizes:
             fr_c = frames.build_null_frame(size, 1)
             for i in range(1, size + 1):
                 v = simplex.vertex(fr_c, i)
@@ -850,7 +851,7 @@ def suite_simplex(n_max: int = DEFAULT_N_MAX,
         "grid-nonnegative",
         "|x|^2 >= 0 on a rational grid, vanishing exactly at the vertices",
     ) as check:
-        for size in (3, 4):
+        for size in small_sizes:
             fr_g = frames.build_null_frame(size, 1)
             denominator = 6
             for combo in itertools.product(range(denominator + 1),
@@ -871,7 +872,7 @@ def suite_simplex(n_max: int = DEFAULT_N_MAX,
         ("order-equals-rank", "wedge order equals the exact matrix rank"),
         ("closed-graphs", "difference cycles are closed; the vertex set is not"),
     ) as (rows_check, order_check, closed_check):
-        for size in (3, 4):
+        for size in small_sizes:
             fr_m = frames.build_null_frame(size, 1)
             for _ in range(10):
                 rows = []
@@ -929,7 +930,7 @@ def suite_simplex(n_max: int = DEFAULT_N_MAX,
         )
         check(degenerate and dup.is_zero(), "duplicate")
 
-    for size in (3, 4):
+    for size in small_sizes:
         _laplacian_checks(report, frames.build_null_frame(size, 1))
     return report
 

@@ -12,6 +12,7 @@ from lpgg import (
     Radical,
     wedge_list,
 )
+from lpgg.scalars import coerce
 
 
 def random_mv(algebra, rng, terms=5, backend="exact"):
@@ -215,15 +216,45 @@ def random_radical(rng):
     return value
 
 
+def random_coefficient(rng, backend):
+    """A random ``Radical``, float, or complex whose parts may be signed zeros."""
+    if backend == "exact":
+        return random_radical(rng)
+    if backend == "approx":
+        return rng.uniform(-9, 9)
+    return complex(*(rng.choice([0.0, -0.0, rng.uniform(-9, 9)]) for _ in range(2)))
+
+
+def random_backend_mv(algebra, rng, backend, terms):
+    return algebra.multivector(
+        {rng.randrange(algebra.dim): random_coefficient(rng, backend)
+         for _ in range(terms)}, backend)
+
+
+def bits(value):
+    """A float or complex by its bits, so ``-0.0`` differs from ``0.0``."""
+    if isinstance(value, complex):
+        return value.real.hex(), value.imag.hex()
+    if isinstance(value, float):
+        return value.hex()
+    return value
+
+
+def bitwise(coeffs):
+    return {blade: bits(value) for blade, value in coeffs.items()}
+
+
 def reference_product(x, y, keep):
-    """Per-pair ``Radical`` products with the swap-count sign."""
+    """Per-pair products with the swap-count sign, summed in (a, b) order."""
     out = {}
     for a, ca in x.items():
         for b, cb in y.items():
             if not keep(a.bit_count(), b.bit_count(), (a ^ b).bit_count()):
                 continue
-            term = ca * cb * swap_count_sign(a, b, x.algebra.p)
-            out[a ^ b] = out.get(a ^ b, Radical(0)) + term
+            term = ca * cb
+            if swap_count_sign(a, b, x.algebra.p) < 0:
+                term = -term
+            out[a ^ b] = out[a ^ b] + term if a ^ b in out else term
     return {blade: v for blade, v in out.items() if v}
 
 
@@ -233,21 +264,30 @@ PRODUCTS = {
     "dot": lambda ga, gb, gout: gout == abs(ga - gb),
 }
 
+# Exact cases keep their plain "p-q" ids.
+BACKEND_CASES = [
+    pytest.param(p, t - p, backend,
+                 id=f"{p}-{t - p}" if backend == "exact" else f"{backend}-{p}-{t - p}")
+    for backend in ("exact", "approx", "complex")
+    for t in range(6) for p in range(t + 1)
+]
 
-@pytest.mark.parametrize("p,q", [(p, t - p) for t in range(6) for p in range(t + 1)])
-def test_exact_kernel_matches_per_pair_reference(p, q):
+
+@pytest.mark.parametrize("p,q,backend", BACKEND_CASES)
+def test_exact_kernel_matches_per_pair_reference(p, q, backend):
+    """The one product kernel, for every backend, against a per-pair loop."""
     algebra = Algebra(p, q)
     rng = random.Random(1000 * p + q)
     for _ in range(6):
-        x, y = (
-            algebra.multivector({rng.randrange(algebra.dim): random_radical(rng)
-                                 for _ in range(rng.randint(1, 6))})
-            for _ in range(2)
-        )
+        x, y = (random_backend_mv(algebra, rng, backend, rng.randint(1, 6))
+                for _ in range(2))
         for name, keep in PRODUCTS.items():
             result = getattr(x, name)(y)
-            assert result.coefficients() == reference_product(x, y, keep), name
+            assert bitwise(result.coefficients()) == \
+                bitwise(reference_product(x, y, keep)), name
             assert_normal_form(result)
+            if backend != "exact":
+                continue
             for value in result.coefficients().values():
                 terms, den = value._terms, value._den
                 assert den > 0 and all(terms.values())
@@ -255,22 +295,33 @@ def test_exact_kernel_matches_per_pair_reference(p, q):
 
 
 def assert_normal_form(mv):
-    """One positive denominator, no empty blade, no zero numerator, and
-    gcd(den, all numerators) == 1; zero is ({}, 1)."""
+    """One positive denominator, no empty blade, no zero numerator; exact
+    numerators are ints with gcd(den, all numerators) == 1, a float or
+    complex one is the only entry, under key 1, over denominator 1; zero
+    is ({}, 1)."""
     den, coeffs = mv._den, mv._coeffs
     assert isinstance(den, int) and den > 0
     numerators = [c for terms in coeffs.values() for c in terms.values()]
     assert all(coeffs.values()) and all(numerators)
-    assert all(isinstance(c, int) for c in numerators)
-    assert math.gcd(den, *numerators) == 1
+    if mv.backend == "exact":
+        assert all(isinstance(c, int) for c in numerators)
+        assert math.gcd(den, *numerators) == 1
+    else:
+        kind = float if mv.backend == "approx" else complex
+        assert den == 1 and all(list(terms) == [1] for terms in coeffs.values())
+        assert all(type(c) is kind for c in numerators)
     if not coeffs:
         assert den == 1
 
 
-def per_blade(x, y, op):
-    """``op`` applied blade by blade to the ``Radical`` coefficients."""
-    out = {b: op(x.coefficient(b), y.coefficient(b))
-           for b in set(x.coefficients()) | set(y.coefficients())}
+def reference_sum(x, y, sign):
+    """``x + sign*y`` blade by blade; a blade of one operand alone is
+    copied (negated), not added to a zero."""
+    out = dict(x.items())
+    for b, c in y.items():
+        if sign < 0:
+            c = -c
+        out[b] = out[b] + c if b in out else c
     return {b: v for b, v in out.items() if v}
 
 
@@ -278,29 +329,41 @@ def per_blade_map(x, op):
     return {b: v for b, v in ((b, op(b, c)) for b, c in x.items()) if v}
 
 
-def exact_scalars(rng):
-    """Ints (zero too), Fractions and Radicals of one to three terms."""
-    return [rng.randint(-4, 4), 0, Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
-            random_radical(rng), random_radical(rng)]
+def backend_scalars(rng, backend):
+    """Ints (zero too), Fractions and Radicals of one to three terms, and a
+    float and a signed-zero complex where the backend holds them."""
+    values = [rng.randint(-4, 4), 0, Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+              random_radical(rng), random_radical(rng)]
+    if backend != "exact":
+        values.append(rng.uniform(-3, 3))
+    if backend == "complex":
+        values.append(complex(-0.0, rng.uniform(-3, 3)))
+    return values
 
 
 def invertible(value):
     return value != 0 and not (isinstance(value, Radical) and len(value._terms) > 2)
 
 
-@pytest.mark.parametrize("p,q", [(p, t - p) for t in range(6) for p in range(t + 1)])
-def test_exact_operations_match_per_blade_reference(p, q):
+def reciprocal(value, backend):
+    """The factor ``x / value`` scales by: an exact inverse when there is one."""
+    if isinstance(value, Radical) or backend == "exact":
+        return coerce(Radical(value).inverse(), backend)
+    return 1 / coerce(value, backend)
+
+
+@pytest.mark.parametrize("p,q,backend", BACKEND_CASES)
+def test_exact_operations_match_per_blade_reference(p, q, backend):
+    """Linear operations and products, for every backend, against
+    blade-by-blade and per-pair references."""
     algebra = Algebra(p, q)
     rng = random.Random(2000 * p + q)
     for _ in range(6):
-        x, y = (
-            algebra.multivector({rng.randrange(algebra.dim): random_radical(rng)
-                                 for _ in range(rng.randint(0, 6))})
-            for _ in range(2)
-        )
+        x, y = (random_backend_mv(algebra, rng, backend, rng.randint(0, 6))
+                for _ in range(2))
         results = [
-            (x + y, per_blade(x, y, lambda a, b: a + b)),
-            (x - y, per_blade(x, y, lambda a, b: a - b)),
+            (x + y, reference_sum(x, y, 1)),
+            (x - y, reference_sum(x, y, -1)),
             (x - x, {}),
             (-x, per_blade_map(x, lambda b, c: -c)),
             (x.reverse(), per_blade_map(
@@ -309,18 +372,29 @@ def test_exact_operations_match_per_blade_reference(p, q):
         for k in range(algebra.n_generators + 1):
             results.append((x.grade(k), per_blade_map(
                 x, lambda b, c: c if b.bit_count() == k else 0)))
-        for scalar in exact_scalars(rng):
-            results.append((x * scalar, per_blade_map(x, lambda b, c: c * scalar)))
-            results.append((scalar * x, per_blade_map(x, lambda b, c: c * scalar)))
+        for scalar in backend_scalars(rng, backend):
+            factor = coerce(scalar, backend)
+            results.append((x * scalar, per_blade_map(x, lambda b, c: c * factor)))
+            results.append((scalar * x, per_blade_map(x, lambda b, c: c * factor)))
             if invertible(scalar):
-                results.append((x / scalar, per_blade_map(
-                    x, lambda b, c: c * Radical(scalar).inverse())))
+                inverse = reciprocal(scalar, backend)
+                results.append((x / scalar, per_blade_map(x, lambda b, c: c * inverse)))
         for name, keep in PRODUCTS.items():
             results.append((getattr(x, name)(y), reference_product(x, y, keep)))
         results.append((x * y, reference_product(x, y, PRODUCTS["geometric"])))
         for result, expected in results:
-            assert result.coefficients() == expected
+            assert bitwise(result.coefficients()) == bitwise(expected)
             assert_normal_form(result)
+
+
+def test_complex_signed_zero_survives_sums_scaling_and_products():
+    g = Algebra(1, 1)
+    value = complex(-0.0, 1.0)
+    x = g.multivector({1: value}, "complex")
+    zero, one = g.zero("complex"), g.scalar(1, "complex")
+    for result in (x + zero, zero + x, x - zero, -(zero - x), x.scale(1),
+                   x * 1, x * one, one * x):
+        assert bits(result.coefficient(1)) == bits(value)
 
 
 def test_equal_exact_values_hash_equal():

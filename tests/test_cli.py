@@ -113,10 +113,12 @@ def test_verify_n_max_out_of_range_is_usage_error(capsys, n_max):
     ["spectral", "--g", '{"g12": "1/0"}'],
     ["spectral", "--g", "[1]"],
     ["spectral", "--g", '{"g12": [1]}'],
+    ["spectral", "--g", '{"g12": true}'],
     ["simplex", "--n", "2", "--vertices", "0.5,0.5,0;0,0.5,0.5"],
     *(["express", "--n", "2", "--mv", mv]
       for mv in ("*", "-", "+", "2*", "1/0*e1", "0/0", "()", "( )")),
     ["express", "--n", "2", "--mv=--"],
+    ["express", "--n", "3", "--mv", "sqrt(99999999999999999999999)"],
     ["spectral", "--g=--"],
 ])
 def test_bad_input_exits_with_a_message(capsys, argv):
@@ -150,25 +152,28 @@ def test_verify_all_report_is_pinned(capsys):
 
 
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
-EXPRESS_REFERENCES = [
-    entry for entry in json.loads(REFERENCES.read_text())["cli_pool"]
-    if entry["argv"][0] == "express"
-]
+POOL_REFERENCES = json.loads(REFERENCES.read_text())["cli_pool"]
 
 
-@pytest.mark.parametrize(
-    "entry", EXPRESS_REFERENCES,
-    ids=lambda entry: "n" + entry["argv"][2]
-    + ("-a-matrix" if "--a-matrix" in entry["argv"] else ""),
-)
+def reference_id(entry):
+    """``express`` entries by frame size, the rest by command and position."""
+    argv = entry["argv"]
+    if argv[0] == "express":
+        return "n" + argv[2] + ("-a-matrix" if "--a-matrix" in argv else "")
+    same = [e for e in POOL_REFERENCES if e["argv"][0] == argv[0]]
+    return f"{argv[0]}-{same.index(entry)}"
+
+
+@pytest.mark.parametrize("entry", POOL_REFERENCES, ids=reference_id)
 def test_express_matches_benchmark_reference(capsys, entry):
+    """Every benchmark pool command, not only ``express``, in process."""
     code, out, _ = run_cli(capsys, *entry["argv"])
     assert code == entry["exit"]
     assert hashlib.sha256(out.encode()).hexdigest() == entry["stdout_sha256"]
 
 
-def test_express_has_four_benchmark_references():
-    assert len(EXPRESS_REFERENCES) == 4
+def test_benchmark_pool_has_twenty_four_references():
+    assert len(POOL_REFERENCES) == 24
 
 
 def test_spectral_command(capsys):
@@ -192,6 +197,13 @@ def test_spectral_degenerate(capsys):
     code, _, err = run_cli(capsys, "spectral", "--g", '{"g12": 1, "g21": 1}')
     assert code == 1
     assert "spectral error" in err
+
+
+def test_spectral_radicand_too_large_to_reduce(capsys):
+    code, out, err = run_cli(
+        capsys, "spectral", "--g", '{"g12": "99999999999999999999999999999/7"}')
+    assert code == 1 and out == ""
+    assert err.startswith("spectral error: ") and err.count("\n") == 1
 
 
 def test_spectral_bad_json(capsys):

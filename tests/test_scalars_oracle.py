@@ -11,9 +11,10 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from lpgg.scalars import Radical
+from lpgg.scalars import (TRIAL_DIVISION_LIMIT, InexactSqrtError, Radical,
+                          squarefree_decompose)
 
 sympy = pytest.importorskip("sympy")
 
@@ -106,3 +107,28 @@ def test_hash_and_eq_match_sympy(a, q):
         assert (a == float(value)) == (Fraction(float(value)) == value)
     else:
         assert a != float(a)
+
+
+# Primes above the trial-division limit; products of up to three of them
+# leave cofactors on both sides of TRIAL_DIVISION_LIMIT ** 3.
+LARGE_PRIMES = [1000003, 1000033, 999999937, 1000000007, 1000000000039]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 10 ** 6), st.lists(st.sampled_from(LARGE_PRIMES), max_size=3))
+@example(12, [1000003, 1000003])            # a square cofactor
+@example(1, [1000003, 1000000007])          # two primes, below the bound
+@example(1, [1000003, 1000033, 999999937])  # three primes, above it
+def test_squarefree_decompose_matches_factorint(small, large):
+    n = small * math.prod(large)
+    s, u, cofactor = 1, 1, 1
+    for prime, exponent in sympy.factorint(n).items():
+        s *= prime ** (exponent // 2)
+        u *= prime ** (exponent % 2)
+        if prime > TRIAL_DIVISION_LIMIT:
+            cofactor *= prime ** exponent
+    if cofactor >= TRIAL_DIVISION_LIMIT ** 3:
+        with pytest.raises(InexactSqrtError):
+            squarefree_decompose(n)
+    else:
+        assert squarefree_decompose(n) == (s, u)

@@ -198,7 +198,7 @@ def test_grid_norm_nonnegative():
 
 def test_laplacian_report_statuses():
     statuses = {
-        c.name: c.status for c in verify.run_suite("simplex", n_max=2).checks
+        c.name: c.status for c in verify.run_suite("simplex", n_max=4).checks
     }
     for n in (2, 3):
         assert statuses[f"laplacian-dual-gradient-of-x-n{n}"] == "pass-corrected"

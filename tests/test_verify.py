@@ -130,11 +130,20 @@ def test_wrong_dual_sum_oracle_fails_its_corrections(monkeypatch):
     calc = statuses(verify.run_suite("calculus", n_max=2))
     assert calc["dual-dot-dual"] == "fail"
     assert calc["dual-laplacian"] == "fail"
-    simp = statuses(verify.run_suite("simplex", n_max=2))
+    simp = statuses(verify.run_suite("simplex", n_max=4))
     for name in ("laplacian-dual-laplacian-expansion-n2",
                  "laplacian-dual-laplacian-expansion-n3",
                  "laplacian-three-simplex-display-n3"):
         assert simp[name] == "fail", name
+
+
+def test_simplex_laplacian_lines_follow_n_max():
+    # n_max bounds the frame size n+1, so the n = 3 lines need n_max >= 4.
+    names = {n_max: [c.name for c in verify.run_suite("simplex", n_max=n_max).checks]
+             for n_max in (2, 3)}
+    assert not any(name.endswith("-n3") for name in names[2])
+    assert any(name.endswith("-n2") for name in names[3])
+    assert not any(name.endswith("-n3") for name in names[3])
 
 
 def test_range_claims_follow_n_max():
