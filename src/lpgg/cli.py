@@ -345,7 +345,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="all",
                    help="all, " + ", ".join(verify.SUITES))
-    p.add_argument("--n-max", type=int, default=verify.DEFAULT_N_MAX)
+    p.add_argument("--n-max", type=int, default=verify.DEFAULT_N_MAX,
+                   help="largest frame size n+1 and signature p+q any check "
+                        f"examines, in 2..{frames.FRAME_LIMIT}; checks with "
+                        "no size left are skipped")
     p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_verify)

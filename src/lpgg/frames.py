@@ -256,17 +256,9 @@ def pseudoscalar_relation(frame: NullFrame):
         raise ValueError("stated for positively correlated frames")
     n = frame.n
     lhs = frame.algebra.pseudoscalar()
-    factor = -(_sqrt2_power(n + 1) / Radical.sqrt(n))
+    factor = -Radical.sqrt(Fraction(2 ** (n + 1), n))
     rhs = wedge_list(list(frame.vectors)) * factor
     return lhs, rhs, lhs == rhs
-
-
-def _sqrt2_power(k: int) -> Radical:
-    value = Radical(1)
-    root2 = Radical.sqrt(2)
-    for _ in range(k):
-        value = value * root2
-    return value
 
 
 # -- canonical null products ----------------------------------------------------------

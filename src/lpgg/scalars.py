@@ -92,17 +92,6 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected a rational value, got {type(value).__name__}")
 
 
-def _largest_prime(m: int) -> int:
-    """Largest prime factor of a squarefree ``m > 0`` (1 for ``m = 1``)."""
-    largest, d = 1, 2
-    while d * d <= m:
-        if m % d == 0:
-            largest = d
-            m //= d
-        d += 1 if d == 2 else 2
-    return m if m > 1 else largest
-
-
 def add_products(acc: dict[int, int], a: dict[int, int], b: dict[int, int],
                  negate: bool = False) -> None:
     """Add ``a*b`` (``-a*b`` when ``negate``) into ``acc``.
@@ -131,18 +120,25 @@ def add_products(acc: dict[int, int], a: dict[int, int], b: dict[int, int],
 def _sign_of_terms(terms: dict[int, int]) -> int:
     """Exact sign of ``sum_m c_m * sqrt(m)`` with nonzero integers ``c_m``.
 
-    Write the value as ``a + b*sqrt(p)`` with ``p`` the largest prime in any
-    key and ``a``, ``b`` free of ``p``.  When ``a`` and ``b`` have opposite
-    signs, the sign is ``sign(a) * sign(a^2 - p*b^2)``, a value with one
-    prime fewer.  That value is never zero: square roots of distinct
-    squarefree integers are linearly independent over the rationals
-    (Besicovitch, 1940).
+    Pick ``p > 1`` dividing some key such that every key is a multiple of
+    ``p`` or coprime to it: start from the largest key and replace ``p``
+    by ``gcd(p, m)`` for each key ``m`` sharing a factor with it.  Write
+    the value as ``a + b*sqrt(p)`` with ``a``, ``b`` over keys coprime to
+    ``p``.  When ``a`` and ``b`` have opposite signs, the sign is
+    ``sign(a) * sign(a^2 - p*b^2)``, a value whose keys miss the primes of
+    ``p``.  That value is never zero: square roots of distinct squarefree
+    integers are linearly independent over the rationals (Besicovitch,
+    1940).  Only gcds are taken, so no key is ever factored.
     """
     if len(terms) <= 1:
         for c in terms.values():
             return 1 if c > 0 else -1
         return 0
-    p = max(map(_largest_prime, terms))
+    p = max(terms)
+    for m in terms:
+        g = math.gcd(p, m)
+        if g > 1:
+            p = g
     a: dict[int, int] = {}
     b: dict[int, int] = {}
     for m, c in terms.items():

@@ -8,7 +8,10 @@ which alone decides the status.  A sample reports whether the claim held
 as stated or only as corrected, and each corrected sample checks the
 value its details state: a claim that needs its correction somewhere is
 ``pass-corrected``, one that holds neither way is ``fail``.  Random
-sampling is seeded and reproducible.
+sampling is seeded and reproducible.  ``n_max`` bounds every size a check
+examines, a frame's n+1 and a signature's p+q alike (:func:`_sizes`); a
+check left with no size reports ``skipped``.  Only the atlas suite keeps
+its own stated levels.
 """
 from __future__ import annotations
 
@@ -47,6 +50,17 @@ def random_vector(vectors, rng: random.Random) -> Multivector:
     return acc
 
 
+def _sizes(n_max: int, lo: int = 2, hi: int = frames.FRAME_LIMIT) -> range:
+    """Sizes lo..hi cut at ``n_max``; a size is a frame's n+1 or a G(p,q)'s p+q."""
+    return range(lo, min(hi, n_max) + 1)
+
+
+def _frames(n_max: int, lo: int = 2, hi: int = frames.FRAME_LIMIT, sign: int = 1):
+    """The null frames of ``_sizes(n_max, lo, hi)``, built one at a time."""
+    for size in _sizes(n_max, lo, hi):
+        yield frames.build_null_frame(size, sign)
+
+
 # -- core ---------------------------------------------------------------------------------
 
 
@@ -55,14 +69,13 @@ def suite_core(n_max: int = DEFAULT_N_MAX,
     rng = random.Random(seed)
     report = VerificationReport("core", seed)
 
-    signatures = [
-        (p, q) for total in range(0, 5) for p in range(total + 1)
-        for q in [total - p]
-    ]
+    totals = _sizes(n_max, 0, 4)
+    signatures = [(p, total - p) for total in totals for p in range(total + 1)]
 
     with report.check(
         "associativity",
-        "(uv)w = u(vw) on 200 random multivectors per signature, p+q <= 4",
+        "(uv)w = u(vw) on 200 random multivectors per signature, "
+        f"p+q <= {totals.stop - 1}",
     ) as check:
         for p, q in signatures:
             algebra = Algebra(p, q)
@@ -109,7 +122,8 @@ def suite_core(n_max: int = DEFAULT_N_MAX,
 
     with report.check("reverse-antiautomorphism",
                       "reverse(uv) = reverse(v) reverse(u)") as check:
-        for p, q in [(1, 1), (1, 2), (2, 2)]:
+        for total in _sizes(n_max, 2, 4):  # G(1,1), G(1,2), G(2,2)
+            p, q = total // 2, (total + 1) // 2
             algebra = Algebra(p, q)
             for _ in range(30):
                 u = random_multivector(algebra, rng)
@@ -171,20 +185,20 @@ def suite_frame(n_max: int = DEFAULT_N_MAX,
                 seed: int = DEFAULT_SEED) -> VerificationReport:
     rng = random.Random(seed)
     report = VerificationReport("frame", seed)
+    top = _sizes(n_max).stop - 1
 
     with report.check(
         "frame-axioms",
         "a_i^2 = 0, a_i.a_j = sign/2, wedge of the frame nonzero "
-        f"(both signs, sizes 2..{n_max})",
+        f"(both signs, sizes 2..{top})",
     ) as check:
         for sign in (1, -1):
-            for size in range(2, n_max + 1):
-                fr = frames.build_null_frame(size, sign)
+            for fr in _frames(n_max, sign=sign):
                 half = fr.algebra.scalar(Fraction(sign, 2))
-                where = f"size {size}, sign {sign}"
+                where = f"size {fr.size}, sign {sign}"
                 for i, a in enumerate(fr.vectors):
                     check((a * a).is_zero(), f"a_{i+1}^2 != 0 at {where}")
-                for i, j in itertools.combinations(range(size), 2):
+                for i, j in itertools.combinations(range(fr.size), 2):
                     check(fr.vectors[i].dot(fr.vectors[j]) == half,
                           f"a_{i+1}.a_{j+1} mismatch at {where}")
                 check(not frames.wedge_list(list(fr.vectors)).is_zero(),
@@ -195,19 +209,17 @@ def suite_frame(n_max: int = DEFAULT_N_MAX,
         "all sixteen pair products match the correlated table, both signs",
     ) as check:
         for sign in (1, -1):
-            for size in range(2, n_max + 1):
-                table = frames.verify_multiplication_table(
-                    frames.build_null_frame(size, sign)
-                )
-                check(table.ok, f"size {size}, sign {sign}: {table.violations}")
+            for fr in _frames(n_max, sign=sign):
+                table = frames.verify_multiplication_table(fr)
+                check(table.ok, f"size {fr.size}, sign {sign}: {table.violations}")
 
     with report.check(
         "transition-3", "T and T^-1 for n+1 = 3 match the stated 3x3 matrices",
     ) as check:
-        fr3 = frames.build_null_frame(3, 1)
-        t3, t3_inv = _t3_fixture()
-        check(fr3.t_matrix == t3, "T")
-        check(fr3.t_inverse == t3_inv, "T^-1")
+        for fr3 in _frames(n_max, 3, 3):
+            t3, t3_inv = _t3_fixture()
+            check(fr3.t_matrix == t3, "T")
+            check(fr3.t_inverse == t3_inv, "T^-1")
 
     with report.check(
         "transition-8",
@@ -216,53 +228,53 @@ def suite_frame(n_max: int = DEFAULT_N_MAX,
         "defining combination force +2/sqrt(3); all 127 other entries "
         "match verbatim",
     ) as check:
-        fr8 = frames.build_null_frame(8, 1)
-        t8, t8_inv = _t8_fixture()
-        check(fr8.t_matrix == t8, "T")
-        check(fr8.t_inverse == t8_inv, "T^-1")
+        for fr8 in _frames(n_max, 8, 8):
+            t8, t8_inv = _t8_fixture()
+            check(fr8.t_matrix == t8, "T")
+            check(fr8.t_inverse == t8_inv, "T^-1")
 
     with report.check("transition-inverse", "T T^-1 = I exactly for every size") \
             as check:
-        for size in range(2, n_max + 1):
-            fr = frames.build_null_frame(size, 1)
+        for fr in _frames(n_max):
             product = linalg.matmul(fr.t_matrix, fr.t_inverse)
-            check(product == linalg.identity(size), f"size {size}")
+            check(product == linalg.identity(fr.size), f"size {fr.size}")
 
     with report.check(
         "coordinate-round-trip",
         "standard -> null -> standard coordinates is the identity",
     ) as check:
-        for size in range(2, n_max + 1):
-            fr = frames.build_null_frame(size, 1)
+        for fr in _frames(n_max):
             rows = [
                 tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                      for _ in range(size))
+                      for _ in range(fr.size))
                 for _ in range(5)
             ]
             for row in rows:
                 s = frames.CoordinateRow(row, "standard")
                 x = frames.to_null_coordinates(fr, s)
                 back = frames.to_standard_coordinates(fr, x)
-                check(back.entries == row, f"size {size}, row {row}")
+                check(back.entries == row, f"size {fr.size}, row {row}")
 
+    ks = _sizes(n_max, hi=8)
     with report.check(
         "k-sum-squares",
-        "A_k^2 = k(k-1)/2 and the unit k-sum squares to 1, k = 2..8",
+        f"A_k^2 = k(k-1)/2 and the unit k-sum squares to 1, k = 2..{ks.stop - 1}",
     ) as check:
-        fr8 = frames.build_null_frame(8, 1)
-        for k in range(2, 9):
-            ak = frames.k_sum(fr8, k)
-            check(ak * ak == fr8.algebra.scalar(Fraction(k * (k - 1), 2)),
+        if ks:
+            fr = frames.build_null_frame(ks[-1], 1)
+        for k in ks:
+            ak = frames.k_sum(fr, k)
+            check(ak * ak == fr.algebra.scalar(Fraction(k * (k - 1), 2)),
                   f"A_{k}^2")
-            unit = frames.unit_k_sum(fr8, k)
-            check(unit * unit == fr8.algebra.scalar(1), f"unit A_{k}")
+            unit = frames.unit_k_sum(fr, k)
+            check(unit * unit == fr.algebra.scalar(1), f"unit A_{k}")
 
     with report.check(
         "reciprocal-frame",
         "a^i . a_j = delta_ij; A . a^i = 1; a^i = (2/n)(dual_i - (n-1) a_i)",
     ) as check:
-        for size in range(2, n_max + 1):
-            fr = frames.build_null_frame(size, 1)
+        for fr in _frames(n_max):
+            size = fr.size
             recip = frames.reciprocal_frame(fr)
             for i, r in enumerate(recip):
                 for j, a in enumerate(fr.vectors):
@@ -281,69 +293,60 @@ def suite_frame(n_max: int = DEFAULT_N_MAX,
     with report.check(
         "pseudoscalar-relation",
         "e1 f1..fn = -(sqrt2)^(n+1)/sqrt(n) a_1^..^a_{n+1}, "
-        f"n = 1..{n_max - 1}; "
+        f"n = 1..{top - 1}; "
         "the n = 2 case is -2 a1^a2^a3",
     ) as check:
-        for size in range(2, n_max + 1):
-            _, _, matches = frames.pseudoscalar_relation(
-                frames.build_null_frame(size, 1)
-            )
-            check(matches, f"size {size}")
-        fr3 = frames.build_null_frame(3, 1)
-        lhs, _, _ = frames.pseudoscalar_relation(fr3)
-        check(lhs == frames.wedge_list(list(fr3.vectors)) * (-2), "n = 2")
+        for fr in _frames(n_max):
+            _, _, matches = frames.pseudoscalar_relation(fr)
+            check(matches, f"size {fr.size}")
+        for fr3 in _frames(n_max, 3, 3):
+            lhs, _, _ = frames.pseudoscalar_relation(fr3)
+            check(lhs == frames.wedge_list(list(fr3.vectors)) * (-2), "n = 2")
 
     with report.check(
         "canonical-basis-invertible",
         "the 2^(n+1) canonical null products are a basis (round-trips exactly)",
     ) as check:
-        for size in range(2, min(n_max, 8) + 1):
-            fr = frames.build_null_frame(size, 1)
+        for fr in _frames(n_max, hi=frames.CANONICAL_BASIS_LIMIT):
             for _ in range(3):
                 mv = random_multivector(fr.algebra, rng, terms=6)
                 coeffs = frames.express_in_null_basis(fr, mv)
                 check(frames.reconstruct_from_null_basis(fr, coeffs) == mv,
-                      f"size {size}")
+                      f"size {fr.size}")
 
-    fr3 = frames.build_null_frame(3, 1)
-    g = fr3.algebra
-    subsets = frames.canonical_subsets(3)
+    with report.check_group(
+        ("canonical-form-e1f1", "e1 f1 = 1 - 2 a1 a2"),
+        ("canonical-form-e1f2", "e1 f2 expands over the null products",
+         "stated 1 + a1a3 - a2a3 has scalar part 1, impossible for a "
+         "bivector; both routes give -1 + a1a3 + a2a3 exactly"),
+        ("canonical-form-e1f1f2", "e1 f1 f2 expands over the null products",
+         "stated a1 + a3 - 2 a1a2a3 drops the -a2 term; the expansion "
+         "a1 - a2 + a3 - 2 a1a2a3 equals the central pseudoscalar exactly"),
+    ) as (form_e1f1, form_e1f2, form_e1f1f2):
+        for fr3 in _frames(n_max, 3, 3):
+            g = fr3.algebra
+            subsets = frames.canonical_subsets(3)
 
-    def expansion(mv):
-        return dict(zip(subsets, frames.express_in_null_basis(fr3, mv)))
+            def matches(mv, derived):
+                coeffs = dict(zip(subsets, frames.express_in_null_basis(fr3, mv)))
+                return all(coeffs.get(k, Radical(0)) == v
+                           for k, v in derived.items()) \
+                    and sum(1 for c in coeffs.values() if c) == len(derived)
 
-    def matches(coeffs, derived):
-        return all(coeffs.get(k, Radical(0)) == v for k, v in derived.items()) \
-            and sum(1 for c in coeffs.values() if c) == len(derived)
+            form_e1f1(matches(g.e(1) * g.f(1), {0b000: 1, 0b011: -2}))
 
-    with report.check("canonical-form-e1f1", "e1 f1 = 1 - 2 a1 a2") as check:
-        check(matches(expansion(g.e(1) * g.f(1)), {0b000: 1, 0b011: -2}))
+            e1f2 = g.e(1) * g.f(2)
+            form_e1f2(matches(e1f2, {0b000: -1, 0b101: 1, 0b110: 1}), "expansion")
+            dual_route = (fr3.vectors[0] + fr3.vectors[1]) * (
+                -fr3.vectors[0] - fr3.vectors[1] + fr3.vectors[2]
+            )
+            form_e1f2(dual_route == e1f2, "dual route")
 
-    with report.check(
-        "canonical-form-e1f2",
-        "e1 f2 expands over the null products",
-        "stated 1 + a1a3 - a2a3 has scalar part 1, impossible for a "
-        "bivector; both routes give -1 + a1a3 + a2a3 exactly",
-    ) as check:
-        e1f2 = g.e(1) * g.f(2)
-        check(matches(expansion(e1f2), {0b000: -1, 0b101: 1, 0b110: 1}),
-              "expansion")
-        dual_route = (fr3.vectors[0] + fr3.vectors[1]) * (
-            -fr3.vectors[0] - fr3.vectors[1] + fr3.vectors[2]
-        )
-        check(dual_route == e1f2, "dual route")
-
-    with report.check(
-        "canonical-form-e1f1f2",
-        "e1 f1 f2 expands over the null products",
-        "stated a1 + a3 - 2 a1a2a3 drops the -a2 term; the expansion "
-        "a1 - a2 + a3 - 2 a1a2a3 equals the central pseudoscalar exactly",
-    ) as check:
-        e1f1f2 = g.e(1) * g.f(1) * g.f(2)
-        check(matches(expansion(e1f1f2),
-                      {0b001: 1, 0b010: -1, 0b100: 1, 0b111: -2}), "expansion")
-        check(e1f1f2 == frames.wedge_list(list(fr3.vectors)) * (-2),
-              "pseudoscalar")
+            e1f1f2 = g.e(1) * g.f(1) * g.f(2)
+            form_e1f1f2(matches(e1f1f2, {0b001: 1, 0b010: -1, 0b100: 1, 0b111: -2}),
+                        "expansion")
+            form_e1f1f2(e1f1f2 == frames.wedge_list(list(fr3.vectors)) * (-2),
+                        "pseudoscalar")
 
     return report
 
@@ -356,7 +359,7 @@ def suite_star(n_max: int = DEFAULT_N_MAX,
     rng = random.Random(seed)
     report = VerificationReport("star", seed)
 
-    sizes = [s for s in (2, 3, 4) if s <= max(n_max, 2)]
+    sizes = _sizes(n_max, hi=4)
     with report.check_group(
         ("involution", f"(g*)* = g for all k, {40 * len(sizes)} random elements"),
         ("homomorphism", "(gh)* = g* h* exactly"),
@@ -385,43 +388,45 @@ def suite_star(n_max: int = DEFAULT_N_MAX,
                 if size > 2 and not (g * h).is_zero():
                     mediated(not mp.raw_matches, f"raw product, {where}")
 
-    fr3 = frames.build_null_frame(3, 1)
     with report.check(
         "a-matrix-diagonal",
         "diagonal entries vanish for g = 1 and follow 2(a_i.v) a_i for vectors",
     ) as check:
-        am = star.a_matrix(fr3, fr3.algebra.scalar(1))
-        for i in range(3):
-            check(am.entries[i][i].is_zero(), f"g = 1, entry {i}")
-        v = random_vector(fr3.vectors, rng)
-        amv = star.a_matrix(fr3, v)
-        for i in range(3):
-            check(amv.entries[i][i] == fr3.vectors[i] * (
-                (fr3.vectors[i].dot(v)).scalar_part() * 2
-            ), f"vector, entry {i}")
+        for fr3 in _frames(n_max, 3, 3):
+            am = star.a_matrix(fr3, fr3.algebra.scalar(1))
+            for i in range(3):
+                check(am.entries[i][i].is_zero(), f"g = 1, entry {i}")
+            v = random_vector(fr3.vectors, rng)
+            amv = star.a_matrix(fr3, v)
+            for i in range(3):
+                check(amv.entries[i][i] == fr3.vectors[i] * (
+                    (fr3.vectors[i].dot(v)).scalar_part() * 2
+                ), f"vector, entry {i}")
 
     with report.check(
         "coefficient-matrix",
         "sum m_ij a_i a_j has grades {0, 2}; diagonal is ignored",
     ) as check:
-        m = [[0] * 3 for _ in range(3)]
-        m[0][1] = 1
-        expected = fr3.algebra.scalar(Fraction(1, 2)) + fr3.vectors[0].wedge(
-            fr3.vectors[1]
-        )
-        check(star.from_coefficient_matrix(fr3, m) == expected, "m_12 = 1")
-        ones = [[1] * 3 for _ in range(3)]
-        check(star.from_coefficient_matrix(fr3, ones) == fr3.algebra.scalar(3),
-              "all ones")
-        ident = [[int(i == j) for j in range(3)] for i in range(3)]
-        check(star.from_coefficient_matrix(fr3, ident).is_zero(), "identity")
-        for sample in range(20):
-            mat = [
-                [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3)]
-                for _ in range(3)
-            ]
-            check(star.from_coefficient_matrix(fr3, mat).grades() <= {0, 2},
-                  f"random sample {sample}")
+        for fr3 in _frames(n_max, 3, 3):
+            m = [[0] * 3 for _ in range(3)]
+            m[0][1] = 1
+            expected = fr3.algebra.scalar(Fraction(1, 2)) + fr3.vectors[0].wedge(
+                fr3.vectors[1]
+            )
+            check(star.from_coefficient_matrix(fr3, m) == expected, "m_12 = 1")
+            ones = [[1] * 3 for _ in range(3)]
+            check(star.from_coefficient_matrix(fr3, ones) == fr3.algebra.scalar(3),
+                  "all ones")
+            ident = [[int(i == j) for j in range(3)] for i in range(3)]
+            check(star.from_coefficient_matrix(fr3, ident).is_zero(), "identity")
+            for sample in range(20):
+                mat = [
+                    [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                     for _ in range(3)]
+                    for _ in range(3)
+                ]
+                check(star.from_coefficient_matrix(fr3, mat).grades() <= {0, 2},
+                      f"random sample {sample}")
     return report
 
 
@@ -434,18 +439,18 @@ def suite_calculus(n_max: int = DEFAULT_N_MAX,
     report = VerificationReport("calculus", seed)
 
     with report.check_group(
-        ("gradient-of-x", f"nabla x = n+1 exactly, n = 1..{n_max - 1}"),
+        ("gradient-of-x",
+         f"nabla x = n+1 exactly, n = 1..{_sizes(n_max).stop - 2}"),
         ("gradient-of-x-squared", "nabla x^2 = 2x exactly"),
     ) as (gradient_x, gradient_x2):
-        for size in range(2, n_max + 1):
-            fr = frames.build_null_frame(size, 1)
+        for fr in _frames(n_max):
             x = calculus.PolyField.identity(fr)
             nabla = calculus.make_nabla(fr)
             gradient_x(nabla.apply(x) == calculus.PolyField.constant(
-                fr, fr.algebra.scalar(size)
-            ), f"size {size}")
+                fr, fr.algebra.scalar(fr.size)
+            ), f"size {fr.size}")
             gradient_x2(nabla.apply(calculus.square_field(fr)) == x.scale(2),
-                        f"size {size}")
+                        f"size {fr.size}")
 
     with report.check_group(
         ("gradient-via-flat-sum", "nabla = (2/n)(A d_flat - n nabla_null)"),
@@ -473,8 +478,8 @@ def suite_calculus(n_max: int = DEFAULT_N_MAX,
          "brute-force expansion of the double pair-dot sum"),
     ) as (via_flat, via_dual, a_dot, dual_plus_null, a_dot_sum, null_lap,
           dual_lap, gradient_lap, dual_dot_null, vector_dot, dual_dot):
-        for size in (2, 3, 4, 5):
-            fr = frames.build_null_frame(size, 1)
+        for fr in _frames(n_max, hi=5):
+            size = fr.size
             n = Fraction(size - 1)
             where = f"n+1 = {size}"
             nabla = calculus.make_nabla(fr)
@@ -533,25 +538,24 @@ def suite_calculus(n_max: int = DEFAULT_N_MAX,
 
     with report.check("mixed-partials", "partial derivatives commute exactly") \
             as check:
-        fr = frames.build_null_frame(4, 1)
-        for _ in range(10):
-            exp = tuple(rng.randint(0, 2) for _ in range(4))
-            f = calculus.PolyField.monomial(fr, exp)
-            for i, j in itertools.combinations(range(1, 5), 2):
-                check(f.partial(i).partial(j) == f.partial(j).partial(i),
-                      f"monomial {exp}, d{i} d{j}")
+        for fr in _frames(n_max, 4, 4):
+            for _ in range(10):
+                exp = tuple(rng.randint(0, 2) for _ in range(fr.size))
+                f = calculus.PolyField.monomial(fr, exp)
+                for i, j in itertools.combinations(range(1, fr.size + 1), 2):
+                    check(f.partial(i).partial(j) == f.partial(j).partial(i),
+                          f"monomial {exp}, d{i} d{j}")
 
     with report.check(
         "laplacians-scalar-valued",
         "dual and null Laplacians map scalar fields to scalar fields",
     ) as check:
-        for size in (3, 4):
-            fr = frames.build_null_frame(size, 1)
+        for fr in _frames(n_max, 3, 4):
             dual = calculus.make_dual_nabla(fr)
             null = calculus.make_null_nabla(fr)
             for op in (dual.compose(dual), null.compose(null)):
                 for f in calculus.monomial_fields(fr, 2):
-                    check(op.apply(f).is_scalar_valued(), f"size {size}")
+                    check(op.apply(f).is_scalar_valued(), f"size {fr.size}")
 
     with report.check(
         "finite-differences",
@@ -560,10 +564,9 @@ def suite_calculus(n_max: int = DEFAULT_N_MAX,
     ) as check:
         worst = 0.0
         points_checked = 0
-        for size in (3, 4):
-            fr = frames.build_null_frame(size, 1)
-            while points_checked < 10 * (size - 2) + 10:
-                raw = [rng.uniform(0.05, 1.0) for _ in range(size)]
+        for fr in _frames(n_max, 3, 4):
+            while points_checked < 10 * (fr.size - 2) + 10:
+                raw = [rng.uniform(0.05, 1.0) for _ in range(fr.size)]
                 total = sum(raw)
                 coords = [v / total for v in raw]
                 points_checked += 1
@@ -571,7 +574,7 @@ def suite_calculus(n_max: int = DEFAULT_N_MAX,
                     fd = calculus.finite_difference_check(fr, tag, coords, 1e-5)
                     worst = max(worst, fd.max_abs_error)
                     check(fd.within(1e-6), f"{tag} at {coords}")
-        check.details = f"max abs error {worst:.2e}"
+            check.details = f"max abs error {worst:.2e}"
     return report
 
 
@@ -582,9 +585,8 @@ def suite_spectral(n_max: int = DEFAULT_N_MAX,
                    seed: int = DEFAULT_SEED) -> VerificationReport:
     rng = random.Random(seed)
     report = VerificationReport("spectral", seed)
+    fr2s, fr3s = list(_frames(n_max, 2, 2)), list(_frames(n_max, 3, 3))
 
-    fr2 = frames.build_null_frame(2, 1)
-    a1, a2 = fr2.vectors
     with report.check_group(
         ("wedge-endo-eigenvalues",
          "f(a1) = det a1 and f(a2) = -det a2 with det = v11 v22 - v12 v21",
@@ -595,74 +597,75 @@ def suite_spectral(n_max: int = DEFAULT_N_MAX,
         ("projective-reconstruction",
          "x is recovered from its two wedge ratios when v1^v2 != 0"),
     ) as (eigen, residual, projective):
-        for sample in range(100):
-            c = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
-            v1 = a1 * c[0] + a2 * c[1]
-            v2 = a1 * c[2] + a2 * c[3]
-            det = spectral.coefficient_determinant((c[0], c[1]), (c[2], c[3]))
-            where = f"sample {sample}, coefficients {c}"
-            eigen(spectral.wedge_endo_2d(fr2, v1, v2, a1) == a1 * det, where)
-            eigen(spectral.wedge_endo_2d(fr2, v1, v2, a2) == a2 * (-det), where)
-            x = random_vector(fr2.vectors, rng)
-            eigen(spectral.wedge_endo_2d(fr2, v1, v2, x) ==
-                  spectral.wedge_endo_2d_expanded(fr2, v1, v2, x), where)
-            residual(spectral.cayley_grassmann_residual(
-                fr2, v1, v2, x
-            ).is_zero(), where)
-            if det:
-                l1, l2 = spectral.projective_coordinates(fr2, v1, v2, x)
-                projective(v1 * l1 + v2 * l2 == x, where)
+        for fr2 in fr2s:
+            a1, a2 = fr2.vectors
+            for sample in range(100):
+                c = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                     for _ in range(4)]
+                v1 = a1 * c[0] + a2 * c[1]
+                v2 = a1 * c[2] + a2 * c[3]
+                det = spectral.coefficient_determinant((c[0], c[1]), (c[2], c[3]))
+                where = f"sample {sample}, coefficients {c}"
+                eigen(spectral.wedge_endo_2d(fr2, v1, v2, a1) == a1 * det, where)
+                eigen(spectral.wedge_endo_2d(fr2, v1, v2, a2) == a2 * (-det),
+                      where)
+                x = random_vector(fr2.vectors, rng)
+                eigen(spectral.wedge_endo_2d(fr2, v1, v2, x) ==
+                      spectral.wedge_endo_2d_expanded(fr2, v1, v2, x), where)
+                residual(spectral.cayley_grassmann_residual(
+                    fr2, v1, v2, x
+                ).is_zero(), where)
+                if det:
+                    l1, l2 = spectral.projective_coordinates(fr2, v1, v2, x)
+                    projective(v1 * l1 + v2 * l2 == x, where)
 
-    fr3 = frames.build_null_frame(3, 1)
-    g12 = fr3.algebra
-    i_ps = g12.e(1) * g12.f(1) * g12.f(2)
     with report.check_group(
         ("pseudoscalar-endo",
          "2(a1^a2^a3)x = -ix with the stated bivector expansion"),
         ("pseudoscalar-central", "i = e1 f1 f2 commutes with vectors"),
     ) as (endo, central):
-        for _ in range(30):
-            coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                      for _ in range(3)]
-            x = frames.vector_from_null_coordinates(fr3, coords)
-            fx = spectral.pseudoscalar_endo_3d(fr3, x)
-            where = f"null coordinates {coords}"
-            endo(fx == -(i_ps * x), where)
-            endo(fx == spectral.pseudoscalar_endo_3d_expanded(fr3, coords), where)
-            central(i_ps * x == x * i_ps, where)
+        for fr3 in fr3s:
+            g12 = fr3.algebra
+            i_ps = g12.e(1) * g12.f(1) * g12.f(2)
+            for _ in range(30):
+                coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+                          for _ in range(3)]
+                x = frames.vector_from_null_coordinates(fr3, coords)
+                fx = spectral.pseudoscalar_endo_3d(fr3, x)
+                where = f"null coordinates {coords}"
+                endo(fx == -(i_ps * x), where)
+                endo(fx == spectral.pseudoscalar_endo_3d_expanded(fr3, coords),
+                     where)
+                central(i_ps * x == x * i_ps, where)
 
-    bivs = [
-        fr3.vectors[1].wedge(fr3.vectors[2]),
-        fr3.vectors[2].wedge(fr3.vectors[0]),
-        fr3.vectors[0].wedge(fr3.vectors[1]),
-    ]
-    with report.check(
-        "bivector-gram",
-        "the three basis bivectors square to 1/4; pairwise symmetrized "
-        "products are stated to vanish",
-        "each pair shares a null vector: B_i B_j + B_j B_i = -1/2, not 0",
-    ) as check:
-        for i, b in enumerate(bivs):
-            check(b * b == fr3.algebra.scalar(Fraction(1, 4)), f"B_{i + 1}^2",
-                  stated=True)
-        for i, j in itertools.combinations(range(3), 2):
-            symmetrized = bivs[i] * bivs[j] + bivs[j] * bivs[i]
-            stated = symmetrized.is_zero()
-            check(stated or symmetrized == fr3.algebra.scalar(Fraction(-1, 2)),
-                  f"B_{i + 1} B_{j + 1} + B_{j + 1} B_{i + 1}", stated=stated)
+    with report.check_group(
+        ("bivector-gram",
+         "the three basis bivectors square to 1/4; pairwise symmetrized "
+         "products are stated to vanish",
+         "each pair shares a null vector: B_i B_j + B_j B_i = -1/2, not 0"),
+        ("pauli-normalization",
+         "(1/2 a_i^a_j)^2 compared with the unit square a Pauli vector needs"),
+    ) as (gram, pauli):
+        for fr3 in fr3s:
+            a = fr3.vectors
+            bivs = [a[1].wedge(a[2]), a[2].wedge(a[0]), a[0].wedge(a[1])]
+            for i, b in enumerate(bivs):
+                gram(b * b == fr3.algebra.scalar(Fraction(1, 4)), f"B_{i + 1}^2",
+                     stated=True)
+            for i, j in itertools.combinations(range(3), 2):
+                symmetrized = bivs[i] * bivs[j] + bivs[j] * bivs[i]
+                stated = symmetrized.is_zero()
+                gram(stated or symmetrized == fr3.algebra.scalar(Fraction(-1, 2)),
+                     f"B_{i + 1} B_{j + 1} + B_{j + 1} B_{i + 1}", stated=stated)
 
-    with report.check(
-        "pauli-normalization",
-        "(1/2 a_i^a_j)^2 compared with the unit square a Pauli vector needs",
-    ) as check:
-        one = fr3.algebra.scalar(1)
-        halves = [b * Fraction(1, 2) for b in bivs]
-        for b, half in zip(bivs, halves):
-            stated = half * half == one
-            check(stated or (b * 2) * (b * 2) == one, format_multivector(b),
-                  stated=stated)
-        check.details = (f"computed ({format_multivector(halves[0] * halves[0])}); "
-                         "square 1 needs the factor 2 a_i^a_j instead")
+            one = fr3.algebra.scalar(1)
+            halves = [b * Fraction(1, 2) for b in bivs]
+            for b, half in zip(bivs, halves):
+                stated = half * half == one
+                pauli(stated or (b * 2) * (b * 2) == one, format_multivector(b),
+                      stated=stated)
+            pauli.details = (f"computed ({format_multivector(halves[0] * halves[0])}); "
+                             "square 1 needs the factor 2 a_i^a_j instead")
 
     with report.check(
         "spectral-idempotents",
@@ -670,48 +673,48 @@ def suite_spectral(n_max: int = DEFAULT_N_MAX,
         "non-degenerate operators",
         "discriminant needs the -2 g_i g_j cross terms",
     ) as check:
-        corrected_count = 0
-        complex_count = 0
-        count = 0
-        while count < 100:
-            coeffs = {}
-            for i in (1, 2, 3):
-                for j in (1, 2, 3):
-                    if i != j and rng.random() < 0.8:
-                        coeffs[(i, j)] = Fraction(rng.randint(-6, 6),
-                                                  rng.randint(1, 4))
-            op = spectral.BivectorOperator(fr3, coeffs)
-            _, derived = spectral.discriminants(op)
-            if is_zero(derived):
-                continue
-            count += 1
-            dec = spectral.spectral_decompose(op)
-            if dec.discriminant_corrected:
-                corrected_count += 1
-            p1, p2 = dec.idempotent_1, dec.idempotent_2
-            g = op.element()
-            where = f"operator {coeffs}"
-            if p1.backend == EXACT:
-                check(p1 + p2 == fr3.algebra.scalar(1), where)
-                check((p1 * p2).is_zero() and (p2 * p1).is_zero(), where)
-                check(p1 * p1 == p1 and p2 * p2 == p2, where)
-                check(dec.reconstruct() == g, where)
-            else:
-                complex_count += 1
-                check((p1 + p2).isclose(fr3.algebra.scalar(complex(1))), where)
-                check((p1 * p2).isclose(fr3.algebra.zero("complex")), where)
-                check((p1 * p1).isclose(p1), where)
-                check(dec.reconstruct().isclose(g.to_backend("complex")), where)
-        check.details += (f" (corrected on {corrected_count} samples; "
-                          f"{complex_count} complexified)")
+        for fr3 in fr3s:
+            corrected_count = 0
+            complex_count = 0
+            count = 0
+            while count < 100:
+                coeffs = {}
+                for i in (1, 2, 3):
+                    for j in (1, 2, 3):
+                        if i != j and rng.random() < 0.8:
+                            coeffs[(i, j)] = Fraction(rng.randint(-6, 6),
+                                                      rng.randint(1, 4))
+                op = spectral.BivectorOperator(fr3, coeffs)
+                _, derived = spectral.discriminants(op)
+                if is_zero(derived):
+                    continue
+                count += 1
+                dec = spectral.spectral_decompose(op)
+                if dec.discriminant_corrected:
+                    corrected_count += 1
+                p1, p2 = dec.idempotent_1, dec.idempotent_2
+                g = op.element()
+                where = f"operator {coeffs}"
+                if p1.backend == EXACT:
+                    check(p1 + p2 == fr3.algebra.scalar(1), where)
+                    check((p1 * p2).is_zero() and (p2 * p1).is_zero(), where)
+                    check(p1 * p1 == p1 and p2 * p2 == p2, where)
+                    check(dec.reconstruct() == g, where)
+                else:
+                    complex_count += 1
+                    check((p1 + p2).isclose(fr3.algebra.scalar(complex(1))), where)
+                    check((p1 * p2).isclose(fr3.algebra.zero("complex")), where)
+                    check((p1 * p1).isclose(p1), where)
+                    check(dec.reconstruct().isclose(g.to_backend("complex")), where)
+            check.details += (f" (corrected on {corrected_count} samples; "
+                              f"{complex_count} complexified)")
 
     with report.check("rep-a1-a2",
                       "[a1] and [a2] match the stated spectral-basis matrices") \
             as check:
-        check(spectral.rep_g11(fr2.vectors[0]) == [[Radical(0), Radical(0)],
-                                                  [Radical(1), Radical(0)]], "[a1]")
-        check(spectral.rep_g11(fr2.vectors[1]) == [[Radical(0), Radical(1)],
-                                                  [Radical(0), Radical(0)]], "[a2]")
+        for fr2 in fr2s:
+            check(spectral.rep_g11(fr2.vectors[0]) == [[0, 0], [1, 0]], "[a1]")
+            check(spectral.rep_g11(fr2.vectors[1]) == [[0, 1], [0, 0]], "[a2]")
 
     with report.check(
         "rep-position-vector",
@@ -719,76 +722,80 @@ def suite_spectral(n_max: int = DEFAULT_N_MAX,
         "the stated matrix prints x2-x3 and x1-x3, which contradicts "
         "[a1], [a2] and the standard-coordinate display (s1-s2 = x2+x3)",
     ) as check:
-        x = frames.vector_from_null_coordinates(
-            fr3, [Fraction(2), Fraction(-3), Fraction(5)]
-        )
-        check(spectral.rep_g12(x) == [[5j, complex(2)], [complex(7), -5j]],
-              "x = (2, -3, 5)")
+        for fr3 in fr3s:
+            x = frames.vector_from_null_coordinates(
+                fr3, [Fraction(2), Fraction(-3), Fraction(5)]
+            )
+            check(spectral.rep_g12(x) == [[5j, complex(2)], [complex(7), -5j]],
+                  "x = (2, -3, 5)")
 
-    g11 = Algebra(1, 1)
-    g12_full = Algebra(1, 2)
     with report.check(
         "rep-homomorphism",
         "rep(uv) = rep(u) rep(v) on 100 random pairs in G(1,1) and G(1,2)",
     ) as check:
-        for sample in range(100):
-            u = random_multivector(g11, rng, terms=4)
-            v = random_multivector(g11, rng, terms=4)
-            prod = linalg.matmul(spectral.rep_g11(u), spectral.rep_g11(v))
-            target = spectral.rep_g11(u * v)
-            check(prod == target, f"G(1,1) sample {sample}")
-        for sample in range(100):
-            u = random_multivector(g12_full, rng, terms=5)
-            v = random_multivector(g12_full, rng, terms=5)
-            prod = linalg.matmul(spectral.rep_g12(u), spectral.rep_g12(v))
-            target = spectral.rep_g12(u * v)
-            err = max(
-                abs(prod[r][c] - target[r][c]) for r in range(2) for c in range(2)
-            )
-            check(err <= 1e-10, f"G(1,2) sample {sample}: error {err:.2e}")
+        for fr2 in fr2s:
+            for sample in range(100):
+                u = random_multivector(fr2.algebra, rng, terms=4)
+                v = random_multivector(fr2.algebra, rng, terms=4)
+                prod = linalg.matmul(spectral.rep_g11(u), spectral.rep_g11(v))
+                check(prod == spectral.rep_g11(u * v), f"G(1,1) sample {sample}")
+        for fr3 in fr3s:
+            for sample in range(100):
+                u = random_multivector(fr3.algebra, rng, terms=5)
+                v = random_multivector(fr3.algebra, rng, terms=5)
+                prod = linalg.matmul(spectral.rep_g12(u), spectral.rep_g12(v))
+                target = spectral.rep_g12(u * v)
+                err = max(abs(prod[r][c] - target[r][c])
+                          for r in range(2) for c in range(2))
+                check(err <= 1e-10, f"G(1,2) sample {sample}: error {err:.2e}")
 
     with report.check(
         "regular-representation-faithful",
         "left multiplication on the blade basis has trivial kernel "
         "(the first column recovers the element)",
     ) as check:
-        for blade in range(8):
-            reg = spectral.regular_representation(g12_full.blade(blade, 1))
-            recovered = [reg[row][0] for row in range(8)]
-            check(recovered == [int(row == blade) for row in range(8)],
-                  f"blade {blade}")
-        for sample in range(20):
-            u = random_multivector(g12_full, rng, terms=5)
-            reg = spectral.regular_representation(u)
-            check([reg[row][0] for row in range(8)]
-                  == [u.coefficient(row) for row in range(8)], f"sample {sample}")
+        for fr3 in fr3s:
+            for blade in range(8):
+                reg = spectral.regular_representation(fr3.algebra.blade(blade, 1))
+                recovered = [reg[row][0] for row in range(8)]
+                check(recovered == [int(row == blade) for row in range(8)],
+                      f"blade {blade}")
+            for sample in range(20):
+                u = random_multivector(fr3.algebra, rng, terms=5)
+                reg = spectral.regular_representation(u)
+                check([reg[row][0] for row in range(8)]
+                      == [u.coefficient(row) for row in range(8)],
+                      f"sample {sample}")
 
     with report.check(
         "rep-regular-similarity",
         "regular-representation traces and determinants match the 2x2 "
         "reps up to the block multiplicity",
     ) as check:
-        for sample in range(25):
-            u = random_multivector(g12_full, rng, terms=5)
-            reg = spectral.regular_representation(u)
-            m = spectral.rep_g12(u)
-            tr2 = m[0][0] + m[1][1]
-            det2 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-            where = f"G(1,2) sample {sample}"
-            trace = float(linalg.sum_scalars(reg[i][i] for i in range(8)))
-            check(abs(trace - 4 * tr2.real) <= 1e-8, where)
-            scale = max(1.0, abs(det2) ** 4)
-            check(abs(linalg.determinant(reg) - abs(det2) ** 4) <= 1e-8 * scale,
-                  where)
-        for sample in range(25):
-            u = random_multivector(g11, rng, terms=4)
-            reg = spectral.regular_representation(u)
-            m = spectral.rep_g11(u)
-            tr2 = m[0][0] + m[1][1]
-            det2 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-            where = f"G(1,1) sample {sample}"
-            check(linalg.sum_scalars(reg[i][i] for i in range(4)) == tr2 * 2, where)
-            check(linalg.determinant(reg) == det2 * det2, where)
+        for fr3 in fr3s:
+            for sample in range(25):
+                u = random_multivector(fr3.algebra, rng, terms=5)
+                reg = spectral.regular_representation(u)
+                m = spectral.rep_g12(u)
+                tr2 = m[0][0] + m[1][1]
+                det2 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+                where = f"G(1,2) sample {sample}"
+                trace = float(linalg.sum_scalars(reg[i][i] for i in range(8)))
+                check(abs(trace - 4 * tr2.real) <= 1e-8, where)
+                scale = max(1.0, abs(det2) ** 4)
+                check(abs(linalg.determinant(reg) - abs(det2) ** 4)
+                      <= 1e-8 * scale, where)
+        for fr2 in fr2s:
+            for sample in range(25):
+                u = random_multivector(fr2.algebra, rng, terms=4)
+                reg = spectral.regular_representation(u)
+                m = spectral.rep_g11(u)
+                tr2 = m[0][0] + m[1][1]
+                det2 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
+                where = f"G(1,1) sample {sample}"
+                check(linalg.sum_scalars(reg[i][i] for i in range(4)) == tr2 * 2,
+                      where)
+                check(linalg.determinant(reg) == det2 * det2, where)
     return report
 
 
@@ -800,8 +807,7 @@ def suite_simplex(n_max: int = DEFAULT_N_MAX,
     rng = random.Random(seed)
     report = VerificationReport("simplex", seed)
 
-    sizes = range(2, min(n_max, 6) + 1)
-    small_sizes = [size for size in (3, 4) if size <= n_max]
+    sizes = _sizes(n_max, hi=6)
     with report.check_group(
         ("content-forms",
          "both content expressions agree with the 1/n! normalization"),
@@ -830,32 +836,30 @@ def suite_simplex(n_max: int = DEFAULT_N_MAX,
         "centroid-norm",
         "|centroid|^2 = 1/3 for the triangle and the unit squares to 1",
     ) as check:
-        fr = frames.build_null_frame(3, 1)
-        check(simplex.centroid(fr).norm_squared() == Fraction(1, 3), "|c|^2")
-        u = simplex.centroid(fr).unit()
-        check(u * u == fr.algebra.scalar(1), "unit")
+        for fr in _frames(n_max, 3, 3):
+            check(simplex.centroid(fr).norm_squared() == Fraction(1, 3), "|c|^2")
+            u = simplex.centroid(fr).unit()
+            check(u * u == fr.algebra.scalar(1), "unit")
 
     with report.check(
         "vertices-on-cone",
         "frame vertices lie on the light cone (|x|^2 = 0 and x^2 = 0)",
     ) as check:
-        for size in small_sizes:
-            fr_c = frames.build_null_frame(size, 1)
-            for i in range(1, size + 1):
-                v = simplex.vertex(fr_c, i)
-                check(v.is_on_cone(), f"vertex {i} at size {size}")
+        for fr in _frames(n_max, 3, 4):
+            for i in range(1, fr.size + 1):
+                v = simplex.vertex(fr, i)
+                check(v.is_on_cone(), f"vertex {i} at size {fr.size}")
                 sq = v.to_multivector() * v.to_multivector()
-                check(sq.is_zero(), f"vertex {i} at size {size}")
+                check(sq.is_zero(), f"vertex {i} at size {fr.size}")
 
     with report.check(
         "grid-nonnegative",
         "|x|^2 >= 0 on a rational grid, vanishing exactly at the vertices",
     ) as check:
-        for size in small_sizes:
-            fr_g = frames.build_null_frame(size, 1)
+        for fr_g in _frames(n_max, 3, 4):
             denominator = 6
             for combo in itertools.product(range(denominator + 1),
-                                           repeat=size - 1):
+                                           repeat=fr_g.size - 1):
                 if sum(combo) > denominator:
                     continue
                 coords = tuple(
@@ -865,15 +869,15 @@ def suite_simplex(n_max: int = DEFAULT_N_MAX,
                 on_cone = value == 0
                 boundary_null = sum(1 for c in coords if c) <= 1
                 check(value >= 0 and on_cone == boundary_null,
-                      f"size {size}, grid point {combo}")
+                      f"size {fr_g.size}, grid point {combo}")
 
     with report.check_group(
         ("simplicial-rows", "barycentric rows are nonnegative and sum to 1"),
         ("order-equals-rank", "wedge order equals the exact matrix rank"),
         ("closed-graphs", "difference cycles are closed; the vertex set is not"),
     ) as (rows_check, order_check, closed_check):
-        for size in small_sizes:
-            fr_m = frames.build_null_frame(size, 1)
+        for fr_m in _frames(n_max, 3, 4):
+            size = fr_m.size
             for _ in range(10):
                 rows = []
                 for _ in range(size):
@@ -910,28 +914,24 @@ def suite_simplex(n_max: int = DEFAULT_N_MAX,
         "content-alternating",
         "vertex swaps flip the content sign; duplicates degenerate to zero",
     ) as check:
-        fr_s = frames.build_null_frame(3, 1)
-        base_rows = [
-            [Fraction(1), Fraction(0), Fraction(0)],
-            [Fraction(0), Fraction(1), Fraction(0)],
-            [Fraction(0), Fraction(0), Fraction(1)],
-        ]
-        c_base, _ = simplex.content_vertices(
-            simplex.SimplicialMatrix(fr_s, base_rows)
-        )
-        swapped = [base_rows[1], base_rows[0], base_rows[2]]
-        c_swap, _ = simplex.content_vertices(
-            simplex.SimplicialMatrix(fr_s, swapped)
-        )
-        check(c_base == -c_swap, "swap")
-        dup, degenerate = simplex.content_vertices(
-            simplex.SimplicialMatrix(fr_s,
-                                     [base_rows[0], base_rows[0], base_rows[2]])
-        )
-        check(degenerate and dup.is_zero(), "duplicate")
+        for fr_s in _frames(n_max, 3, 3):
+            base_rows = [[Fraction(int(i == j)) for j in range(3)] for i in range(3)]
+            c_base, _ = simplex.content_vertices(
+                simplex.SimplicialMatrix(fr_s, base_rows)
+            )
+            swapped = [base_rows[1], base_rows[0], base_rows[2]]
+            c_swap, _ = simplex.content_vertices(
+                simplex.SimplicialMatrix(fr_s, swapped)
+            )
+            check(c_base == -c_swap, "swap")
+            dup, degenerate = simplex.content_vertices(
+                simplex.SimplicialMatrix(fr_s,
+                                         [base_rows[0], base_rows[0], base_rows[2]])
+            )
+            check(degenerate and dup.is_zero(), "duplicate")
 
-    for size in small_sizes:
-        _laplacian_checks(report, frames.build_null_frame(size, 1))
+    for fr in _frames(n_max, 3, 4):
+        _laplacian_checks(report, fr)
     return report
 
 

@@ -193,6 +193,20 @@ def test_spectral_fraction_strings(capsys):
     assert payload["checks"]["discriminant_corrected"] is True
 
 
+@pytest.mark.parametrize("g, roots", [
+    # D = 6.25 > 0: real float roots
+    ('{"g12": 0.5, "g21": 1.0, "g23": 2.0}', ["0.5", "3.0"]),
+    # D = -0.9375 < 0: the float input decomposes over the complex backend
+    ('{"g12": 1.5, "g13": -0.25, "g23": 1.0}',
+     ["(1.125-0.4841229182759271j)", "(1.125+0.4841229182759271j)"]),
+])
+def test_spectral_float_coefficients(capsys, g, roots):
+    code, out, err = run_cli(capsys, "spectral", "--g", g)
+    assert code == 0 and err == ""
+    assert json.loads(out)["roots"] == roots
+    assert run_cli(capsys, "spectral", "--g", g) == (code, out, err)
+
+
 def test_spectral_degenerate(capsys):
     code, _, err = run_cli(capsys, "spectral", "--g", '{"g12": 1, "g21": 1}')
     assert code == 1

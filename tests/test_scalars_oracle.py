@@ -8,6 +8,7 @@ denominators, so the normalization of every result is exercised.
 """
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,16 @@ def test_hash_and_eq_match_sympy(a, q):
         assert (a == float(value)) == (Fraction(float(value)) == value)
     else:
         assert a != float(a)
+
+
+def test_sign_with_a_large_prime_key_returns_quickly():
+    # 999999999999999989 is prime: trial division up to its square root
+    # would take about 10^9 steps, so the sign must not factor any key.
+    value = Radical.sqrt(999999999999999989) - Radical.sqrt(2) * 700000000
+    start = time.perf_counter()
+    sign = value.sign()
+    assert time.perf_counter() - start < 1
+    assert sign == int(sympy.sign(to_sympy(value))) == 1
 
 
 # Primes above the trial-division limit; products of up to three of them

@@ -8,17 +8,18 @@ import sys
 import pytest
 
 import lpgg
-from lpgg import atlas, calculus, simplex, verify
+from lpgg import atlas, calculus, frames, simplex, verify
 from lpgg.reporting import CheckResult, VerificationReport
 
 
 @pytest.mark.parametrize("suite", verify.SUITES)
 def test_each_suite_is_green(suite):
-    report = verify.run_suite(suite, n_max=6, seed=123)
-    assert not report.failed, [
-        c.name for c in report.checks if c.status == "fail"
-    ]
-    assert report.exit_code() == 0
+    for n_max in (2, 6):
+        report = verify.run_suite(suite, n_max=n_max, seed=123)
+        assert not report.failed, (n_max, [
+            c.name for c in report.checks if c.status == "fail"
+        ])
+        assert report.exit_code() == 0
 
 
 def test_run_all_merges_and_prefixes():
@@ -30,7 +31,7 @@ def test_run_all_merges_and_prefixes():
     assert report.exit_code() == 0
     text = json.dumps(report.to_json(), indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "b2dca8e1883a2539a4b30fdf54c995ac2375780d7e19655e2992b6ee89f82f79"
+        "6443f2487a3b422076a17afc199fadaa27df145118674da8b9e9e19d8e1904ce"
     )
 
 
@@ -42,9 +43,30 @@ def test_empty_size_range_is_skipped():
     frame = statuses(verify.run_suite("frame", n_max=1))
     assert frame["frame-axioms"] == "skipped"
     assert frame["multiplication-tables"] == "skipped"
-    assert frame["transition-3"] == "pass"
+    assert frame["transition-3"] == "skipped"
     calculus = statuses(verify.run_suite("calculus", n_max=1))
     assert calculus["gradient-of-x"] == "skipped"
+
+
+@pytest.mark.parametrize("suite", [s for s in verify.SUITES if s != "atlas"])
+def test_no_size_above_n_max_is_built(suite, monkeypatch):
+    built = []
+    real_frame, real_algebra = frames.build_null_frame, verify.Algebra
+
+    def frame(size, sign=1):
+        built.append(("frame", size))
+        return real_frame(size, sign)
+
+    def algebra(p, q):
+        built.append((f"G({p},{q})", p + q))
+        return real_algebra(p, q)
+
+    monkeypatch.setattr(frames, "build_null_frame", frame)
+    monkeypatch.setattr(verify, "Algebra", algebra)
+    for n_max in range(6):
+        built.clear()
+        verify.run_suite(suite, n_max=n_max)
+        assert all(size <= n_max for _, size in built), (n_max, built)
 
 
 def test_periodicity_checked_through_ten_for_any_n_max():
@@ -114,7 +136,7 @@ def test_identity_failing_at_one_size_fails(monkeypatch):
         return op.scale(2) if frame.size == 4 else op
 
     monkeypatch.setattr(calculus, "make_null_nabla", broken)
-    report = verify.run_suite("calculus", n_max=3)
+    report = verify.run_suite("calculus", n_max=4)
     by_name = {c.name: c for c in report.checks}
     assert by_name["null-laplacian"].status == "fail"
     assert by_name["null-laplacian"].details == "n+1 = 4"
@@ -151,6 +173,9 @@ def test_range_claims_follow_n_max():
     assert calc["gradient-of-x"] == "nabla x = n+1 exactly, n = 1..2"
     frame = {c.name: c.claim for c in verify.run_suite("frame", n_max=3).checks}
     assert "a_1^..^a_{n+1}, n = 1..2;" in frame["pseudoscalar-relation"]
+    assert frame["k-sum-squares"].endswith("k = 2..3")
+    core = {c.name: c.claim for c in verify.run_suite("core", n_max=2).checks}
+    assert core["associativity"].endswith("p+q <= 2")
     for suite in verify.SUITE_FUNCTIONS.values():
         default = inspect.signature(suite).parameters["n_max"].default
         assert default == verify.DEFAULT_N_MAX, suite.__name__
