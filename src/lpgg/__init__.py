@@ -26,6 +26,12 @@ from .scalars import (
 
 __version__ = "0.1.0"
 
+# Shared with the CLI parser, which must not import the modules that use them.
+FRAME_LIMIT = 12  # largest frame size n+1 that build_null_frame accepts
+SUITES = ("core", "frame", "star", "calculus", "spectral", "simplex", "atlas")
+DEFAULT_SEED = 2024
+DEFAULT_N_MAX = 8
+
 __all__ = [
     "Algebra",
     "AlgebraError",

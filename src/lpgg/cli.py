@@ -7,6 +7,8 @@ exact.  A check it reports as ``skipped`` examined nothing; one reported
 as ``pass-corrected`` held on every sample, on some only in the corrected
 form its details state.  The coordinate text picks the backend of
 ``simplex --point``: ``1/3`` stays exact, ``0.25`` is a float.
+Each command imports the modules it runs in its own body, so a process
+loads only those.
 """
 
 from __future__ import annotations
@@ -16,11 +18,9 @@ import json
 import sys
 from fractions import Fraction
 
-from . import __version__, atlas, frames, simplex, spectral, star, verify
+from . import DEFAULT_N_MAX, DEFAULT_SEED, FRAME_LIMIT, SUITES, __version__
 from .algebra import AlgebraError
-from .reporting import VerificationReport
 from .scalars import InexactSqrtError, Radical
-from .textform import ParseError, format_multivector, parse_multivector
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
@@ -48,6 +48,8 @@ def _matrix_csv_rows(name, matrix):
 
 
 def cmd_mult_table(args) -> int:
+    from . import frames
+    from .textform import format_multivector
     size = args.n
     if not 2 <= size <= 8:
         print(f"--n must be in 2..8, got {size}", file=sys.stderr)
@@ -89,9 +91,11 @@ def cmd_mult_table(args) -> int:
 
 
 def cmd_frame(args) -> int:
+    from . import frames
+    from .textform import format_multivector
     size = args.n
-    if not 2 <= size <= frames.FRAME_LIMIT:
-        print(f"--n must be in 2..{frames.FRAME_LIMIT}, got {size}",
+    if not 2 <= size <= FRAME_LIMIT:
+        print(f"--n must be in 2..{FRAME_LIMIT}, got {size}",
               file=sys.stderr)
         return USAGE_ERROR
     frame = frames.build_null_frame(size, 1 if args.sign == "+" else -1)
@@ -125,20 +129,19 @@ def cmd_frame(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
     name = args.suite
-    if name != "all" and name not in verify.SUITES:
+    if name != "all" and name not in SUITES:
         print(
-            f"unknown suite {name!r}; pick from all, {', '.join(verify.SUITES)}",
+            f"unknown suite {name!r}; pick from all, {', '.join(SUITES)}",
             file=sys.stderr,
         )
         return USAGE_ERROR
-    if not 2 <= args.n_max <= frames.FRAME_LIMIT:
-        print(f"--n-max must be in 2..{frames.FRAME_LIMIT}, got {args.n_max}",
+    if not 2 <= args.n_max <= FRAME_LIMIT:
+        print(f"--n-max must be in 2..{FRAME_LIMIT}, got {args.n_max}",
               file=sys.stderr)
         return USAGE_ERROR
-    report: VerificationReport = verify.run_suite(
-        name, n_max=args.n_max, seed=args.seed
-    )
+    report = verify.run_suite(name, n_max=args.n_max, seed=args.seed)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
@@ -147,9 +150,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_spectral(args) -> int:
+    from . import frames, spectral
+    from .textform import format_multivector
     try:
         raw = json.loads(args.g)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not JSON, or an integer too long to convert
         print(f"--g must be JSON: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if not isinstance(raw, dict):
@@ -183,9 +188,11 @@ def cmd_spectral(args) -> int:
 
 
 def cmd_simplex(args) -> int:
+    from . import frames, simplex
+    from .textform import format_multivector
     size = args.n + 1
-    if not 2 <= size <= frames.FRAME_LIMIT:
-        print(f"--n must be in 1..{frames.FRAME_LIMIT - 1}", file=sys.stderr)
+    if not 2 <= size <= FRAME_LIMIT:
+        print(f"--n must be in 1..{FRAME_LIMIT - 1}", file=sys.stderr)
         return USAGE_ERROR
     if not args.point and not args.vertices and not args.vertices_file:
         print("need --point, --vertices, or --vertices-file", file=sys.stderr)
@@ -227,7 +234,7 @@ def cmd_simplex(args) -> int:
                 frame, text, barycentric=not args.free_vertices
             )
             content, degenerate = simplex.content_vertices(matrix)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, ZeroDivisionError) as exc:
             print(f"bad vertex rows: {exc}", file=sys.stderr)
             return USAGE_ERROR
         payload["vertices"] = {
@@ -244,6 +251,8 @@ def cmd_simplex(args) -> int:
 
 
 def cmd_express(args) -> int:
+    from . import frames
+    from .textform import ParseError, format_multivector, parse_multivector
     size = args.n
     if not 2 <= size <= frames.CANONICAL_BASIS_LIMIT:
         print(f"--n must be in 2..{frames.CANONICAL_BASIS_LIMIT}",
@@ -271,12 +280,14 @@ def cmd_express(args) -> int:
         },
     }
     if args.a_matrix:
+        from . import star
         payload["a_matrix"] = star.a_matrix(frame, mv).to_json()
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_classify(args) -> int:
+    from . import atlas
     if not 1 <= args.max <= atlas.ATLAS_LIMIT:
         print(f"--max must be in 1..{atlas.ATLAS_LIMIT}", file=sys.stderr)
         return USAGE_ERROR
@@ -344,12 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="all",
-                   help="all, " + ", ".join(verify.SUITES))
-    p.add_argument("--n-max", type=int, default=verify.DEFAULT_N_MAX,
+                   help="all, " + ", ".join(SUITES))
+    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX,
                    help="largest frame size n+1 and signature p+q any check "
-                        f"examines, in 2..{frames.FRAME_LIMIT}; checks with "
+                        f"examines, in 2..{FRAME_LIMIT}; checks with "
                         "no size left are skipped")
-    p.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_verify)
 

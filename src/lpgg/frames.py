@@ -20,11 +20,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import FRAME_LIMIT, linalg
 from .algebra import Algebra, AlgebraError, Multivector, wedge_list
 from .scalars import EXACT, Radical, coerce
 
-FRAME_LIMIT = 12
 CANONICAL_BASIS_LIMIT = 8
 
 

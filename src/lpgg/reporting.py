@@ -44,7 +44,8 @@ class Check:
     the first such witness; no samples at all give ``skipped``; a sample
     that needed the correction gives ``pass-corrected``; otherwise
     ``pass``.  ``details`` starts as the correction text, which a ``pass``
-    drops, and may be replaced by a computed note.
+    drops, and may be replaced by a computed note; a ``skipped`` check
+    examined nothing, so it has no details.
     """
 
     def __init__(self, name, claim, corrected=None):
@@ -72,7 +73,7 @@ class Check:
         elif self.witness is not None:
             status, details = FAIL, self.witness
         elif not self.samples:
-            status, details = SKIPPED, self.details
+            status, details = SKIPPED, ""
         elif self.needed_correction:
             status, details = PASS_CORRECTED, self.details
         else:

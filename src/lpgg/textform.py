@@ -86,15 +86,14 @@ def _parse_exact_factor(text: str) -> Radical:
         value = _parse_exact_factor(left) * _parse_exact_factor(right)
     else:
         m = _SQRT_RE.fullmatch(text)
-        if m:
-            value = Radical.sqrt(int(m.group(1)))
-        elif _RATIONAL_RE.fullmatch(text):
-            try:
-                value = Radical(Fraction(text))
-            except ZeroDivisionError:
-                raise ParseError(f"zero denominator in {text!r}") from None
-        else:
+        if not (m or _RATIONAL_RE.fullmatch(text)):
             raise ParseError(f"bad exact coefficient {text!r}")
+        try:
+            value = Radical.sqrt(int(m.group(1))) if m else Radical(Fraction(text))
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {text!r}") from None
+        except ValueError as exc:  # more digits than int() converts
+            raise ParseError(f"unreadable number: {exc}") from None
     return -value if sign < 0 else value
 
 

@@ -120,6 +120,10 @@ def test_verify_n_max_out_of_range_is_usage_error(capsys, n_max):
     ["express", "--n", "2", "--mv=--"],
     ["express", "--n", "3", "--mv", "sqrt(99999999999999999999999)"],
     ["spectral", "--g=--"],
+    ["express", "--n", "3", "--mv", "1" * 5000 + "*e1"],
+    ["express", "--n", "3", "--mv", f"sqrt({'7' * 5000})"],
+    ["spectral", "--g", '{"g12": ' + "1" * 5000 + "}"],
+    ["simplex", "--n", "1", "--vertices", "1/0"],
 ])
 def test_bad_input_exits_with_a_message(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

@@ -31,7 +31,7 @@ def test_run_all_merges_and_prefixes():
     assert report.exit_code() == 0
     text = json.dumps(report.to_json(), indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "6443f2487a3b422076a17afc199fadaa27df145118674da8b9e9e19d8e1904ce"
+        "f9886965ba1a8712911c97d0098b93cf5cd442730564ae6b4caf38aa3003e900"
     )
 
 
@@ -46,6 +46,25 @@ def test_empty_size_range_is_skipped():
     assert frame["transition-3"] == "skipped"
     calculus = statuses(verify.run_suite("calculus", n_max=1))
     assert calculus["gradient-of-x"] == "skipped"
+
+
+@pytest.mark.parametrize("suite, n_max, name", [
+    ("frame", 4, "transition-8"),
+    ("spectral", 2, "spectral-idempotents"),
+])
+def test_skipped_check_states_no_finding(suite, n_max, name):
+    check = {c.name: c for c in verify.run_suite(suite, n_max=n_max).checks}[name]
+    assert (check.status, check.details) == ("skipped", "")
+
+
+def test_pseudoscalar_claim_names_only_checked_cases():
+    def claim(n_max):
+        report = verify.run_suite("frame", n_max=n_max)
+        return next(c.claim for c in report.checks
+                    if c.name == "pseudoscalar-relation")
+
+    assert claim(2).endswith("n = 1..1")
+    assert claim(3).endswith("n = 1..2; the n = 2 case is -2 a1^a2^a3")
 
 
 @pytest.mark.parametrize("suite", [s for s in verify.SUITES if s != "atlas"])
