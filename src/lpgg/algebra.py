@@ -349,7 +349,7 @@ class Multivector:
 
     def _product(self, other: "Multivector", keep) -> "Multivector":
         """Blade-pair accumulation over ``(blade, key, numerator)`` rows;
-        ``keep(ga, gb, gout)`` filters blade pairs.
+        ``keep(ga, gb, gout)`` filters blade pairs by their grades.
 
         Every row pair adds one product per output blade and key (the key
         rule of ``scalars.add_products``, inlined).  A float or complex row
@@ -357,11 +357,25 @@ class Multivector:
         is, never as ``0 + c``, which would lose a complex ``-0.0`` part.
         The result is over the product of the two denominators and is
         normalized once.  The sign mask of each left blade is computed
-        once, and ``keep`` is asked once per blade pair.
+        once.
+
+        ``keep`` is asked once per grade triple, not per pair: blades of
+        grades ``ga`` and ``gb`` that share ``k`` generators multiply to
+        grade ``ga + gb - 2k``, for ``k`` in ``max(0, ga + gb - n) ..
+        min(ga, gb)``.  So for each left grade the kernel asks ``keep``
+        about every feasible overlap of every right grade, drops the right
+        rows of a grade with no kept overlap, and a left blade ``a`` takes
+        the remaining rows ``b`` whose ``(a & b).bit_count()`` is kept.
+        The rows keep their order, so every output blade sums its terms,
+        and the result lists its blades, as a per-pair filter would.
         """
         algebra = self.algebra
         right = other._coeffs
         rows_b = [(b, m, c) for b, terms in right.items() for m, c in terms.items()]
+        if keep is not None:
+            n = algebra.n_generators
+            grades_b = {b.bit_count() for b in right}
+            rows_for_grade = {}  # left grade -> [(row, kept overlaps)]
         gcd = math.gcd
         sums: dict[int, dict[int, int]] = {}
         for a, terms_a in self._coeffs.items():
@@ -369,9 +383,16 @@ class Multivector:
             rows = rows_b
             if keep is not None:
                 ga = a.bit_count()
-                rows = [(b, m, c) for b, terms in right.items()
-                        if keep(ga, b.bit_count(), (a ^ b).bit_count())
-                        for m, c in terms.items()]
+                candidates = rows_for_grade.get(ga)
+                if candidates is None:
+                    overlaps = {gb: {k for k in range(max(0, ga + gb - n), min(ga, gb) + 1)
+                                     if keep(ga, gb, ga + gb - 2 * k)}
+                                for gb in grades_b}
+                    candidates = rows_for_grade[ga] = [
+                        (row, kept) for row in rows_b
+                        if (kept := overlaps[row[0].bit_count()])]
+                rows = [row for row, kept in candidates
+                        if (a & row[0]).bit_count() in kept]
             for m1, c1 in terms_a.items():
                 for b, m2, c2 in rows:
                     if m1 == 1:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -163,13 +164,19 @@ def cmd_spectral(args) -> int:
     coefficients = {}
     try:
         for key, value in raw.items():
-            if not (len(key) == 3 and key[0] == "g" and key[1:].isdigit()):
+            # str.isdigit and Fraction(str) also take non-ASCII digits.
+            if not (len(key) == 3 and key[0] == "g" and key[1:].isdigit()
+                    and key.isascii()):
                 raise ValueError(f"bad coefficient key {key!r}")
             i, j = int(key[1]), int(key[2])
+            if isinstance(value, str) and not value.isascii():
+                raise ValueError(f"{key} must be written in ASCII: {value!r}")
             if isinstance(value, (str, int)) and not isinstance(value, bool):
                 value = Fraction(value)
             elif not isinstance(value, float):
                 raise ValueError(f"{key} must be a number or a 'p/q' string")
+            elif not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, not {value!r}")
             coefficients[(i, j)] = value
     except (ValueError, ZeroDivisionError) as exc:
         print(f"bad --g: {exc}", file=sys.stderr)

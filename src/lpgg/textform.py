@@ -65,8 +65,9 @@ def format_multivector(mv: Multivector) -> str:
     return out
 
 
-_SQRT_RE = re.compile(r"sqrt\(\s*(\d+)\s*\)")
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+_SQRT_RE = re.compile(r"sqrt\(\s*([0-9]+)\s*\)")
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+_BLADE_RE = re.compile(r"[ef][0-9]+(?:\^[ef][0-9]+)*")
 
 
 class ParseError(ValueError):
@@ -150,12 +151,12 @@ def parse_multivector(text: str, algebra: Algebra) -> Multivector:
                 depth -= 1
             elif ch == "*" and depth == 0:
                 tail = piece[idx + 1 :].strip()
-                if re.fullmatch(r"[ef]\d+(?:\^[ef]\d+)*", tail):
+                if _BLADE_RE.fullmatch(tail):
                     split_at = idx
         if split_at is not None:
             coef_text = piece[:split_at]
             blade_text = piece[split_at + 1 :]
-        elif re.fullmatch(r"[ef]\d+(?:\^[ef]\d+)*", piece):
+        elif _BLADE_RE.fullmatch(piece):
             coef_text = "1"
             blade_text = piece
         blade = algebra.blade_from_name(blade_text) if blade_text else 0

@@ -1,8 +1,10 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lpgg import (
     Algebra,
@@ -385,6 +387,101 @@ def test_exact_operations_match_per_blade_reference(p, q, backend):
         for result, expected in results:
             assert bitwise(result.coefficients()) == bitwise(expected)
             assert_normal_form(result)
+
+
+# Grade filters for ``_product``: the two products and one that is neither
+# (it keeps every overlap of two equal grades).
+FILTERS = {
+    "wedge": PRODUCTS["wedge"],
+    "dot": PRODUCTS["dot"],
+    "equal-grades": lambda ga, gb, gout: ga == gb,
+}
+
+
+def filtered_product(x, y, name):
+    return getattr(x, name)(y) if name in PRODUCTS else x._product(y, FILTERS[name])
+
+
+def dense_mv(algebra, rng, backend):
+    """A nonzero coefficient on every blade."""
+    def value():
+        if backend == "exact":
+            return random_radical(rng) + Fraction(1, rng.randint(1, 9))
+        if backend == "approx":
+            return rng.uniform(0.1, 9) * rng.choice([1, -1])
+        return complex(rng.uniform(0.1, 9), rng.uniform(-9, 9))
+    return algebra.multivector({b: value() for b in range(algebra.dim)}, backend)
+
+
+@pytest.mark.parametrize("p,q,backend", [
+    (3, 4, "approx"), (3, 4, "complex"), (5, 3, "approx"), (5, 3, "complex"),
+    (2, 3, "exact"),
+])
+def test_dense_filtered_products_match_per_pair_reference(p, q, backend):
+    """The grade filter against a per-pair filter on dense operands, bit
+    for bit, and with the output blades in the same order."""
+    algebra = Algebra(p, q)
+    rng = random.Random(100 * p + q)
+    x, y = dense_mv(algebra, rng, backend), dense_mv(algebra, rng, backend)
+    assert len(x._coeffs) == len(y._coeffs) == algebra.dim
+    if backend == "exact":  # rows with several radical keys per blade
+        assert len({m for terms in x._coeffs.values() for m in terms}) >= 5
+    for name, keep in FILTERS.items():
+        result = filtered_product(x, y, name)
+        expected = reference_product(x, y, keep)
+        assert list(result.coefficients()) == list(expected), name
+        assert bitwise(result.coefficients()) == bitwise(expected), name
+        assert_normal_form(result)
+
+
+@st.composite
+def grade_filtered_operands(draw):
+    """Two operands of one algebra and backend, and a set of kept
+    ``(ga, gb, gout)`` triples, feasible or not."""
+    n = draw(st.integers(0, 5))
+    p = draw(st.integers(0, n))
+    algebra = Algebra(p, n - p)
+    backend = draw(st.sampled_from(["exact", "approx", "complex"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    x, y = (random_backend_mv(algebra, rng, backend, draw(st.integers(0, 12)))
+            for _ in range(2))
+    grades = st.integers(0, n)
+    kept = draw(st.frozensets(st.tuples(grades, grades, grades), max_size=40))
+    return x, y, kept
+
+
+@settings(max_examples=80, deadline=None)
+@given(grade_filtered_operands())
+def test_any_grade_filter_matches_per_pair_reference(case):
+    x, y, kept = case
+
+    def keep(ga, gb, gout):
+        return (ga, gb, gout) in kept
+
+    result = x._product(y, keep)
+    expected = reference_product(x, y, keep)
+    assert list(result.coefficients()) == list(expected)
+    assert bitwise(result.coefficients()) == bitwise(expected)
+    assert_normal_form(result)
+
+
+@pytest.mark.parametrize("name", list(FILTERS))
+def test_keep_is_asked_once_per_grade_triple(name):
+    """One call per left grade, right grade and overlap, not per blade pair."""
+    algebra = Algebra(3, 3)
+    rng = random.Random(11)
+    x, y = dense_mv(algebra, rng, "approx"), dense_mv(algebra, rng, "approx")
+    calls = Counter()
+
+    def keep(ga, gb, gout):
+        overlap, odd = divmod(ga + gb - gout, 2)
+        assert not odd and max(0, ga + gb - algebra.n_generators) <= overlap <= min(ga, gb)
+        calls[ga, gb, overlap] += 1
+        return FILTERS[name](ga, gb, gout)
+
+    result = x._product(y, keep)
+    assert calls and max(calls.values()) == 1
+    assert result == filtered_product(x, y, name)
 
 
 def test_complex_signed_zero_survives_sums_scaling_and_products():

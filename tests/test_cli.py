@@ -229,6 +229,28 @@ def test_spectral_bad_json(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("g", ['{"g12": 1e400}', '{"g12": NaN}', '{"g13": -Infinity}'])
+def test_spectral_non_finite_coefficient_is_usage_error(capsys, g):
+    code, out, err = run_cli(capsys, "spectral", "--g", g)
+    assert (code, out) == (2, "")
+    assert err.startswith("bad --g: g1") and "must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["express", "--n", "3", "--mv", "\u0663*e1"],
+    ["express", "--n", "3", "--mv", "e\u0663"],
+    ["express", "--n", "3", "--mv", "sqrt(\u0663)*e1"],
+    ["spectral", "--g", '{"g1\u0663": 1}'],
+    ["spectral", "--g", '{"g12": "\u0663"}'],
+])
+def test_non_ascii_digits_are_usage_errors(capsys, argv):
+    """The formatter writes ASCII digits only, so U+0663 (ARABIC-INDIC
+    DIGIT THREE) is not read as 3."""
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.strip() and "Traceback" not in err
+
+
 def test_simplex_centroid(capsys):
     code, out, _ = run_cli(
         capsys, "simplex", "--n", "2", "--point",

@@ -97,6 +97,8 @@ ARGV = st.one_of(
 @example(["express", "--n=3", f"--mv={HUGE}*e1"])
 @example(["spectral", '--g={"g12": true}'])
 @example(["spectral", f'--g={{"g12": {HUGE}}}'])
+@example(["spectral", '--g={"g12": 1e400}'])
+@example(["spectral", '--g={"g12": NaN}'])
 @example(["classify", "--max=0"])
 @example(["simplex", "--n=1", "--vertices=1/0"])
 def test_cli_keeps_its_exit_code_contract(argv):
