@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .algebra import AlgebraError, Multivector
 from .frames import NullFrame, dual_sum, reciprocal_frame
-from .scalars import APPROX, EXACT, Radical, coerce
+from .scalars import APPROX
 
 
 class PolyField:
@@ -118,17 +118,6 @@ class PolyField:
             for exp, mv in self.terms.items()
             if exp[idx]
         ))
-
-    def evaluate(self, coords) -> Multivector:
-        coords = [coerce(c, EXACT) for c in coords]
-        acc = self.frame.algebra.zero()
-        for exp, mv in self.terms.items():
-            weight = Radical(1)
-            for c, e in zip(coords, exp):
-                for _ in range(e):
-                    weight = weight * c
-            acc = acc + mv * weight
-        return acc
 
     def is_scalar_valued(self) -> bool:
         return all(mv.grades() <= {0} for mv in self.terms.values())

@@ -1,7 +1,7 @@
 """Command-line front end: construction, conversion, and verification.
 
-Exit codes: 0 success (corrected findings included), 1 domain error or
-failed verification, 2 usage error.  JSON output is schema-stable and
+Exit codes: 0 success (corrected findings included), 1 domain error,
+failed verification or stdout closed early, 2 usage error.  JSON output is schema-stable and
 byte-identical across runs with the same seed.  ``verify`` is always
 exact.  A check it reports as ``skipped`` examined nothing; one reported
 as ``pass-corrected`` held on every sample, on some only in the corrected
@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -335,6 +336,16 @@ def cmd_classify(args) -> int:
     return 0
 
 
+def ascii_int(text: str) -> int:
+    """``int(text)`` for ASCII text only; ``int`` also reads other scripts' digits."""
+    try:
+        if text.isascii():
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lpgg",
@@ -347,14 +358,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("mult-table", help="pair product grid and table check")
-    p.add_argument("--n", type=int, required=True,
+    p.add_argument("--n", type=ascii_int, required=True,
                    help="frame size (count of null vectors)")
     p.add_argument("--sign", choices=["+", "-"], default="+")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_mult_table)
 
     p = sub.add_parser("frame", help="emit T, T^-1, null and reciprocal vectors")
-    p.add_argument("--n", type=int, required=True,
+    p.add_argument("--n", type=ascii_int, required=True,
                    help="frame size (count of null vectors)")
     p.add_argument("--sign", choices=["+", "-"], default="+")
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -363,11 +374,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="all",
                    help="all, " + ", ".join(SUITES))
-    p.add_argument("--n-max", type=int, default=DEFAULT_N_MAX,
+    p.add_argument("--n-max", type=ascii_int, default=DEFAULT_N_MAX,
                    help="largest frame size n+1 and signature p+q any check "
                         f"examines, in 2..{FRAME_LIMIT}; checks with "
                         "no size left are skipped")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--seed", type=ascii_int, default=DEFAULT_SEED)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_verify)
 
@@ -378,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simplex", help="barycentric point and vertex-set "
                                        "diagnostics")
-    p.add_argument("--n", type=int, required=True, help="simplex dimension n")
+    p.add_argument("--n", type=ascii_int, required=True, help="simplex dimension n")
     p.add_argument("--point",
                    help="comma-separated coordinates (n+1 of them)")
     p.add_argument("--vertices",
@@ -391,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("express", help="expand a multivector over the "
                                        "canonical null products")
-    p.add_argument("--n", type=int, required=True,
+    p.add_argument("--n", type=ascii_int, required=True,
                    help="frame size (count of null vectors)")
     p.add_argument("--mv", required=True,
                    help="multivector text, e.g. '1/2*e1 + 1/2*f1'")
@@ -400,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_express)
 
     p = sub.add_parser("classify", help="pseudoscalar sign atlas")
-    p.add_argument("--max", type=int, default=6, help="largest level p+q")
+    p.add_argument("--max", type=ascii_int, default=6, help="largest level p+q")
     p.add_argument("--format", choices=["text", "json", "csv"],
                    default="text")
     p.set_defaults(func=cmd_classify)
@@ -415,9 +426,15 @@ def main(argv=None) -> int:
             print(f"--{name.replace('_', '-')} needs a value", file=sys.stderr)
             return USAGE_ERROR
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except AlgebraError as exc:
         print(str(exc), file=sys.stderr)
+        return DOMAIN_ERROR
+    except BrokenPipeError:  # the reader closed stdout early
+        # Point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return DOMAIN_ERROR
 
 

@@ -2,16 +2,15 @@
 
 A positively correlated frame is n+1 null vectors a_1..a_{n+1} of G(1,n)
 with a_i . a_j = 1/2 for i != j; the negatively correlated twin lives in
-G(n,1) with inner products -1/2.  Both are recovered from the standard
-orthonormal basis by inverting the defining combination
+G(n,1) with inner products -1/2.  Both are defined by the combination
 
+    b_0 = a_1 + a_2,   b_1 = a_1 - a_2,
     b_k = alpha_k * (A_k - (k-1) a_{k+1}),   alpha_k = -sqrt(2)/sqrt(k(k-1)),
 
-seeded by a_1 = (b_0+b_1)/2 and a_2 = (b_0-b_1)/2, where b_0 is the
-generator whose square carries the correlation sign and b_1.. the rest.
-
-The transition matrix T holds the frame coordinates row-wise; its exact
-inverse converts standard coordinates to null coordinates.
+with A_k = a_1 + ... + a_k, b_0 the generator whose square carries the
+correlation sign and b_1.. the rest.  Its rows form T^-1, which converts
+standard coordinates to null ones.  Its solution, a_{1,2} = (b_0 +- b_1)/2
+and a_{k+1} = (A_k - b_k/alpha_k)/(k-1), gives the rows of T.
 """
 
 from __future__ import annotations
@@ -97,7 +96,8 @@ def standard_basis_bits(n_plus_1: int, sign: int) -> list[int]:
 
 
 def build_null_frame(n_plus_1: int, sign: int = 1) -> NullFrame:
-    """Construct the correlated null frame a_1..a_{n+1}."""
+    """The correlated null frame a_1..a_{n+1}: T^-1 from the defining
+    combination, T from its solution, each a_i from its row of T."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if not 2 <= n_plus_1 <= FRAME_LIMIT:
@@ -107,30 +107,25 @@ def build_null_frame(n_plus_1: int, sign: int = 1) -> NullFrame:
     n = n_plus_1 - 1
     algebra = Algebra(1, n) if sign > 0 else Algebra(n, 1)
 
-    basis_bits = standard_basis_bits(n_plus_1, sign)
-    basis = [algebra.generator(bit) for bit in basis_bits]
-
-    half = Fraction(1, 2)
-    vectors = [
-        (basis[0] + basis[1]) * half,
-        (basis[0] - basis[1]) * half,
-    ]
-    running_sum = vectors[0] + vectors[1]
+    zero, one, half = Radical(0), Radical(1), Radical(Fraction(1, 2))
+    pad = [zero] * (n - 1)
+    t_inverse = [[one, one, *pad], [one, -one, *pad]]
+    t_matrix = [[half, half, *pad], [half, -half, *pad]]
+    running_sum = [one, zero, *pad]  # A_2 = a_1 + a_2 = b_0
     for k in range(2, n + 1):
         alpha = -(Radical.sqrt(2) / Radical.sqrt(k * (k - 1)))
-        a_next = (running_sum - basis[k] / alpha) * Fraction(1, k - 1)
-        vectors.append(a_next)
-        running_sum = running_sum + a_next
-
-    slot_of_bit = {bit: j for j, bit in enumerate(basis_bits)}
-    t_matrix = []
-    for a in vectors:
-        row = [Radical(0)] * n_plus_1
-        for blade, value in a.items():
-            row[slot_of_bit[blade.bit_length() - 1]] = value
+        t_inverse.append([alpha] * k + [alpha * (1 - k)] + [zero] * (n - k))
+        scale = Fraction(1, k - 1)
+        row = [x * scale for x in running_sum]
+        row[k] = -scale / alpha  # slot k of A_k is zero
         t_matrix.append(row)
+        running_sum = [x + y for x, y in zip(running_sum, row)]
 
-    t_inverse = linalg.invert(t_matrix)
+    bits = standard_basis_bits(n_plus_1, sign)
+    vectors = [
+        algebra.multivector({1 << bit: x for bit, x in zip(bits, row) if x})
+        for row in t_matrix
+    ]
     return NullFrame(algebra, sign, vectors, t_matrix, t_inverse)
 
 

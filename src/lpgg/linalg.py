@@ -1,10 +1,7 @@
-"""Small exact-matrix helpers (lists of lists of exact scalars).
+"""Small matrix helpers (lists of lists of scalars).
 
-Gauss-Jordan inversion works over :class:`~lpgg.scalars.Radical` only;
-pivoting prefers divisors with the fewest radical terms and raises
-:class:`~lpgg.scalars.InexactDivisionError` when no pivot has at most
-the two terms the radical class can invert.  Rank and determinant
-eliminate over Fractions.
+Products add in index order for any scalar type.  Rank and determinant
+eliminate over Fractions; :func:`invert` is Gauss-Jordan over radicals.
 """
 
 from __future__ import annotations
@@ -21,17 +18,7 @@ def identity(n: int) -> Matrix:
 
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = a[i][0] * b[0][j]
-            for k in range(1, inner):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
+    return [vec_mat(row, b) for row in a]
 
 
 def vec_mat(row: list, m: Matrix) -> list:
@@ -50,7 +37,15 @@ def sum_scalars(values) -> object:
 
 
 def invert(matrix: Matrix) -> Matrix:
-    """Exact Gauss-Jordan inverse; raises on singular or inexact division."""
+    """Exact Gauss-Jordan inverse; raises on singular or inexact division.
+
+    Works over :class:`~lpgg.scalars.Radical` only; pivoting prefers
+    divisors with the fewest radical terms and raises
+    :class:`~lpgg.scalars.InexactDivisionError` when no pivot has at most
+    the two terms the radical class can invert.  No library code calls
+    it: null frames write T^-1 from its definition, and the tests check
+    every frame's T^-1 against this independent route.
+    """
     n = len(matrix)
     a = [[coerce(v, EXACT) for v in row] for row in matrix]
     inv = identity(n)

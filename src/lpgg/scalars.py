@@ -383,13 +383,6 @@ class Radical:
             {"rational": str(c), "sqrt": m} for m, c in sorted(self.terms().items())
         ]
 
-    @classmethod
-    def from_json_terms(cls, items: list[dict]) -> "Radical":
-        total = cls(0)
-        for item in items:
-            total = total + cls.sqrt(int(item["sqrt"])) * Fraction(item["rational"])
-        return total
-
 
 def backend_of(value) -> str:
     """Classify a raw coefficient value into one of the three backends."""

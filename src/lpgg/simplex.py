@@ -162,10 +162,19 @@ def simplicial_matrix_from_csv(frame: NullFrame, text: str,
 
 
 def parse_coordinate(text: str):
-    """Decimal text gives a float; integer and 'p/q' text stay exact."""
+    """Decimal text gives a float; integer and 'p/q' text stay exact.
+
+    Raises ValueError for non-ASCII text (``float`` and ``Fraction`` also
+    read other scripts' digits) and for a float that is not finite.
+    """
     text = text.strip()
+    if not text.isascii():
+        raise ValueError(f"coordinate {text!r} must be written in ASCII")
     if "." in text or "e" in text.lower():
-        return float(text)
+        value = float(text)
+        if not math.isfinite(value):
+            raise ValueError(f"coordinate {text!r} is not a finite number")
+        return value
     return Fraction(text)
 
 
@@ -251,15 +260,7 @@ def order(matrix: SimplicialMatrix) -> int:
         for value in row
     )
     if rational:
-        exact = linalg.rank(
-            [
-                [
-                    value.as_fraction() if isinstance(value, Radical) else Fraction(value)
-                    for value in row
-                ]
-                for row in matrix.rows
-            ]
-        )
+        exact = linalg.rank(matrix.rows)
         if exact != result:
             raise AlgebraError(
                 f"wedge order {result} disagrees with matrix rank {exact}"

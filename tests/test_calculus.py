@@ -44,14 +44,6 @@ def test_square_field_is_pairwise_sum(fr3):
     assert set(d1.terms) == {(0, 1, 0), (0, 0, 1)}
 
 
-def test_field_evaluate(fr3):
-    x = PolyField.identity(fr3)
-    coords = (Fraction(1), Fraction(2), Fraction(-1))
-    value = x.evaluate(coords)
-    expected = fr3.vector(1) + fr3.vector(2) * 2 - fr3.vector(3)
-    assert value == expected
-
-
 def test_gradient_of_x(fr3, fr4):
     for fr in (fr3, fr4):
         nabla = calculus.make_nabla(fr)

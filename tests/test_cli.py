@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -124,6 +127,8 @@ def test_verify_n_max_out_of_range_is_usage_error(capsys, n_max):
     ["express", "--n", "3", "--mv", f"sqrt({'7' * 5000})"],
     ["spectral", "--g", '{"g12": ' + "1" * 5000 + "}"],
     ["simplex", "--n", "1", "--vertices", "1/0"],
+    ["simplex", "--n", "1", "--point", "1e400,-1e400"],
+    ["simplex", "--n", "1", "--point", "0.5,1e999"],
 ])
 def test_bad_input_exits_with_a_message(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -242,6 +247,9 @@ def test_spectral_non_finite_coefficient_is_usage_error(capsys, g):
     ["express", "--n", "3", "--mv", "sqrt(\u0663)*e1"],
     ["spectral", "--g", '{"g1\u0663": 1}'],
     ["spectral", "--g", '{"g12": "\u0663"}'],
+    ["simplex", "--n", "2", "--point", "\u0661/3,1/3,1/3"],
+    ["simplex", "--n", "2", "--point", "\u0661.0,0,0"],
+    ["simplex", "--n", "2", "--vertices", "\u0661,0,0"],
 ])
 def test_non_ascii_digits_are_usage_errors(capsys, argv):
     """The formatter writes ASCII digits only, so U+0663 (ARABIC-INDIC
@@ -249,6 +257,21 @@ def test_non_ascii_digits_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.strip() and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["frame", "--n", "\u0663"],
+    ["mult-table", "--n", "\uff13"],
+    ["verify", "--n-max", "\u0663"],
+    ["verify", "--seed", "-\u0663"],
+    ["classify", "--max", "\u0663"],
+    ["simplex", "--n", "\u0662", "--point", "1/3,1/3,1/3"],
+])
+def test_non_ascii_integer_options_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid int value" in capsys.readouterr().err
 
 
 def test_simplex_centroid(capsys):
@@ -278,6 +301,33 @@ def test_simplex_vertex_on_cone(capsys):
     payload = json.loads(out)
     assert payload["on_cone"] is True
     assert "unit" not in payload
+
+
+def test_negative_seed_parses(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "frame", "--n-max",
+                           "2", "--seed", "-7", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["seed"] == -7
+
+
+def test_closed_stdout_exits_without_traceback():
+    """A reader that closes the pipe early (``lpgg ... | head``) gets exit
+    1 and a quiet stderr.  The read end is closed before the child starts,
+    so its first write fails every time."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "lpgg.cli", "simplex", "--n", "2",
+             "--point", "1/3,1/3,1/3"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
+    assert "Exception ignored" not in result.stderr
 
 
 def test_simplex_bad_point(capsys):

@@ -1,8 +1,10 @@
 """The CLI's exit-code contract under fuzzing, in process through ``cli.main``.
 
 Every subcommand exits 0 (success), 1 (failed check or domain error) or
-2 (usage error), never prints a traceback, prints JSON that parses when
-its output is JSON, and prints the same bytes for the same arguments.
+2 (usage error), never prints a traceback, prints strict JSON (no
+``Infinity`` or ``NaN``) when its output is JSON, rejects non-ASCII text
+in a numeric option as a usage error, and prints the same bytes for the
+same arguments.
 Sizes run from one below each command's range to one above it, so the
 usage branches run as well; ``verify`` stays at n_max <= 3 to keep the
 test fast (the pinned full report covers the large sizes).
@@ -19,6 +21,7 @@ from lpgg.frames import CANONICAL_BASIS_LIMIT
 
 JSON_COMMANDS = ("spectral", "simplex", "express")
 HUGE = "1" * 5000  # more digits than int() converts by default
+NUMERIC_OPTIONS = ("--n=", "--seed=", "--n-max=", "--max=", "--point=", "--vertices=")
 
 
 def run(argv):
@@ -29,6 +32,10 @@ def run(argv):
         except SystemExit as exc:  # argparse's own usage errors
             code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 def command(name, *flags, **options):
@@ -44,7 +51,7 @@ def command(name, *flags, **options):
 
 
 def sizes(lo, hi):
-    return st.integers(lo - 1, hi + 1)
+    return st.one_of(st.integers(lo - 1, hi + 1), st.sampled_from(["\u0663", "\uff13"]))
 
 
 def fragments(pieces, max_size):
@@ -65,7 +72,8 @@ G_TEXT = st.one_of(
                     G_VALUES, max_size=3).map(json.dumps),
     st.text(max_size=8),
 )
-COORDINATES = fragments(["0", "1", "-1", "1/3", "0.25", "1/0", "x", ",", ",", ";"], 8)
+COORDINATES = fragments(["0", "1", "-1", "1/3", "0.25", "1/0", "x", ",", ",", ";",
+                         "1e400", "\u0661"], 8)
 
 ARGV = st.one_of(
     command("mult-table", n=sizes(2, 8), sign=st.sampled_from("+-x"),
@@ -101,10 +109,15 @@ ARGV = st.one_of(
 @example(["spectral", '--g={"g12": NaN}'])
 @example(["classify", "--max=0"])
 @example(["simplex", "--n=1", "--vertices=1/0"])
+@example(["frame", "--n=\u0663"])
+@example(["simplex", "--n=1", "--point=1e400,-1e400"])
+@example(["simplex", "--n=2", "--point=\u0661/3,1/3,1/3"])
 def test_cli_keeps_its_exit_code_contract(argv):
     code, out, err = run(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err and "Traceback" not in out
     if out and (argv[0] in JSON_COMMANDS or "--format=json" in argv):
-        json.loads(out)
+        json.loads(out, parse_constant=refuse_constant)
+    if any(arg.startswith(NUMERIC_OPTIONS) and not arg.isascii() for arg in argv):
+        assert code == 2, (argv, code, out)
     assert run(argv) == (code, out, err)

@@ -85,6 +85,23 @@ def test_t_times_t_inverse_identity():
         assert product == linalg.identity(size)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("size", range(2, 13))
+def test_t_inverse_from_definition_matches_gauss_jordan(size, sign):
+    fr = frames.build_null_frame(size, sign)
+    assert fr.t_inverse == linalg.invert(fr.t_matrix)
+
+
+def test_frames_build_without_inverting(monkeypatch):
+    def refuse(matrix):
+        raise AssertionError("build_null_frame inverted a matrix")
+
+    monkeypatch.setattr(linalg, "invert", refuse)
+    for size in range(2, 13):
+        for sign in (1, -1):
+            assert frames.build_null_frame(size, sign).size == size
+
+
 def test_coordinate_conversions(fr3):
     s = frames.CoordinateRow((Fraction(1), Fraction(1), Fraction(0)),
                              "standard")

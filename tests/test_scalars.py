@@ -84,11 +84,6 @@ def test_float_round_trip():
     assert approx_equal(float(value), expected, rel=1e-15)
 
 
-def test_json_terms_round_trip():
-    value = Radical(Fraction(-1, 3)) + Radical.sqrt(21) * Fraction(2, 7)
-    assert Radical.from_json_terms(value.to_json_terms()) == value
-
-
 def test_coerce_widening_only():
     assert coerce(Fraction(1, 2), "approx") == 0.5
     assert coerce(Radical.sqrt(2), "complex") == complex(2 ** 0.5)

@@ -179,6 +179,13 @@ def test_order(fr3):
         assert simplex.order(matrix) == linalg.rank(rows)
 
 
+@pytest.mark.parametrize("text", ["1e400", "-1e400", "1.5e999",
+                                  "\u0661/3", "\u0661.5", "\uff11"])
+def test_parse_coordinate_rejects_non_finite_and_non_ascii(text):
+    with pytest.raises(ValueError):
+        simplex.parse_coordinate(text)
+
+
 def test_grid_norm_nonnegative():
     fr = frames.build_null_frame(3, 1)
     denominator = 8
