@@ -209,6 +209,72 @@ def _normalized(algebra: Algebra, coeffs: dict, den: int,
     return Multivector(algebra, out, backend, den)
 
 
+def combination(algebra: Algebra, pairs, backend: str = EXACT) -> "Multivector":
+    """``sum(c * mv for mv, c in pairs)``: the one routine behind ``+``,
+    ``-``, scaling and every linear combination of multivectors.
+
+    Every term goes over the lcm of the denominators, its numerators are
+    added blade by blade, in order, into one running sum, and the result
+    is normalized once.  Three rules keep a float or complex result
+    bitwise equal to chaining ``mv * c`` with ``+`` from left to right:
+
+    - an int ``c`` of 1 or -1 copies or negates ``mv``, as ``+`` and ``-``
+      do; any other ``c`` is coerced and multiplied, as ``*`` does, since
+      ``c * (1+0j)`` can flip a complex zero part;
+    - the first term under a key is stored as is, never as ``0 + c``;
+    - a key whose running sum reaches exactly zero is dropped, so a later
+      term under it is again stored as is.
+    """
+    scaled = []  # (coeffs, sign or factor numerators, denominator)
+    den = 1
+    for mv, c in pairs:
+        _check_compatible(algebra, backend, mv)
+        d = mv._den
+        if not (type(c) is int and c in (1, -1)):
+            c, dc = to_numerators(coerce(c, backend))
+            d *= dc
+        scaled.append((mv._coeffs, c, d))
+        den = math.lcm(den, d)
+    sums: dict[int, dict] = {}
+    for coeffs, factor, d in scaled:
+        k = den // d
+        if type(factor) is int:
+            k, factor = k * factor, None
+        elif k != 1:
+            factor = {m: c * k for m, c in factor.items()}
+        for blade, terms in coeffs.items():
+            if factor is not None:
+                term = {}
+                add_products(term, terms, factor)
+                if 0 in term.values():  # ``mv * c`` drops an exact zero
+                    term = {m: c for m, c in term.items() if c}
+            elif k == 1:
+                term = terms
+            else:
+                term = {m: -c if k == -1 else c * k for m, c in terms.items()}
+            acc = sums.get(blade)
+            if acc is None:
+                if term:
+                    sums[blade] = dict(term) if term is terms else term
+                continue
+            for m, c in term.items():
+                old = acc.get(m)
+                if old is not None and not (c := old + c):
+                    del acc[m]
+                else:
+                    acc[m] = c
+            if not acc:
+                del sums[blade]
+    return _normalized(algebra, sums, den, backend)
+
+
+def _check_compatible(algebra: Algebra, backend: str, mv: "Multivector"):
+    if mv.algebra is not algebra and mv.algebra != algebra:
+        raise ContextMismatchError(f"mixed algebras {algebra!r} and {mv.algebra!r}")
+    if mv.backend != backend:
+        raise BackendMismatchError(f"mixed backends {backend!r} and {mv.backend!r}")
+
+
 class Multivector:
     """Immutable element of G(p,q) over one scalar backend.
 
@@ -244,16 +310,6 @@ class Multivector:
     def grades(self) -> set[int]:
         return {blade.bit_count() for blade in self._coeffs}
 
-    def _check_compatible(self, other: "Multivector"):
-        if self.algebra != other.algebra:
-            raise ContextMismatchError(
-                f"mixed algebras {self.algebra!r} and {other.algebra!r}"
-            )
-        if self.backend != other.backend:
-            raise BackendMismatchError(
-                f"mixed backends {self.backend!r} and {other.backend!r}"
-            )
-
     # -- linear structure ------------------------------------------------------
 
     def _combine(self, other, sign: int):
@@ -261,27 +317,7 @@ class Multivector:
         other = self._lift(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check_compatible(other)
-        # A scale of 1 or -1 copies or negates rather than multiplies:
-        # ``c * 1`` and ``c * -1`` can flip the sign of a complex zero part.
-        da, db = self._den, other._den
-        g = math.gcd(da, db)
-        scale_a, scale_b = db // g, sign * (da // g)
-        coeffs = {blade: dict(terms) if scale_a == 1
-                  else {m: c * scale_a for m, c in terms.items()}
-                  for blade, terms in self._coeffs.items()}
-        for blade, terms in other._coeffs.items():
-            if scale_b == -1:
-                terms = {m: -c for m, c in terms.items()}
-            elif scale_b != 1:
-                terms = {m: c * scale_b for m, c in terms.items()}
-            acc = coeffs.get(blade)
-            if acc is None:
-                coeffs[blade] = terms
-            else:
-                for m, c in terms.items():
-                    acc[m] = acc.get(m, 0) + c
-        return _normalized(self.algebra, coeffs, da * scale_a, self.backend)
+        return combination(self.algebra, ((self, 1), (other, sign)), self.backend)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -289,10 +325,7 @@ class Multivector:
     __radd__ = __add__
 
     def __neg__(self):
-        return Multivector(self.algebra, {
-            blade: {m: -c for m, c in terms.items()}
-            for blade, terms in self._coeffs.items()
-        }, self.backend, self._den)
+        return combination(self.algebra, ((self, -1),), self.backend)
 
     def __sub__(self, other):
         return self._combine(other, -1)
@@ -313,12 +346,8 @@ class Multivector:
             return NotImplemented
 
     def scale(self, value) -> "Multivector":
-        factor, den = to_numerators(coerce(value, self.backend))
-        coeffs = {}
-        for blade, terms in self._coeffs.items():
-            acc = coeffs[blade] = {}
-            add_products(acc, terms, factor)
-        return _normalized(self.algebra, coeffs, self._den * den, self.backend)
+        return combination(self.algebra, ((self, coerce(value, self.backend)),),
+                           self.backend)
 
     def __mul__(self, other):
         if not isinstance(other, Multivector):
@@ -326,7 +355,7 @@ class Multivector:
                 return self.scale(other)
             except TypeError:
                 return NotImplemented
-        self._check_compatible(other)
+        _check_compatible(self.algebra, self.backend, other)
         return self._product(other, keep=None)
 
     def __rmul__(self, other):
@@ -413,17 +442,17 @@ class Multivector:
         return _normalized(algebra, sums, self._den * other._den, self.backend)
 
     def geometric(self, other: "Multivector") -> "Multivector":
-        self._check_compatible(other)
+        _check_compatible(self.algebra, self.backend, other)
         return self._product(other, keep=None)
 
     def wedge(self, other: "Multivector") -> "Multivector":
         """Outer product: grade r+s part per blade pair."""
-        self._check_compatible(other)
+        _check_compatible(self.algebra, self.backend, other)
         return self._product(other, keep=lambda ga, gb, gout: gout == ga + gb)
 
     def dot(self, other: "Multivector") -> "Multivector":
         """Grade |r-s| part per blade pair (general inputs grade-by-grade)."""
-        self._check_compatible(other)
+        _check_compatible(self.algebra, self.backend, other)
         return self._product(other, keep=lambda ga, gb, gout: gout == abs(ga - gb))
 
     # -- involutions and projections ------------------------------------------------

@@ -20,7 +20,7 @@ import itertools
 import math
 from dataclasses import dataclass
 
-from .algebra import AlgebraError, Multivector
+from .algebra import AlgebraError, Multivector, combination
 from .frames import NullFrame, dual_sum, reciprocal_frame
 from .scalars import APPROX
 
@@ -303,20 +303,18 @@ def finite_difference_check(
     recip = [r.to_backend(APPROX) for r in reciprocal_frame(frame)]
 
     def position(coords):
-        acc = frame.algebra.zero(APPROX)
-        for x, a in zip(coords, vectors):
-            acc = acc + a * x
-        return acc
+        return combination(frame.algebra, zip(vectors, coords), APPROX)
 
     fn = _tag_function(frame, position, tag)
-    gradient = frame.algebra.zero(APPROX)
-    for i in range(size):
-        up = list(coords)
-        down = list(coords)
+
+    def delta(i):
+        up, down = list(coords), list(coords)
         up[i] += step
         down[i] -= step
-        delta = (fn(up) - fn(down)) / (2 * step)
-        gradient = gradient + recip[i] * delta
+        return (fn(up) - fn(down)) / (2 * step)
+
+    gradient = combination(frame.algebra, (
+        (recip[i] * delta(i), 1) for i in range(size)), APPROX)
 
     norm = math.sqrt(norm_sq)
     x_mv = position(coords)

@@ -22,22 +22,14 @@ from fractions import Fraction
 
 from . import DEFAULT_N_MAX, DEFAULT_SEED, FRAME_LIMIT, SUITES, __version__
 from .algebra import AlgebraError
-from .scalars import InexactSqrtError, Radical
+from .scalars import InexactSqrtError
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
 
 
-def _scalar_json(value):
-    if isinstance(value, Radical):
-        return value.to_json_terms()
-    if isinstance(value, Fraction):
-        return Radical(value).to_json_terms()
-    return value
-
-
 def _matrix_json(matrix):
-    return [[_scalar_json(v) for v in row] for row in matrix]
+    return [[value.to_json_terms() for value in row] for row in matrix]
 
 
 def _matrix_csv_rows(name, matrix):
@@ -218,11 +210,18 @@ def cmd_simplex(args) -> int:
             print(f"bad --point: {exc}", file=sys.stderr)
             return USAGE_ERROR
         norm_sq = point.norm_squared()
+        try:
+            norm_sq_float = float(norm_sq)
+        except OverflowError:
+            norm_sq_float = math.inf
+        if not math.isfinite(norm_sq_float):
+            print("--point: |x|^2 overflows a float", file=sys.stderr)
+            return DOMAIN_ERROR
         payload.update({
             "coordinates": [str(c) for c in coords],
             "barycentric": point.is_barycentric(),
             "norm_squared": str(norm_sq),
-            "norm_squared_float": float(norm_sq),
+            "norm_squared_float": norm_sq_float,
             "on_cone": point.is_on_cone(),
         })
         if not point.is_on_cone():

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import FRAME_LIMIT, linalg
-from .algebra import Algebra, AlgebraError, Multivector, wedge_list
+from .algebra import Algebra, AlgebraError, Multivector, combination, wedge_list
 from .scalars import EXACT, Radical, coerce
 
 CANONICAL_BASIS_LIMIT = 8
@@ -191,10 +191,7 @@ def to_standard_coordinates(frame: NullFrame, row: CoordinateRow) -> CoordinateR
 
 
 def vector_from_null_coordinates(frame: NullFrame, coords) -> Multivector:
-    acc = frame.algebra.zero()
-    for x, a in zip(coords, frame.vectors):
-        acc = acc + a * x
-    return acc
+    return combination(frame.algebra, zip(frame.vectors, coords))
 
 
 # -- sums and reciprocal frame ------------------------------------------------------
@@ -204,10 +201,7 @@ def k_sum(frame: NullFrame, k: int) -> Multivector:
     """A_k = a_1 + ... + a_k."""
     if not 1 <= k <= frame.size:
         raise ValueError(f"k = {k} outside 1..{frame.size}")
-    acc = frame.vectors[0]
-    for a in frame.vectors[1:k]:
-        acc = acc + a
-    return acc
+    return combination(frame.algebra, ((a, 1) for a in frame.vectors[:k]))
 
 
 def unit_k_sum(frame: NullFrame, k: int) -> Multivector:
@@ -232,13 +226,8 @@ def reciprocal_frame(frame: NullFrame) -> list[Multivector]:
     grade-1 duality is inherited from the orthonormal basis.
     """
     dual = frame.metric_dual_basis()
-    out = []
-    for i in range(frame.size):
-        acc = frame.algebra.zero()
-        for kk in range(frame.size):
-            acc = acc + dual[kk] * frame.t_inverse[kk][i]
-        out.append(acc)
-    return out
+    return [combination(frame.algebra, zip(dual, column))
+            for column in zip(*frame.t_inverse)]
 
 
 # -- pseudoscalar relation ---------------------------------------------------------
@@ -352,7 +341,4 @@ def express_in_null_basis(frame: NullFrame, mv: Multivector) -> list:
 
 def reconstruct_from_null_basis(frame: NullFrame, coefficients) -> Multivector:
     _, products = null_canonical_basis(frame)
-    acc = frame.algebra.zero()
-    for c, product in zip(coefficients, products):
-        acc = acc + product * c
-    return acc
+    return combination(frame.algebra, zip(products, coefficients))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebra import AlgebraError, Multivector, wedge_list
+from .algebra import AlgebraError, Multivector, combination, wedge_list
 from .calculus import DiffOperator
 from .frames import NullFrame, dual_sum, vector_from_null_coordinates
 from .scalars import APPROX, EXACT, Radical, backend_of, coerce, is_zero
@@ -59,10 +59,9 @@ class SimplexPoint:
 
     def to_multivector(self) -> Multivector:
         backend = self.backend
-        acc = self.frame.algebra.zero(backend)
-        for x, a in zip(self.coordinates, self.frame.vectors):
-            acc = acc + a.to_backend(backend) * coerce(x, backend)
-        return acc
+        return combination(self.frame.algebra, (
+            (a.to_backend(backend), coerce(x, backend))
+            for x, a in zip(self.coordinates, self.frame.vectors)), backend)
 
     def norm_squared(self):
         """|x|^2 = sum_{i<j} x_i x_j for a positively correlated frame."""
@@ -200,12 +199,9 @@ def content_null(frame: NullFrame) -> Multivector:
     diffs = [a - first for a in frame.vectors[1:]]
     product_form = wedge_list(diffs) * Fraction(1, math.factorial(n))
 
-    alternating = frame.algebra.zero()
-    for i in range(frame.size):
-        others = [a for j, a in enumerate(frame.vectors) if j != i]
-        term = wedge_list(others)
-        alternating = alternating + (term if i % 2 == 0 else -term)
-    alternating = alternating * Fraction(1, math.factorial(n))
+    alternating = combination(frame.algebra, (
+        (wedge_list(frame.vectors[:i] + frame.vectors[i + 1:]), (-1) ** i)
+        for i in range(frame.size))) * Fraction(1, math.factorial(n))
 
     if product_form != alternating:
         raise AlgebraError("content forms disagree; check the frame")
@@ -232,11 +228,7 @@ def is_closed(matrix: SimplicialMatrix) -> bool:
     vertices = matrix.vertices()
     if len(vertices) < 2:
         raise ValueError("need at least two vertices")
-    total = vertices[0]
-    for v in vertices[1:]:
-        total = total + v
-    dual_total = total * (len(vertices) - 1)
-    return dual_total.is_zero()
+    return combination(matrix.frame.algebra, ((v, 1) for v in vertices)).is_zero()
 
 
 def order(matrix: SimplicialMatrix) -> int:

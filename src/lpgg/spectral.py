@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraError, Multivector
+from .algebra import AlgebraError, Multivector, combination
 from .frames import NullFrame, wedge_list
 from .scalars import (
     APPROX,
@@ -159,11 +159,11 @@ class BivectorOperator:
         half_tr = coerce(self.trace(), backend) * coerce(
             Fraction(1, 2), backend
         )
-        acc = self.frame.algebra.scalar(half_tr, backend)
-        acc = acc + a2.wedge(a3) * coerce(g1, backend)
-        acc = acc + a3.wedge(a1) * coerce(g2, backend)
-        acc = acc + a1.wedge(a2) * coerce(g3, backend)
-        return acc
+        return combination(self.frame.algebra, (
+            (self.frame.algebra.scalar(half_tr, backend), 1),
+            (a2.wedge(a3), coerce(g1, backend)),
+            (a3.wedge(a1), coerce(g2, backend)),
+            (a1.wedge(a2), coerce(g3, backend))), backend)
 
     def element_from_matrix(self) -> Multivector:
         """The same element as sum g_ij a_i a_j (cross-check route)."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraError, Multivector
+from .algebra import AlgebraError, Multivector, combination
 from .frames import NullFrame, k_sum, unit_k_sum
 from .scalars import coerce, widest_backend
 
@@ -37,11 +37,9 @@ class AMatrix:
 
     def contraction(self) -> Multivector:
         """All-ones contraction: the sum of every entry, A g A."""
-        acc = self.frame.algebra.zero(self.element.backend)
-        for row in self.entries:
-            for entry in row:
-                acc = acc + entry
-        return acc
+        return combination(self.frame.algebra, (
+            (entry, 1) for row in self.entries for entry in row),
+            self.element.backend)
 
     def star_normalization(self) -> Fraction:
         size = self.frame.size
@@ -122,12 +120,7 @@ def from_coefficient_matrix(frame: NullFrame, matrix) -> Multivector:
     if len(matrix) != size or any(len(row) != size for row in matrix):
         raise ValueError(f"expected a {size}x{size} matrix")
     backend = widest_backend(value for row in matrix for value in row)
-    acc = frame.algebra.zero(backend)
-    for i in range(size):
-        ai = frame.vectors[i].to_backend(backend)
-        for j in range(size):
-            if i == j:
-                continue
-            value = coerce(matrix[i][j], backend)
-            acc = acc + (ai * frame.vectors[j].to_backend(backend)) * value
-    return acc
+    vectors = [a.to_backend(backend) for a in frame.vectors]
+    return combination(frame.algebra, (
+        (vectors[i] * vectors[j], coerce(matrix[i][j], backend))
+        for i in range(size) for j in range(size) if i != j), backend)

@@ -23,7 +23,7 @@ from fractions import Fraction
 from . import DEFAULT_N_MAX, DEFAULT_SEED, SUITES
 from . import atlas as atlas_mod
 from . import calculus, frames, linalg, simplex, spectral, star
-from .algebra import Algebra, Multivector
+from .algebra import Algebra, Multivector, combination
 from .reporting import VerificationReport, merge_reports
 from .scalars import EXACT, Radical, is_zero
 from .textform import format_multivector
@@ -40,10 +40,8 @@ def random_multivector(algebra: Algebra, rng: random.Random,
 
 def random_vector(vectors, rng: random.Random) -> Multivector:
     """A random rational combination of the given grade-1 vectors."""
-    acc = vectors[0].algebra.zero()
-    for a in vectors:
-        acc = acc + a * Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-    return acc
+    return combination(vectors[0].algebra, [
+        (a, Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for a in vectors])
 
 
 def _sizes(n_max: int, lo: int = 2, hi: int = frames.FRAME_LIMIT) -> range:

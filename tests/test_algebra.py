@@ -14,6 +14,7 @@ from lpgg import (
     Radical,
     wedge_list,
 )
+from lpgg.algebra import combination
 from lpgg.scalars import coerce
 
 
@@ -378,6 +379,7 @@ def test_exact_operations_match_per_blade_reference(p, q, backend):
             factor = coerce(scalar, backend)
             results.append((x * scalar, per_blade_map(x, lambda b, c: c * factor)))
             results.append((scalar * x, per_blade_map(x, lambda b, c: c * factor)))
+            results.append((scalar - x, reference_sum(algebra.scalar(factor, backend), x, -1)))
             if invertible(scalar):
                 inverse = reciprocal(scalar, backend)
                 results.append((x / scalar, per_blade_map(x, lambda b, c: c * inverse)))
@@ -387,6 +389,62 @@ def test_exact_operations_match_per_blade_reference(p, q, backend):
         for result, expected in results:
             assert bitwise(result.coefficients()) == bitwise(expected)
             assert_normal_form(result)
+
+
+def chained(algebra, pairs, backend):
+    """``sum(c * mv)`` by ``+`` from left to right; an int ``c`` of 1 or -1
+    adds or subtracts ``mv``."""
+    acc = algebra.zero(backend)
+    for mv, c in pairs:
+        if type(c) is int and c in (1, -1):
+            acc = acc + mv if c == 1 else acc - mv
+        else:
+            acc = acc + mv * c
+    return acc
+
+
+def storage_order(mv):
+    return [(blade, list(terms)) for blade, terms in mv._coeffs.items()]
+
+
+@pytest.mark.parametrize("backend", ["exact", "approx", "complex"])
+def test_combination_matches_chained_addition(backend):
+    """The one linear-combination routine against chained ``+``, bit for
+    bit and with blades and keys in the same order."""
+    algebra = Algebra(2, 2)
+    rng = random.Random(16)
+    x, y = (random_backend_mv(algebra, rng, backend, 6) for _ in range(2))
+    one = coerce(1, backend)
+    # Negating 0.0 - 1j and multiplying 0.0 - 1j by -1+0j differ in the
+    # real zero; so do copying -0.0 - 1j and multiplying it by 1+0j.
+    if backend == "complex":
+        z_value, w_value = complex(0.0, -1.0), complex(-0.0, -1.0)
+    else:
+        z_value = w_value = coerce(-1, backend)
+    z = algebra.multivector({1: z_value}, backend)
+    w = algebra.multivector({2: w_value}, backend)
+    cases = [
+        [],
+        [(x, 1), (x, -1), (y, rng.choice(backend_scalars(rng, backend)))],
+        [(z, -1), (w, one)],
+        [(x, one), (y, -1), (x, Fraction(-1)), (y, 1)],
+    ]
+    if backend == "complex":
+        cases.append([(x, complex(-0.0, 2.0)), (y, complex(-0.0, -0.5))])
+    pool = [x, y, -x, z, w]
+    for _ in range(40):
+        cases.append([(rng.choice(pool), rng.choice(backend_scalars(rng, backend) + [1, -1]))
+                      for _ in range(rng.randint(1, 6))])
+    for pairs in cases:
+        result = combination(algebra, pairs, backend)
+        expected = chained(algebra, pairs, backend)
+        assert bitwise(result.coefficients()) == bitwise(expected.coefficients()), pairs
+        assert storage_order(result) == storage_order(expected), pairs
+        assert_normal_form(result)
+    with pytest.raises(BackendMismatchError):
+        combination(algebra, [(x, 1)], "exact" if backend != "exact" else "approx")
+    with pytest.raises(ContextMismatchError):
+        combination(Algebra(1, 1), [(x, 1)], backend)
 
 
 # Grade filters for ``_product``: the two products and one that is neither

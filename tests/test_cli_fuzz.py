@@ -73,7 +73,7 @@ G_TEXT = st.one_of(
     st.text(max_size=8),
 )
 COORDINATES = fragments(["0", "1", "-1", "1/3", "0.25", "1/0", "x", ",", ",", ";",
-                         "1e400", "\u0661"], 8)
+                         "1e400", "1e200", "\u0661"], 8)
 
 ARGV = st.one_of(
     command("mult-table", n=sizes(2, 8), sign=st.sampled_from("+-x"),
@@ -112,6 +112,9 @@ ARGV = st.one_of(
 @example(["frame", "--n=\u0663"])
 @example(["simplex", "--n=1", "--point=1e400,-1e400"])
 @example(["simplex", "--n=2", "--point=\u0661/3,1/3,1/3"])
+@example(["simplex", "--n=1", "--point=1e200,1e200"])
+@example(["simplex", "--n=1", "--point=1e200,-1e200"])
+@example(["simplex", "--n=1", f"--point={10 ** 400},1"])
 def test_cli_keeps_its_exit_code_contract(argv):
     code, out, err = run(argv)
     assert code in (0, 1, 2), (argv, code, err)

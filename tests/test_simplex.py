@@ -39,15 +39,18 @@ def test_vertices_on_cone(fr3):
             v.unit()
 
 
-def test_norm_squared_matches_multivector_square(fr3):
-    rng = random.Random(3)
-    for _ in range(25):
-        coords = random_barycentric(3, rng)
-        point = simplex.SimplexPoint(fr3, coords)
-        mv = point.to_multivector()
-        assert (mv * mv) == fr3.algebra.scalar(
-            Fraction(0) + point.norm_squared()
-        )
+def test_norm_squared_matches_multivector_square():
+    """Both correlation signs, so the negative frame's branch runs too."""
+    for sign in (1, -1):
+        frame = frames.build_null_frame(3, sign)
+        rng = random.Random(3)
+        for _ in range(25):
+            coords = random_barycentric(3, rng)
+            point = simplex.SimplexPoint(frame, coords)
+            mv = point.to_multivector()
+            assert (mv * mv) == frame.algebra.scalar(
+                Fraction(0) + point.norm_squared()
+            )
 
 
 def test_float_points(fr3):
