@@ -488,14 +488,10 @@ class Multivector:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Radical, float, complex)):
-            lifted = self._lift(other)
-            if lifted is NotImplemented:
-                # A number this backend cannot hold (a float against an
-                # exact element) is equal to a scalar with that value, as
-                # ``__hash__`` already assumes.
-                return (not self._coeffs.keys() - {0}
-                        and self.coefficient(0) == other)
-            other = lifted
+            # A raw number equals a scalar with its value, as ``__hash__``
+            # assumes; converting it to this backend first would round it.
+            return (not self._coeffs.keys() - {0}
+                    and self.coefficient(0) == other)
         if not isinstance(other, Multivector):
             return NotImplemented
         return (

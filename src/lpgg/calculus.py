@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .algebra import AlgebraError, Multivector, combination
 from .frames import NullFrame, dual_sum, reciprocal_frame
@@ -38,28 +37,25 @@ class PolyField:
 
     def __init__(self, frame: NullFrame, terms):
         self.frame = frame
-        merged: dict = {}
+        groups: dict = {}
         for coefficient, exponents in terms:
             exponents = tuple(exponents)
             if len(exponents) != frame.size or any(e < 0 for e in exponents):
                 raise ValueError("bad exponent multi-index")
-            if exponents in merged:
-                merged[exponents] = merged[exponents] + coefficient
-            else:
-                merged[exponents] = coefficient
-        self.terms = {
-            exponents: mv for exponents, mv in merged.items() if not mv.is_zero()
-        }
+            groups.setdefault(exponents, []).append((coefficient, 1))
+        self.terms = {}
+        for exponents, group in groups.items():
+            mv = combination(frame.algebra, group, group[0][0].backend)
+            if not mv.is_zero():
+                self.terms[exponents] = mv
 
     @classmethod
     def constant(cls, frame: NullFrame, mv: Multivector) -> "PolyField":
         return cls(frame, [(mv, (0,) * frame.size)])
 
     @classmethod
-    def monomial(cls, frame: NullFrame, exponents, coefficient=None) -> "PolyField":
-        if coefficient is None:
-            coefficient = frame.algebra.scalar(1)
-        return cls(frame, [(coefficient, exponents)])
+    def monomial(cls, frame: NullFrame, exponents) -> "PolyField":
+        return cls(frame, [(frame.algebra.scalar(1), exponents)])
 
     @classmethod
     def linear(cls, frame: NullFrame, coefficients) -> "PolyField":
@@ -86,7 +82,12 @@ class PolyField:
         ))
 
     def __sub__(self, other: "PolyField") -> "PolyField":
-        return self + other.scale(-1)
+        if self.frame is not other.frame:
+            raise AlgebraError("polynomials over different frames")
+        return type(self)(self.frame, itertools.chain(
+            ((mv, exp) for exp, mv in self.terms.items()),
+            ((-mv, exp) for exp, mv in other.terms.items()),
+        ))
 
     def scale(self, value) -> "PolyField":
         return type(self)(
@@ -110,14 +111,11 @@ class PolyField:
 
     def partial(self, i: int) -> "PolyField":
         """Exact formal partial derivative in x_i (1-based)."""
-        if not 1 <= i <= self.frame.size:
-            raise ValueError(f"coordinate index {i} outside 1..{self.frame.size}")
-        idx = i - 1
-        return type(self)(self.frame, (
-            (mv * exp[idx], exp[:idx] + (exp[idx] - 1,) + exp[idx + 1 :])
-            for exp, mv in self.terms.items()
-            if exp[idx]
-        ))
+        size = self.frame.size
+        if not 1 <= i <= size:
+            raise ValueError(f"coordinate index {i} outside 1..{size}")
+        alpha = (0,) * (i - 1) + (1,) + (0,) * (size - i)
+        return type(self)(self.frame, derivative_terms(self, alpha))
 
     def is_scalar_valued(self) -> bool:
         return all(mv.grades() <= {0} for mv in self.terms.values())
@@ -129,6 +127,18 @@ class PolyField:
 
     def __hash__(self):
         return hash((id(self.frame), frozenset(self.terms.items())))
+
+
+def derivative_terms(field: PolyField, alpha):
+    """The terms of d^alpha field, in closed form.
+
+    d^alpha x^beta = prod_i beta_i! / (beta_i - alpha_i)! x^(beta - alpha),
+    and zero where some beta_i < alpha_i.
+    """
+    for beta, mv in field.terms.items():
+        if all(b >= a for a, b in zip(alpha, beta)):
+            yield (mv * math.prod(map(math.perm, beta, alpha)),
+                   tuple(b - a for a, b in zip(alpha, beta)))
 
 
 def square_field(frame: NullFrame) -> PolyField:
@@ -148,14 +158,11 @@ class DiffOperator(PolyField):
     def apply(self, field: PolyField) -> PolyField:
         if field.frame is not self.frame:
             raise AlgebraError("field over a different frame")
-        result = PolyField(self.frame, ())
-        for multi_index, direction in self.terms.items():
-            diffed = field
-            for i, reps in enumerate(multi_index):
-                for _ in range(reps):
-                    diffed = diffed.partial(i + 1)
-            result = result + diffed.left_multiply(direction)
-        return result
+        return PolyField(self.frame, (
+            (direction * coefficient, exponents)
+            for alpha, direction in self.terms.items()
+            for coefficient, exponents in derivative_terms(field, alpha)
+        ))
 
     # self after other: directions multiply in application order
     compose = PolyField.multiply
@@ -241,95 +248,57 @@ def dual_sum_dot_oracle(frame: NullFrame):
 # -- finite differences for the non-polynomial identities ------------------------------------
 
 
-SUPPORTED_TAGS = ("x", "x2", "abs_x", "unit_x")
 
-MIN_STEP = 1e-8
-
-
-@dataclass
-class FiniteDifferenceReport:
-    tag: str
-    point: tuple
-    step: float
-    computed: Multivector
-    expected: Multivector
-    max_abs_error: float
-
-    def within(self, tol: float) -> bool:
-        return self.max_abs_error <= tol
+STEP = 1e-5
 
 
-def _tag_function(frame: NullFrame, position, tag: str):
+def finite_difference_error(frame: NullFrame, tag: str, point) -> float:
+    """Largest coefficient error of a central finite-difference gradient.
+
+    The gradient of the field named by ``tag`` (``x``, ``x2``, ``abs_x``
+    or ``unit_x``) is contracted with the reciprocal frame and compared
+    with its closed form.  The frame is exact; its vectors and reciprocal
+    vectors are converted to floats here, at the boundary of the numeric
+    work.
+    """
+    coords = [float(c) for c in point]
     size = frame.size
+    if len(coords) != size:
+        raise ValueError(f"expected {size} coordinates")
 
     def norm_sq(coords):
         return sum(
-            coords[i] * coords[j]
-            for i in range(size)
-            for j in range(i + 1, size)
+            coords[i] * coords[j] for i in range(size) for j in range(i + 1, size)
         )
 
-    if tag == "x":
-        return position
-    if tag == "x2":
-        return lambda coords: frame.algebra.scalar(float(norm_sq(coords)))
-    if tag == "abs_x":
-        return lambda coords: frame.algebra.scalar(math.sqrt(norm_sq(coords)))
-    if tag == "unit_x":
-        return lambda coords: position(coords) / math.sqrt(norm_sq(coords))
-    raise ValueError(f"unsupported tag {tag!r}; expected one of {SUPPORTED_TAGS}")
-
-
-def finite_difference_check(
-    frame: NullFrame, tag: str, point, step: float = 1e-5
-) -> FiniteDifferenceReport:
-    """Central finite differences contracted with the reciprocal frame.
-
-    The frame is exact; its vectors and reciprocal vectors are converted
-    to floats here, at the boundary of the numeric work.
-    """
-    if step < MIN_STEP:
-        raise ValueError(f"step {step} below the cancellation guard {MIN_STEP}")
-    coords = [float(c) for c in point]
-    if len(coords) != frame.size:
-        raise ValueError(f"expected {frame.size} coordinates")
-    size = frame.size
-    norm_sq = sum(
-        coords[i] * coords[j] for i in range(size) for j in range(i + 1, size)
-    )
-    if norm_sq <= 0:
+    if norm_sq(coords) <= 0:
         raise ValueError("point lies on or inside the light cone (|x|^2 <= 0)")
+    scalar = frame.algebra.scalar
     vectors = [a.to_backend(APPROX) for a in frame.vectors]
     recip = [r.to_backend(APPROX) for r in reciprocal_frame(frame)]
 
     def position(coords):
         return combination(frame.algebra, zip(vectors, coords), APPROX)
 
-    fn = _tag_function(frame, position, tag)
+    norm = math.sqrt(norm_sq(coords))
+    x_mv = position(coords)
+    try:
+        fn, expected = {  # tag: (field, its gradient)
+            "x": (position, scalar(float(size))),
+            "x2": (lambda c: scalar(float(norm_sq(c))), x_mv * 2.0),
+            "abs_x": (lambda c: scalar(math.sqrt(norm_sq(c))), x_mv / norm),
+            "unit_x": (lambda c: position(c) / math.sqrt(norm_sq(c)),
+                       scalar(frame.n / norm)),
+        }[tag]
+    except KeyError:
+        raise ValueError(f"unsupported tag {tag!r}") from None
 
     def delta(i):
         up, down = list(coords), list(coords)
-        up[i] += step
-        down[i] -= step
-        return (fn(up) - fn(down)) / (2 * step)
+        up[i] += STEP
+        down[i] -= STEP
+        return (fn(up) - fn(down)) / (2 * STEP)
 
     gradient = combination(frame.algebra, (
         (recip[i] * delta(i), 1) for i in range(size)), APPROX)
-
-    norm = math.sqrt(norm_sq)
-    x_mv = position(coords)
-    expected = {
-        "x": frame.algebra.scalar(float(size)),
-        "x2": x_mv * 2.0,
-        "abs_x": x_mv / norm,
-        "unit_x": frame.algebra.scalar(frame.n / norm),
-    }[tag]
-    return FiniteDifferenceReport(
-        tag=tag,
-        point=tuple(coords),
-        step=step,
-        computed=gradient,
-        expected=expected,
-        max_abs_error=gradient.max_abs_difference(expected),
-    )
-
+    return gradient.max_abs_difference(expected)

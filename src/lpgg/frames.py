@@ -42,8 +42,6 @@ class CoordinateRow:
 class TableReport:
     """Outcome of checking the 4x4 pair product grid for every i<j."""
 
-    sign: int
-    size: int
     checked: int
     violations: tuple = ()
 
@@ -162,8 +160,7 @@ def verify_multiplication_table(frame: NullFrame) -> TableReport:
                     violations.append(
                         (i + 1, j + 1, f"{labels[r]} * {labels[c]}")
                     )
-    return TableReport(sign=s, size=frame.size, checked=checked,
-                       violations=tuple(violations))
+    return TableReport(checked=checked, violations=tuple(violations))
 
 
 # -- coordinate conversions ------------------------------------------------------

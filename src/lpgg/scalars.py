@@ -340,7 +340,7 @@ class Radical:
         return bool(self._terms)
 
     def __eq__(self, other):
-        if isinstance(other, float):
+        if isinstance(other, (float, complex)):
             # Exactly as the rational value compares; never for irrationals.
             return self.is_rational() and self.rational_part() == other
         other = self._coerced(other)

@@ -9,6 +9,7 @@ light-cone subset (vertices included).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,12 +66,8 @@ class SimplexPoint:
 
     def norm_squared(self):
         """|x|^2 = sum_{i<j} x_i x_j for a positively correlated frame."""
-        coords = self.coordinates
-        total = None
-        for i in range(len(coords)):
-            for j in range(i + 1, len(coords)):
-                term = coords[i] * coords[j]
-                total = term if total is None else total + term
+        total = linalg.sum_scalars(
+            x * y for x, y in itertools.combinations(self.coordinates, 2))
         if self.frame.sign < 0:
             total = -total
         return total

@@ -565,9 +565,9 @@ def suite_calculus(n_max: int = DEFAULT_N_MAX,
                 coords = [v / total for v in raw]
                 points_checked += 1
                 for tag in ("abs_x", "x", "x2", "unit_x"):
-                    fd = calculus.finite_difference_check(fr, tag, coords, 1e-5)
-                    worst = max(worst, fd.max_abs_error)
-                    check(fd.within(1e-6), f"{tag} at {coords}")
+                    error = calculus.finite_difference_error(fr, tag, coords)
+                    worst = max(worst, error)
+                    check(error <= 1e-6, f"{tag} at {coords}")
             check.details = f"max abs error {worst:.2e}"
     return report
 

@@ -588,6 +588,28 @@ def test_scalar_multivector_hashes_like_the_scalar_it_equals():
     assert len({g.e(1), g.e(1) * 1, g.f(1)}) == 2
 
 
+@pytest.mark.parametrize("backend, value, number, equal", [
+    ("approx", 1 / 3, Fraction(1, 3), False),
+    ("approx", 1 / 3, Radical(Fraction(1, 3)), False),
+    ("approx", float(Radical.sqrt(2)), Radical.sqrt(2), False),
+    ("complex", 1 / 3, Fraction(1, 3), False),
+    ("complex", float(Radical.sqrt(2)), Radical.sqrt(2), False),
+    ("approx", 0.5, Fraction(1, 2), True),
+    ("approx", 0.5, Radical(Fraction(1, 2)), True),
+    ("complex", 0.5, Fraction(1, 2), True),
+    ("complex", 0.5, Radical(Fraction(1, 2)), True),
+    ("complex", -2.0, -2, True),
+])
+def test_float_scalar_multivector_equals_a_number_by_value(
+        backend, value, number, equal):
+    mv = Algebra(1, 1).scalar(value, backend)
+    assert (mv == number) is equal
+    assert (number == mv) is equal
+    assert len({mv, number}) == (1 if equal else 2)
+    if equal:
+        assert hash(mv) == hash(number)
+
+
 def test_exact_scalar_multivector_equals_the_float_it_equals():
     g = Algebra(1, 1)
     assert g.scalar(1) == 1.0
