@@ -28,6 +28,10 @@ from .scalars import (BACKENDS, COMPLEX, EXACT, Radical, add_products, coerce,
 
 DIMENSION_LIMIT = 12
 
+# Generator-count parity of every blade below the limit, so a product sign
+# is one table read.  Module level: an ``Algebra`` holds no containers.
+_PARITY = bytes(b.bit_count() & 1 for b in range(1 << DIMENSION_LIMIT))
+
 
 class AlgebraError(ValueError):
     pass
@@ -109,7 +113,7 @@ class Algebra:
 
     def product_sign(self, a: int, b: int) -> int:
         """Sign of ``blade_a * blade_b`` (the result blade is ``a ^ b``)."""
-        return -1 if (b & self._sign_mask(a)).bit_count() & 1 else 1
+        return -1 if _PARITY[b & self._sign_mask(a)] else 1
 
     def _sign_mask(self, a: int) -> int:
         """Bitmap ``m`` with ``blade_a * blade_b`` negative iff ``b & m`` has
@@ -377,16 +381,19 @@ class Multivector:
     # -- products ----------------------------------------------------------------
 
     def _product(self, other: "Multivector", keep) -> "Multivector":
-        """Blade-pair accumulation over ``(blade, key, numerator)`` rows;
-        ``keep(ga, gb, gout)`` filters blade pairs by their grades.
+        """Blade-pair accumulation over ``(blade, key, numerator)`` rows,
+        ``(blade, value)`` for floats; ``keep(ga, gb, gout)`` filters blade
+        pairs by their grades.
 
-        Every row pair adds one product per output blade and key (the key
-        rule of ``scalars.add_products``, inlined).  A float or complex row
-        has key 1 only, so the first term of each output blade is stored as
-        is, never as ``0 + c``, which would lose a complex ``-0.0`` part.
-        The result is over the product of the two denominators and is
-        normalized once.  The sign mask of each left blade is computed
-        once.
+        Every exact row pair adds one product per output blade and key (the
+        key rule of ``scalars.add_products``, inlined).  A float or complex
+        row has key 1 only, so those products skip the key rule and sum in
+        a list indexed by output blade; the first term of each output blade
+        is stored as is, never as ``0 + c``, which would lose a complex
+        ``-0.0`` part, and the output blades keep the order in which they
+        first appear.  The result is over the product of the two
+        denominators and is normalized once.  The sign mask of each left
+        blade is computed once, and each sign is one ``_PARITY`` read.
 
         ``keep`` is asked once per grade triple, not per pair: blades of
         grades ``ga`` and ``gb`` that share ``k`` generators multiply to
@@ -400,13 +407,20 @@ class Multivector:
         """
         algebra = self.algebra
         right = other._coeffs
-        rows_b = [(b, m, c) for b, terms in right.items() for m, c in terms.items()]
+        exact = self.backend == EXACT
+        if exact:
+            rows_b = [(b, m, c) for b, terms in right.items() for m, c in terms.items()]
+            sums: dict[int, dict[int, int]] = {}
+        else:
+            rows_b = [(b, terms[1]) for b, terms in right.items()]
+            running = [None] * algebra.dim  # output blade -> running sum
+            order = []  # output blades in order of first appearance
         if keep is not None:
             n = algebra.n_generators
             grades_b = {b.bit_count() for b in right}
             rows_for_grade = {}  # left grade -> [(row, kept overlaps)]
         gcd = math.gcd
-        sums: dict[int, dict[int, int]] = {}
+        parity = _PARITY
         for a, terms_a in self._coeffs.items():
             mask = algebra._sign_mask(a)
             rows = rows_b
@@ -422,6 +436,20 @@ class Multivector:
                         if (kept := overlaps[row[0].bit_count()])]
                 rows = [row for row, kept in candidates
                         if (a & row[0]).bit_count() in kept]
+            if not exact:
+                c1 = terms_a[1]
+                for b, c2 in rows:
+                    c = c1 * c2
+                    if parity[b & mask]:
+                        c = -c
+                    out = a ^ b
+                    v = running[out]
+                    if v is None:
+                        running[out] = c
+                        order.append(out)
+                    else:
+                        running[out] = v + c
+                continue
             for m1, c1 in terms_a.items():
                 for b, m2, c2 in rows:
                     if m1 == 1:
@@ -431,7 +459,7 @@ class Multivector:
                     else:
                         g = gcd(m1, m2)
                         key, c = (m1 // g) * (m2 // g), c1 * c2 * g
-                    if (b & mask).bit_count() & 1:
+                    if parity[b & mask]:
                         c = -c
                     out = a ^ b
                     acc = sums.get(out)
@@ -439,6 +467,8 @@ class Multivector:
                         sums[out] = {key: c}
                     else:
                         acc[key] = acc.get(key, 0) + c
+        if not exact:
+            sums = {out: {1: running[out]} for out in order}
         return _normalized(algebra, sums, self._den * other._den, self.backend)
 
     def geometric(self, other: "Multivector") -> "Multivector":

@@ -14,7 +14,7 @@ from lpgg import (
     Radical,
     wedge_list,
 )
-from lpgg.algebra import combination
+from lpgg.algebra import DIMENSION_LIMIT, combination
 from lpgg.scalars import coerce
 
 
@@ -490,6 +490,50 @@ def test_dense_filtered_products_match_per_pair_reference(p, q, backend):
         assert list(result.coefficients()) == list(expected), name
         assert bitwise(result.coefficients()) == bitwise(expected), name
         assert_normal_form(result)
+
+
+@pytest.mark.parametrize("p,q,backend", [
+    (3, 4, "approx"), (3, 4, "complex"), (5, 3, "approx"), (5, 3, "complex"),
+    (2, 3, "exact"),
+])
+def test_dense_geometric_product_matches_per_pair_reference(p, q, backend):
+    """The unfiltered kernel on dense operands, bit for bit, with the
+    output blades in the same order."""
+    algebra = Algebra(p, q)
+    rng = random.Random(100 * p + q)
+    x, y = dense_mv(algebra, rng, backend), dense_mv(algebra, rng, backend)
+    result = x * y
+    expected = reference_product(x, y, PRODUCTS["geometric"])
+    assert list(result.coefficients()) == list(expected)
+    assert bitwise(result.coefficients()) == bitwise(expected)
+    assert_normal_form(result)
+
+
+@pytest.mark.parametrize("backend", ["exact", "approx", "complex"])
+@pytest.mark.parametrize("p", [0, 5, 12])
+def test_products_at_the_dimension_limit_match_per_pair_reference(p, backend):
+    """Sparse operands in G(p, 12 - p) that hold the pseudoscalar, so a
+    sign reaches the top entries of the parity table."""
+    algebra = Algebra(p, DIMENSION_LIMIT - p)
+    top = algebra.dim - 1
+    rng = random.Random(p)
+    for _ in range(3):
+        operands = []
+        for _ in range(2):
+            coeffs = {rng.randrange(algebra.dim): random_coefficient(rng, backend)
+                      for _ in range(8)}
+            while not (value := random_coefficient(rng, backend)):
+                pass
+            coeffs[top] = value
+            operands.append(algebra.multivector(coeffs, backend))
+        x, y = operands
+        assert top in x._coeffs and top in y._coeffs
+        for name, keep in PRODUCTS.items():
+            result = getattr(x, name)(y)
+            expected = reference_product(x, y, keep)
+            assert list(result.coefficients()) == list(expected), name
+            assert bitwise(result.coefficients()) == bitwise(expected), name
+            assert_normal_form(result)
 
 
 @st.composite
