@@ -125,9 +125,6 @@ class PolyField:
             return NotImplemented
         return self.frame is other.frame and self.terms == other.terms
 
-    def __hash__(self):
-        return hash((id(self.frame), frozenset(self.terms.items())))
-
 
 def derivative_terms(field: PolyField, alpha):
     """The terms of d^alpha field, in closed form.

@@ -1,7 +1,8 @@
 """Command-line front end: construction, conversion, and verification.
 
 Exit codes: 0 success (corrected findings included), 1 domain error,
-failed verification or stdout closed early, 2 usage error.  JSON output is schema-stable and
+failed verification, a ``verify`` worker that died or stdout closed
+early, 2 usage error.  JSON output is schema-stable and
 byte-identical across runs with the same seed.  ``verify`` is always
 exact.  A check it reports as ``skipped`` examined nothing; one reported
 as ``pass-corrected`` held on every sample, on some only in the corrected
@@ -135,7 +136,15 @@ def cmd_verify(args) -> int:
         print(f"--n-max must be in 2..{FRAME_LIMIT}, got {args.n_max}",
               file=sys.stderr)
         return USAGE_ERROR
-    report = verify.run_suite(name, n_max=args.n_max, seed=args.seed)
+    try:
+        report = verify.run_suite(name, n_max=args.n_max, seed=args.seed)
+    except RuntimeError as exc:
+        # Imported only on failure: single suites never load the pool.
+        from concurrent.futures.process import BrokenProcessPool
+        if not isinstance(exc, BrokenProcessPool):
+            raise
+        print(f"verify: a suite worker died: {exc}", file=sys.stderr)
+        return DOMAIN_ERROR
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:

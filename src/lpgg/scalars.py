@@ -276,12 +276,6 @@ class Radical:
             return NotImplemented
         return self + (-other)
 
-    def __rsub__(self, other):
-        other = self._coerced(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
     def __mul__(self, other):
         other = self._coerced(other)
         if other is None:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from lpgg import verify
 from lpgg.cli import main
 
 
@@ -158,6 +160,15 @@ def test_verify_all_report_is_pinned(capsys):
     )
     statuses = [c["status"] for c in json.loads(out)["checks"]]
     assert (statuses.count("pass"), statuses.count("pass-corrected")) == (53, 23)
+
+
+def test_verify_all_exits_1_when_a_suite_worker_dies(capsys, monkeypatch):
+    # Forked workers inherit the patch, so the core suite's worker exits.
+    monkeypatch.setitem(verify.SUITE_FUNCTIONS, "core", lambda **_: os._exit(3))
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n-max", "2")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert multiprocessing.active_children() == []
 
 
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -33,6 +34,16 @@ def test_run_all_merges_and_prefixes():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "f9886965ba1a8712911c97d0098b93cf5cd442730564ae6b4caf38aa3003e900"
     )
+
+
+@pytest.mark.parametrize("seed", [1, 7, 2024])
+@pytest.mark.parametrize("n_max", [4, verify.DEFAULT_N_MAX])
+def test_all_in_workers_equals_the_suites_in_order(n_max, seed):
+    report = verify.run_suite("all", n_max=n_max, seed=seed)
+    assert multiprocessing.active_children() == []
+    in_order = verify.merge_reports("all", seed, [
+        verify.run_suite(suite, n_max=n_max, seed=seed) for suite in verify.SUITES])
+    assert report.to_json() == in_order.to_json()
 
 
 def statuses(report):
@@ -200,25 +211,38 @@ def test_range_claims_follow_n_max():
         assert default == verify.DEFAULT_N_MAX, suite.__name__
 
 
-def test_spectral_suite_does_not_import_numpy():
+def fresh_interpreter(code):
+    """Standard output of ``code`` run by a new interpreter that imports this lpgg."""
     src = os.path.dirname(os.path.dirname(lpgg.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p
-    )
-    code = (
-        "import sys\n"
-        "from lpgg import verify\n"
-        "report = verify.run_suite('spectral')\n"
-        "assert not report.failed\n"
-        "print('numpy' in sys.modules)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_spectral_suite_does_not_import_numpy():
+    assert fresh_interpreter(
+        "import sys\n"
+        "from lpgg import verify\n"
+        "report = verify.run_suite('spectral')\n"
+        "assert not report.failed\n"
+        "print('numpy' in sys.modules)\n"
+    ) == "False"
+
+
+def test_importing_verify_loads_no_pool_module():
+    # The worker pool of run_suite("all") is imported when first used.
+    assert fresh_interpreter(
+        "import sys\n"
+        "import lpgg.verify\n"
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])\n"
+    ) == "[]"
 
 
 def test_unknown_suite_raises():
