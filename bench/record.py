@@ -11,10 +11,17 @@ per-layer metrics).  The row it appends to ``--out`` (a JSON list, created
 when missing) holds the label, the host record that ``run.py`` prints on
 the line before (commit, ``src/lpgg`` line count and digest, runtime
 dependencies, ``nproc`` and Python version), whether ``src/`` differs
-from that commit, the result line of every workload, and under
-``suites_in_process`` the per-layer metrics of the seven suites traced in
-this process (see :func:`trace_suites`).  ``--smoke`` makes each
-``run.py`` run tiny, to check that the recorder still works.
+from that commit, the result line of every workload, and:
+
+- ``suites_in_process``: the per-layer metrics of the seven suites traced
+  in this process (see :func:`trace_suites`);
+- ``kernel_in_process``: untraced single-product times (see
+  :func:`time_kernel`);
+- ``samples_total``: the samples that the checks of the seed-2024 report
+  examine, counted by ``tests/test_evidence.py`` (which needs pytest).
+
+``--smoke`` makes each ``run.py`` run tiny and times the kernel at p+q = 7
+only, to check that the recorder still works.
 """
 
 from __future__ import annotations
@@ -22,13 +29,63 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
+EVIDENCE = ROOT / "tests" / "test_evidence.py"
 SEED = 1
+KERNEL_SIGNATURES = ((3, 4), (4, 4), (4, 5))
+KERNEL_REPEATS = 5
+
+
+def load(path: Path, name: str):
+    """A module loaded by path, left unchanged."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def time_kernel(smoke: bool) -> dict:
+    """Min-of-``KERNEL_REPEATS`` ms of one dense wedge, dot and geometric
+    product per signature and float backend, seeded, with no tracer.
+
+    The perfbench tracer wraps ``keep``, so every traced wedge and dot
+    takes the kernel's grade filter; these rows time the routes that
+    untraced calls take.
+    """
+    from lpgg import Algebra
+
+    rng = random.Random(SEED)
+    out = {}
+    for p, q in KERNEL_SIGNATURES[:1] if smoke else KERNEL_SIGNATURES:
+        algebra = Algebra(p, q)
+        for backend in ("approx", "complex"):
+            x, y = (algebra.multivector({
+                b: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                if backend == "complex" else rng.uniform(-1, 1)
+                for b in range(algebra.dim)}, backend) for _ in range(2))
+            for name in ("wedge", "dot", "geometric"):
+                times = []
+                for _ in range(KERNEL_REPEATS):
+                    start = time.perf_counter()
+                    getattr(x, name)(y)
+                    times.append(time.perf_counter() - start)
+                out[f"G({p},{q}) {backend} {name}"] = round(min(times) * 1e3, 3)
+    return out
+
+
+def samples_total() -> int:
+    """The samples of the evidence test's seed-2024 table at the default n_max."""
+    from lpgg import DEFAULT_N_MAX
+
+    evidence = load(EVIDENCE, "lpgg_evidence_test").evidence
+    return sum(samples for samples, _ in evidence(DEFAULT_N_MAX).values())
 
 
 def run_workload(name: str, smoke: bool) -> tuple[dict, dict]:
@@ -56,12 +113,9 @@ def trace_suites(per_layer: list[dict]) -> dict:
     from ``perfbench/tracer.py`` and left unchanged, and the merged report
     is serialized as the CLI does.
     """
-    sys.path.insert(0, str(ROOT / "src"))
     from lpgg import SUITES, verify
 
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = load(TRACER, "perfbench_tracer")
     with tracing.Tracer() as tracer:
         reports = [verify.run_suite(suite, seed=SEED) for suite in SUITES]
         json.dumps(verify.merge_reports("all", SEED, reports).to_json(),
@@ -89,9 +143,12 @@ def main(argv=None) -> int:
     host, results = None, {}
     for name in (w["name"] for w in benchmark["workloads"]):
         host, results[name] = run_workload(name, args.smoke)
+    sys.path.insert(0, str(ROOT / "src"))  # this checkout's lpgg, in process
     row = {"label": args.label, "seed": SEED, "smoke": args.smoke, "host": host,
            "src_modified": src_modified(), "workloads": results,
-           "suites_in_process": trace_suites(benchmark["per_layer"])}
+           "kernel_in_process": time_kernel(args.smoke),
+           "suites_in_process": trace_suites(benchmark["per_layer"]),
+           "samples_total": samples_total()}
     rows = json.loads(args.out.read_text()) if args.out.exists() else []
     rows.append(row)
     args.out.write_text(json.dumps(rows, indent=1, sort_keys=True) + "\n")

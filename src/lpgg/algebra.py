@@ -279,6 +279,62 @@ def _check_compatible(algebra: Algebra, backend: str, mv: "Multivector"):
         raise BackendMismatchError(f"mixed backends {backend!r} and {mv.backend!r}")
 
 
+def _wedge_keep(ga: int, gb: int, gout: int) -> bool:
+    return gout == ga + gb
+
+
+def _dot_keep(ga: int, gb: int, gout: int) -> bool:
+    return gout == abs(ga - gb)
+
+
+def _submasks(m: int, memo: dict) -> list:
+    """The submasks of ``m`` in ascending order, built by doubling: those
+    of ``m`` without its top bit, then each of them with it.  ``memo``
+    holds the lists built so far and starts as ``{0: [0]}``."""
+    subs = memo.get(m)
+    if subs is None:
+        top = 1 << (m.bit_length() - 1)
+        low = _submasks(m ^ top, memo)
+        subs = memo[m] = low + [s | top for s in low]
+    return subs
+
+
+def _rows_by_blade(rows: list, dim: int, exact: bool):
+    """A list indexed by blade that holds the blade's tuple of exact rows,
+    or its one float row (None for an absent blade); None unless the
+    blades of ``rows`` ascend."""
+    by_blade = [()] * dim if exact else [None] * dim
+    last = -1
+    for row in rows:
+        b = row[0]
+        if b < last:
+            return None
+        if exact:
+            by_blade[b] += (row,)
+        else:
+            by_blade[b] = row
+        last = b
+    return by_blade
+
+
+def _subset_rows(a: int, wedge: bool, by_blade: list, memo: dict, exact: bool) -> list:
+    """The rows of ``by_blade`` that a wedge (``b`` inside ``~a``) or a dot
+    (``b`` inside ``a``, then ``a`` inside ``b``) keeps for left blade
+    ``a``, in ascending blade order."""
+    outside = _submasks((len(by_blade) - 1) ^ a, memo)
+    if exact:
+        if wedge:
+            return [row for s in outside for row in by_blade[s]]
+        rows = [row for s in _submasks(a, memo) for row in by_blade[s]]
+        rows += [row for s in outside[1:] for row in by_blade[a | s]]
+        return rows
+    if wedge:
+        return [row for s in outside if (row := by_blade[s])]
+    rows = [row for s in _submasks(a, memo) if (row := by_blade[s])]
+    rows += [row for s in outside[1:] if (row := by_blade[a | s])]
+    return rows
+
+
 class Multivector:
     """Immutable element of G(p,q) over one scalar backend.
 
@@ -404,6 +460,17 @@ class Multivector:
         the remaining rows ``b`` whose ``(a & b).bit_count()`` is kept.
         The rows keep their order, so every output blade sums its terms,
         and the result lists its blades, as a per-pair filter would.
+
+        Wedge and dot pass ``_wedge_keep`` and ``_dot_keep``, which keep
+        known right blades: the submasks of ``~a`` for a wedge, the
+        submasks and the supermasks of ``a`` for a dot.  A left grade
+        reads them from ascending submask lists (``_submasks``, built per
+        product), not through the filter, when the right blades ascend
+        and there are fewer of them, 2^(n-|a|) for a wedge and
+        2^|a| + 2^(n-|a|) - 1 for a dot, than right blades.  Each left
+        blade then visits its kept rows in the right operand's own order,
+        so the sums and the blade order are the filter's.  The route is
+        chosen once per left grade.
         """
         algebra = self.algebra
         right = other._coeffs
@@ -418,7 +485,11 @@ class Multivector:
         if keep is not None:
             n = algebra.n_generators
             grades_b = {b.bit_count() for b in right}
-            rows_for_grade = {}  # left grade -> [(row, kept overlaps)]
+            # left grade -> [(row, kept overlaps)], or True on the submask route
+            rows_for_grade = {}
+            wedge = keep is _wedge_keep
+            subsets = wedge or keep is _dot_keep  # the submask route is open
+            by_blade = None  # built when the first left grade takes the route
         gcd = math.gcd
         parity = _PARITY
         for a, terms_a in self._coeffs.items():
@@ -428,14 +499,26 @@ class Multivector:
                 ga = a.bit_count()
                 candidates = rows_for_grade.get(ga)
                 if candidates is None:
-                    overlaps = {gb: {k for k in range(max(0, ga + gb - n), min(ga, gb) + 1)
-                                     if keep(ga, gb, ga + gb - 2 * k)}
-                                for gb in grades_b}
-                    candidates = rows_for_grade[ga] = [
-                        (row, kept) for row in rows_b
-                        if (kept := overlaps[row[0].bit_count()])]
-                rows = [row for row, kept in candidates
-                        if (a & row[0]).bit_count() in kept]
+                    route = subsets and (
+                        (1 << (n - ga)) + (0 if wedge else (1 << ga) - 1) < len(right))
+                    if route and by_blade is None:
+                        by_blade = _rows_by_blade(rows_b, algebra.dim, exact)
+                        subsets = route = by_blade is not None
+                        submasks = {0: [0]}
+                    if route:
+                        candidates = True
+                    else:
+                        overlaps = {gb: {k for k in range(max(0, ga + gb - n), min(ga, gb) + 1)
+                                         if keep(ga, gb, ga + gb - 2 * k)}
+                                    for gb in grades_b}
+                        candidates = [(row, kept) for row in rows_b
+                                      if (kept := overlaps[row[0].bit_count()])]
+                    rows_for_grade[ga] = candidates
+                if candidates is True:
+                    rows = _subset_rows(a, wedge, by_blade, submasks, exact)
+                else:
+                    rows = [row for row, kept in candidates
+                            if (a & row[0]).bit_count() in kept]
             if not exact:
                 c1 = terms_a[1]
                 for b, c2 in rows:
@@ -478,12 +561,12 @@ class Multivector:
     def wedge(self, other: "Multivector") -> "Multivector":
         """Outer product: grade r+s part per blade pair."""
         _check_compatible(self.algebra, self.backend, other)
-        return self._product(other, keep=lambda ga, gb, gout: gout == ga + gb)
+        return self._product(other, keep=_wedge_keep)
 
     def dot(self, other: "Multivector") -> "Multivector":
         """Grade |r-s| part per blade pair (general inputs grade-by-grade)."""
         _check_compatible(self.algebra, self.backend, other)
-        return self._product(other, keep=lambda ga, gb, gout: gout == abs(ga - gb))
+        return self._product(other, keep=_dot_keep)
 
     # -- involutions and projections ------------------------------------------------
 

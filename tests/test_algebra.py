@@ -14,7 +14,8 @@ from lpgg import (
     Radical,
     wedge_list,
 )
-from lpgg.algebra import DIMENSION_LIMIT, combination
+from lpgg import algebra as algebra_module
+from lpgg.algebra import DIMENSION_LIMIT, Multivector, combination
 from lpgg.scalars import coerce
 
 
@@ -584,6 +585,129 @@ def test_keep_is_asked_once_per_grade_triple(name):
     result = x._product(y, keep)
     assert calls and max(calls.values()) == 1
     assert result == filtered_product(x, y, name)
+
+
+@pytest.fixture
+def submask_grades(monkeypatch):
+    """The left grades that take the submask route of wedge and dot, as a
+    set that each product adds to."""
+    grades = set()
+    subset_rows = algebra_module._subset_rows
+
+    def spy(a, *args):
+        grades.add(a.bit_count())
+        return subset_rows(a, *args)
+
+    monkeypatch.setattr(algebra_module, "_subset_rows", spy)
+    return grades
+
+
+def assert_matches_reference(x, y, name):
+    """``x.name(y)`` against the per-pair loop, bit for bit and in blade order."""
+    result = getattr(x, name)(y)
+    expected = reference_product(x, y, PRODUCTS[name])
+    assert list(result.coefficients()) == list(expected), name
+    assert bitwise(result.coefficients()) == bitwise(expected), name
+    assert_normal_form(result)
+
+
+def reordered(mv, blades):
+    """``mv`` with its blades stored in the order of ``blades``."""
+    return Multivector(mv.algebra, {b: mv._coeffs[b] for b in blades}, mv.backend, mv._den)
+
+
+@pytest.mark.parametrize("p,q,backend", [
+    (3, 4, "approx"), (3, 4, "complex"), (2, 3, "exact"),
+])
+def test_dense_wedge_and_dot_route_by_right_blade_order(p, q, backend, submask_grades):
+    """Dense operands: right blades in ascending order send some left
+    grades to the submask route; shuffled, every grade keeps the grade
+    filter, so the sums still run in the right operand's own order."""
+    algebra = Algebra(p, q)
+    rng = random.Random(11 * p + q)
+    x, y = dense_mv(algebra, rng, backend), dense_mv(algebra, rng, backend)
+    if backend == "exact":
+        assert max(len(terms) for terms in y._coeffs.values()) >= 3
+    blades = list(y._coeffs)
+    rng.shuffle(blades)
+    for name in ("wedge", "dot"):
+        submask_grades.clear()
+        assert_matches_reference(x, y, name)
+        assert submask_grades, name
+        submask_grades.clear()
+        assert_matches_reference(x, reordered(y, blades), name)
+        assert not submask_grades, name
+
+
+@pytest.mark.parametrize("backend", ["exact", "approx", "complex"])
+@pytest.mark.parametrize("n", [7, 8, 9])
+def test_sparse_wedge_and_dot_split_left_grades_between_routes(n, backend, submask_grades):
+    """Sparse operands at p+q = 7..9: the high left grades of a wedge and
+    the middle ones of a dot take submasks, the others the grade filter."""
+    algebra = Algebra(n // 2, n - n // 2)
+    rng = random.Random(n)
+
+    def sparse_mv(blades):
+        coeffs = {}
+        for b in blades:
+            while not (value := random_coefficient(rng, backend)):
+                pass
+            coeffs[b] = value
+        return algebra.multivector(coeffs, backend)
+
+    x = sparse_mv(rng.sample(range(algebra.dim), 30))
+    y = sparse_mv(sorted(rng.sample(range(algebra.dim), 60)))
+    left_grades = x.grades()
+    for name in ("wedge", "dot"):
+        submask_grades.clear()
+        assert_matches_reference(x, y, name)
+        assert submask_grades and left_grades - submask_grades, name
+
+
+@st.composite
+def wedge_dot_operands(draw):
+    """Two operands of random density, stored in ascending, descending or
+    random blade order."""
+    n = draw(st.integers(0, 7))
+    p = draw(st.integers(0, n))
+    algebra = Algebra(p, n - p)
+    backend = draw(st.sampled_from(["exact", "approx", "complex"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    operands = []
+    for _ in range(2):
+        density = draw(st.floats(0, 1))
+        coeffs = {b: random_coefficient(rng, backend)
+                  for b in range(algebra.dim) if rng.random() < density}
+        blades = list(coeffs)
+        order = draw(st.sampled_from(["ascending", "descending", "random"]))
+        if order == "descending":
+            blades.reverse()
+        elif order == "random":
+            rng.shuffle(blades)
+        operands.append(algebra.multivector({b: coeffs[b] for b in blades}, backend))
+    return operands
+
+
+@settings(max_examples=80, deadline=None)
+@given(wedge_dot_operands())
+def test_wedge_and_dot_match_per_pair_reference_at_any_density_and_order(operands):
+    x, y = operands
+    for name in ("wedge", "dot"):
+        assert_matches_reference(x, y, name)
+
+
+def test_dense_wedge_and_dot_leave_the_module_containers_unchanged():
+    def sizes():
+        return {name: len(value) for name, value in vars(algebra_module).items()
+                if isinstance(value, (dict, list, set, tuple, bytes))}
+
+    algebra = Algebra(4, 4)
+    rng = random.Random(3)
+    x, y = dense_mv(algebra, rng, "approx"), dense_mv(algebra, rng, "approx")
+    before = sizes()
+    x.wedge(y)
+    x.dot(y)
+    assert sizes() == before
 
 
 def test_complex_signed_zero_survives_sums_scaling_and_products():
