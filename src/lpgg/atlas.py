@@ -117,17 +117,11 @@ def _pair_sign_product(algebra: Algebra) -> int:
     return product
 
 
-def periodicity_classes(max_total: int = ATLAS_LIMIT) -> dict[int, int]:
-    """Sign keyed by (p-q) mod 8, verified constant across signatures."""
-    classes: dict[int, int] = {}
+def periodicity_classes(max_total: int = ATLAS_LIMIT) -> dict[int, set[int]]:
+    """The square signs of every signature p+q <= max_total, keyed by (p-q) mod 8."""
+    classes: dict[int, set[int]] = {}
     for total in range(1, max_total + 1):
         for p in range(total + 1):
             q = total - p
-            sign = pseudoscalar_square_sign(p, q)
-            key = (p - q) % 8
-            if key in classes and classes[key] != sign:
-                raise ArithmeticError(
-                    f"sign at (p,q)=({p},{q}) breaks the (p-q) mod 8 pattern"
-                )
-            classes.setdefault(key, sign)
+            classes.setdefault((p - q) % 8, set()).add(pseudoscalar_square_sign(p, q))
     return classes

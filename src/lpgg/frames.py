@@ -230,15 +230,13 @@ def reciprocal_frame(frame: NullFrame) -> list[Multivector]:
 # -- pseudoscalar relation ---------------------------------------------------------
 
 
-def pseudoscalar_relation(frame: NullFrame):
-    """Standard pseudoscalar vs -(sqrt 2)^(n+1)/sqrt(n) times the frame wedge."""
+def pseudoscalar_relation(frame: NullFrame) -> Multivector:
+    """-(sqrt 2)^(n+1)/sqrt(n) a_1^...^a_{n+1}, stated to be e1 f1..fn."""
     if frame.sign < 0:
         raise ValueError("stated for positively correlated frames")
     n = frame.n
-    lhs = frame.algebra.pseudoscalar()
     factor = -Radical.sqrt(Fraction(2 ** (n + 1), n))
-    rhs = wedge_list(list(frame.vectors)) * factor
-    return lhs, rhs, lhs == rhs
+    return wedge_list(list(frame.vectors)) * factor
 
 
 # -- canonical null products ----------------------------------------------------------

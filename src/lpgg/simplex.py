@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .algebra import AlgebraError, Multivector, combination, wedge_list
+from .algebra import Multivector, combination, wedge_list
 from .calculus import DiffOperator
 from .frames import NullFrame, dual_sum, vector_from_null_coordinates
 from .scalars import APPROX, EXACT, Radical, backend_of, coerce, is_zero
@@ -186,23 +186,10 @@ def content_vertices(matrix: SimplicialMatrix):
 
 
 def content_null(frame: NullFrame) -> Multivector:
-    """(1/n!) (a_2-a_1)^...^(a_{n+1}-a_1), cross-checked two ways.
-
-    The alternating dual-sum expansion must be proportional, and with
-    the same 1/n! normalization equal; a mismatch raises.
-    """
-    n = frame.n
+    """(1/n!) (a_2-a_1)^...^(a_{n+1}-a_1), the content of the null simplex."""
     first = frame.vectors[0]
-    diffs = [a - first for a in frame.vectors[1:]]
-    product_form = wedge_list(diffs) * Fraction(1, math.factorial(n))
-
-    alternating = combination(frame.algebra, (
-        (wedge_list(frame.vectors[:i] + frame.vectors[i + 1:]), (-1) ** i)
-        for i in range(frame.size))) * Fraction(1, math.factorial(n))
-
-    if product_form != alternating:
-        raise AlgebraError("content forms disagree; check the frame")
-    return product_form
+    return wedge_list([a - first for a in frame.vectors[1:]]) * Fraction(
+        1, math.factorial(frame.n))
 
 
 def content_point_wedge(frame: NullFrame, point: SimplexPoint) -> Multivector:
@@ -229,31 +216,14 @@ def is_closed(matrix: SimplicialMatrix) -> bool:
 
 
 def order(matrix: SimplicialMatrix) -> int:
-    """Largest count of linearly independent vertices.
-
-    Greedy wedge accumulation, cross-checked against the exact rank of
-    the coordinate matrix when the entries are rational.
-    """
-    vertices = matrix.vertices()
+    """Largest count of linearly independent vertices, by greedy wedging."""
     result = 0
     current = None
-    for v in vertices:
+    for v in matrix.vertices():
         candidate = v if current is None else current.wedge(v)
         if not candidate.is_zero():
             current = candidate
             result += 1
-    rational = all(
-        isinstance(value, (int, Fraction))
-        or (isinstance(value, Radical) and value.is_rational())
-        for row in matrix.rows
-        for value in row
-    )
-    if rational:
-        exact = linalg.rank(matrix.rows)
-        if exact != result:
-            raise AlgebraError(
-                f"wedge order {result} disagrees with matrix rank {exact}"
-            )
     return result
 
 

@@ -30,19 +30,23 @@ from .scalars import EXACT, Radical, is_zero
 from .textform import format_multivector
 
 
+def _rational(rng: random.Random) -> Fraction:
+    """A random p/q with p in -9..9 and q in 1..9."""
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+
+
 def random_multivector(algebra: Algebra, rng: random.Random,
                        terms=5) -> Multivector:
     coeffs = {}
     for _ in range(terms):
-        value = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        value = _rational(rng)
         coeffs[rng.randrange(algebra.dim)] = value
     return algebra.multivector(coeffs)
 
 
 def random_vector(vectors, rng: random.Random) -> Multivector:
     """A random rational combination of the given grade-1 vectors."""
-    return combination(vectors[0].algebra, [
-        (a, Fraction(rng.randint(-9, 9), rng.randint(1, 9))) for a in vectors])
+    return combination(vectors[0].algebra, [(a, _rational(rng)) for a in vectors])
 
 
 def _sizes(n_max: int, lo: int = 2, hi: int = frames.FRAME_LIMIT) -> range:
@@ -67,14 +71,15 @@ def suite_core(n_max: int = DEFAULT_N_MAX,
     totals = _sizes(n_max, 0, 4)
     signatures = [(p, total - p) for total in totals for p in range(total + 1)]
 
+    draws = 200
     with report.check(
         "associativity",
-        "(uv)w = u(vw) on 200 random multivectors per signature, "
+        f"(uv)w = u(vw) on {draws} random multivectors per signature, "
         f"p+q <= {totals.stop - 1}",
     ) as check:
         for p, q in signatures:
             algebra = Algebra(p, q)
-            for _ in range(200):
+            for _ in range(draws):
                 u = random_multivector(algebra, rng)
                 v = random_multivector(algebra, rng)
                 w = random_multivector(algebra, rng)
@@ -105,14 +110,15 @@ def suite_core(n_max: int = DEFAULT_N_MAX,
                 v = random_vector(generators, rng)
                 check(u * v == u.dot(v) + u.wedge(v), f"G({p},{q})")
 
+    tolerance = 1e-15
     with report.check(
         "radical-arithmetic",
-        "(sqrt2*sqrt3)*sqrt6 = 6 exactly; float round-trip within 1e-15",
+        f"(sqrt2*sqrt3)*sqrt6 = 6 exactly; float round-trip within {tolerance}",
     ) as check:
         r = (Radical.sqrt(2) * Radical.sqrt(3)) * Radical.sqrt(6)
         check(r == Radical(6), f"product {r}")
         sample = Radical(Fraction(3, 7)) + Radical.sqrt(5) * Fraction(2, 3)
-        check(abs(float(sample) - (3 / 7 + 2 / 3 * 5**0.5)) < 1e-15,
+        check(abs(float(sample) - (3 / 7 + 2 / 3 * 5**0.5)) < tolerance,
               f"float {float(sample)!r}")
 
     with report.check("reverse-antiautomorphism",
@@ -239,11 +245,7 @@ def suite_frame(n_max: int = DEFAULT_N_MAX,
         "standard -> null -> standard coordinates is the identity",
     ) as check:
         for fr in _frames(n_max):
-            rows = [
-                tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                      for _ in range(fr.size))
-                for _ in range(5)
-            ]
+            rows = [tuple(_rational(rng) for _ in range(fr.size)) for _ in range(5)]
             for row in rows:
                 s = frames.CoordinateRow(row, "standard")
                 x = frames.to_null_coordinates(fr, s)
@@ -292,11 +294,11 @@ def suite_frame(n_max: int = DEFAULT_N_MAX,
         + ("; the n = 2 case is -2 a1^a2^a3" if top >= 3 else ""),
     ) as check:
         for fr in _frames(n_max):
-            _, _, matches = frames.pseudoscalar_relation(fr)
-            check(matches, f"size {fr.size}")
+            check(fr.algebra.pseudoscalar() == frames.pseudoscalar_relation(fr),
+                  f"size {fr.size}")
         for fr3 in _frames(n_max, 3, 3):
-            lhs, _, _ = frames.pseudoscalar_relation(fr3)
-            check(lhs == frames.wedge_list(list(fr3.vectors)) * (-2), "n = 2")
+            check(fr3.algebra.pseudoscalar()
+                  == frames.wedge_list(list(fr3.vectors)) * (-2), "n = 2")
 
     with report.check(
         "canonical-basis-invertible",
@@ -354,9 +356,9 @@ def suite_star(n_max: int = DEFAULT_N_MAX,
     rng = random.Random(seed)
     report = VerificationReport("star", seed)
 
-    sizes = _sizes(n_max, hi=4)
+    sizes, per_size = _sizes(n_max, hi=4), 40
     with report.check_group(
-        ("involution", f"(g*)* = g for all k, {40 * len(sizes)} random elements"),
+        ("involution", f"(g*)* = g for all k, {per_size * len(sizes)} random elements"),
         ("homomorphism", "(gh)* = g* h* exactly"),
         ("contraction-normalization",
          "the all-ones contraction of [g] equals ((n+1)n/2) g*",
@@ -367,7 +369,7 @@ def suite_star(n_max: int = DEFAULT_N_MAX,
     ) as (involution, homomorphism, contraction, mediated):
         for size in sizes:
             fr = frames.build_null_frame(size, 1)
-            for sample in range(40):
+            for sample in range(per_size):
                 where = f"size {size}, sample {sample}"
                 g = random_multivector(fr.algebra, rng)
                 h = random_multivector(fr.algebra, rng)
@@ -378,10 +380,11 @@ def suite_star(n_max: int = DEFAULT_N_MAX,
                              star.star(fr, g) * star.star(fr, h), where)
                 am = star.a_matrix(fr, g)
                 contraction(am.contraction_as_star() == star.star(fr, g), where)
-                mp = star.mediated_product_check(fr, g, h)
-                mediated(mp.normalized_matches, where)
-                if size > 2 and not (g * h).is_zero():
-                    mediated(not mp.raw_matches, f"raw product, {where}")
+                gh = g * h
+                raw = star.mediated_product(fr, g, h)
+                mediated(raw * star.star_normalization(fr) ** 2 == gh, where)
+                if size > 2 and not gh.is_zero():
+                    mediated(raw != gh, f"raw product, {where}")
 
     with report.check(
         "a-matrix-diagonal",
@@ -415,11 +418,7 @@ def suite_star(n_max: int = DEFAULT_N_MAX,
             ident = [[int(i == j) for j in range(3)] for i in range(3)]
             check(star.from_coefficient_matrix(fr3, ident).is_zero(), "identity")
             for sample in range(20):
-                mat = [
-                    [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                     for _ in range(3)]
-                    for _ in range(3)
-                ]
+                mat = [[_rational(rng) for _ in range(3)] for _ in range(3)]
                 check(star.from_coefficient_matrix(fr3, mat).grades() <= {0, 2},
                       f"random sample {sample}")
     return report
@@ -582,21 +581,21 @@ def suite_spectral(n_max: int = DEFAULT_N_MAX,
     report = VerificationReport("spectral", seed)
     fr2s, fr3s = list(_frames(n_max, 2, 2)), list(_frames(n_max, 3, 3))
 
+    triples = 100
     with report.check_group(
         ("wedge-endo-eigenvalues",
          "f(a1) = det a1 and f(a2) = -det a2 with det = v11 v22 - v12 v21",
          "the stated determinant matrix repeats v12 where v21 belongs; "
          "the expansion 2((x.v2)v1 - (x.v1)v2) forces v21"),
         ("cayley-grassmann",
-         "f(f(x)) - 2(f(x).v2)v1 + 2(f(x).v1)v2 = 0 on 100 random triples"),
+         f"f(f(x)) - 2(f(x).v2)v1 + 2(f(x).v1)v2 = 0 on {triples} random triples"),
         ("projective-reconstruction",
          "x is recovered from its two wedge ratios when v1^v2 != 0"),
     ) as (eigen, residual, projective):
         for fr2 in fr2s:
             a1, a2 = fr2.vectors
-            for sample in range(100):
-                c = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                     for _ in range(4)]
+            for sample in range(triples):
+                c = [_rational(rng) for _ in range(4)]
                 v1 = a1 * c[0] + a2 * c[1]
                 v2 = a1 * c[2] + a2 * c[3]
                 det = spectral.coefficient_determinant((c[0], c[1]), (c[2], c[3]))
@@ -623,8 +622,7 @@ def suite_spectral(n_max: int = DEFAULT_N_MAX,
             g12 = fr3.algebra
             i_ps = g12.e(1) * g12.f(1) * g12.f(2)
             for _ in range(30):
-                coords = [Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-                          for _ in range(3)]
+                coords = [_rational(rng) for _ in range(3)]
                 x = frames.vector_from_null_coordinates(fr3, coords)
                 fx = spectral.pseudoscalar_endo_3d(fr3, x)
                 where = f"null coordinates {coords}"
@@ -662,9 +660,10 @@ def suite_spectral(n_max: int = DEFAULT_N_MAX,
             pauli.details = (f"computed ({format_multivector(halves[0] * halves[0])}); "
                              "square 1 needs the factor 2 a_i^a_j instead")
 
+    operators = 100
     with report.check(
         "spectral-idempotents",
-        "p1+p2 = 1, p1 p2 = 0, p_i^2 = p_i, G = r- p1 + r+ p2 on 100 "
+        f"p1+p2 = 1, p1 p2 = 0, p_i^2 = p_i, G = r- p1 + r+ p2 on {operators} "
         "non-degenerate operators",
         "discriminant needs the -2 g_i g_j cross terms",
     ) as check:
@@ -672,7 +671,7 @@ def suite_spectral(n_max: int = DEFAULT_N_MAX,
             corrected_count = 0
             complex_count = 0
             count = 0
-            while count < 100:
+            while count < operators:
                 coeffs = {}
                 for i in (1, 2, 3):
                     for j in (1, 2, 3):
@@ -724,18 +723,19 @@ def suite_spectral(n_max: int = DEFAULT_N_MAX,
             check(spectral.rep_g12(x) == [[5j, complex(2)], [complex(7), -5j]],
                   "x = (2, -3, 5)")
 
+    pairs = 100
     with report.check(
         "rep-homomorphism",
-        "rep(uv) = rep(u) rep(v) on 100 random pairs in G(1,1) and G(1,2)",
+        f"rep(uv) = rep(u) rep(v) on {pairs} random pairs in G(1,1) and G(1,2)",
     ) as check:
         for fr2 in fr2s:
-            for sample in range(100):
+            for sample in range(pairs):
                 u = random_multivector(fr2.algebra, rng, terms=4)
                 v = random_multivector(fr2.algebra, rng, terms=4)
                 prod = linalg.matmul(spectral.rep_g11(u), spectral.rep_g11(v))
                 check(prod == spectral.rep_g11(u * v), f"G(1,1) sample {sample}")
         for fr3 in fr3s:
-            for sample in range(100):
+            for sample in range(pairs):
                 u = random_multivector(fr3.algebra, rng, terms=5)
                 v = random_multivector(fr3.algebra, rng, terms=5)
                 prod = linalg.matmul(spectral.rep_g12(u), spectral.rep_g12(v))
@@ -802,21 +802,25 @@ def suite_simplex(n_max: int = DEFAULT_N_MAX,
     rng = random.Random(seed)
     report = VerificationReport("simplex", seed)
 
-    sizes = _sizes(n_max, hi=6)
+    sizes, per_size = _sizes(n_max, hi=6), 10
     with report.check_group(
         ("content-forms",
          "both content expressions agree with the 1/n! normalization"),
         ("barycentric-wedge",
-         f"x ^ content = (1/n!) full wedge on {10 * len(sizes)} barycentric "
+         f"x ^ content = (1/n!) full wedge on {per_size * len(sizes)} barycentric "
          "points"),
     ) as (content_forms, wedge):
         for size in sizes:
             fr = frames.build_null_frame(size, 1)
-            target = simplex.full_wedge(fr) * Fraction(
-                1, math.factorial(size - 1)
-            )
-            content_forms(not simplex.content_null(fr).is_zero(), f"size {size}")
-            for _ in range(10):
+            scale = Fraction(1, math.factorial(size - 1))
+            target = simplex.full_wedge(fr) * scale
+            content = simplex.content_null(fr)
+            alternating = combination(fr.algebra, (
+                (frames.wedge_list(fr.vectors[:i] + fr.vectors[i + 1:]), (-1) ** i)
+                for i in range(size))) * scale
+            content_forms(content == alternating and not content.is_zero(),
+                          f"size {size}")
+            for _ in range(per_size):
                 weights = [rng.randint(0, 9) for _ in range(size)]
                 if not sum(weights):
                     weights[0] = 1
@@ -1069,10 +1073,11 @@ def suite_atlas(n_max: int = DEFAULT_N_MAX,
     with report.check(
         "eightfold-periodicity",
         "the pseudoscalar square sign depends only on (p-q) mod 8, "
-        "exhaustively for p+q <= 10",
+        f"exhaustively for p+q <= {atlas_mod.ATLAS_LIMIT}",
     ) as check:
-        classes = atlas_mod.periodicity_classes(10)
-        check(len(classes) == 8, f"{len(classes)} classes")
+        classes = atlas_mod.periodicity_classes(atlas_mod.ATLAS_LIMIT)
+        check(len(classes) == 8 and all(len(signs) == 1 for signs in classes.values()),
+              f"{len(classes)} classes")
 
     with report.check(
         "pair-sign-products",

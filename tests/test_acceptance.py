@@ -93,10 +93,8 @@ def test_criterion_04_k_sum_squares():
 def test_criterion_05_pseudoscalar_relation():
     """Pseudoscalar change of basis for 1 <= n <= 7; exact."""
     for size in range(2, 9):
-        lhs, rhs, ok = frames.pseudoscalar_relation(
-            frames.build_null_frame(size, 1)
-        )
-        assert ok
+        fr = frames.build_null_frame(size, 1)
+        assert frames.pseudoscalar_relation(fr) == fr.algebra.pseudoscalar()
     fr3 = frames.build_null_frame(3, 1)
     g = fr3.algebra
     assert g.e(1) * g.f(1) * g.f(2) == \

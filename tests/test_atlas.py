@@ -60,7 +60,8 @@ def test_generator_sign_products():
 def test_eightfold_periodicity():
     classes = atlas.periodicity_classes(10)
     assert len(classes) == 8
+    assert all(len(signs) == 1 for signs in classes.values())
     # spot values straight from small signatures
-    assert classes[1] == atlas.pseudoscalar_square_sign(1, 0)
-    assert classes[7] == atlas.pseudoscalar_square_sign(0, 1)
-    assert classes[2] == atlas.pseudoscalar_square_sign(2, 0)
+    assert classes[1] == {atlas.pseudoscalar_square_sign(1, 0)}
+    assert classes[7] == {atlas.pseudoscalar_square_sign(0, 1)}
+    assert classes[2] == {atlas.pseudoscalar_square_sign(2, 0)}

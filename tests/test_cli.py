@@ -420,6 +420,22 @@ def test_simplex_vertices_inline(capsys):
     assert payload["vertices"]["degenerate"] is False
 
 
+def test_simplex_command_computes_no_matrix_rank(capsys, monkeypatch):
+    from lpgg import linalg
+
+    calls = []
+    real = linalg.rank
+    monkeypatch.setattr(linalg, "rank",
+                        lambda rows: calls.append(rows) or real(rows))
+    code, out, _ = run_cli(
+        capsys, "simplex", "--n", "4", "--vertices",
+        "1,0,0,0,0;0,1,0,0,0;1/2,1/2,0,0,0;0,0,0,0,1",
+    )
+    assert code == 0
+    assert json.loads(out)["vertices"]["order"] == 3
+    assert calls == []
+
+
 def test_simplex_vertices_file(capsys, tmp_path):
     path = tmp_path / "vertices.csv"
     path.write_text("1,-1,0\n0,1,-1\n-1,0,1\n")

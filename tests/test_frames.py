@@ -182,9 +182,7 @@ def test_reciprocal_frame_2():
 @pytest.mark.parametrize("size", range(2, 9))
 def test_pseudoscalar_relation(size):
     fr = frames.build_null_frame(size, 1)
-    lhs, rhs, ok = frames.pseudoscalar_relation(fr)
-    assert ok
-    assert lhs == fr.algebra.pseudoscalar()
+    assert frames.pseudoscalar_relation(fr) == fr.algebra.pseudoscalar()
 
 
 def test_pseudoscalar_relation_small_cases():

@@ -101,13 +101,12 @@ def test_mediated_product(size):
     fr = frames.build_null_frame(size, 1)
     for _ in range(25):
         g, h = random_mv(fr.algebra, rng), random_mv(fr.algebra, rng)
-        report = star.mediated_product_check(fr, g, h)
-        assert report.normalized_matches
+        raw = star.mediated_product(fr, g, h)
+        assert raw * star.star_normalization(fr) ** 2 == g * h
         if size > 2 and not (g * h).is_zero():
-            assert not report.raw_matches
+            assert raw != g * h
     zero = fr.algebra.zero()
-    report = star.mediated_product_check(fr, zero, zero)
-    assert report.raw_matches and report.normalized_matches
+    assert star.mediated_product(fr, zero, zero) == zero
 
 
 def test_from_coefficient_matrix_examples(fr3):

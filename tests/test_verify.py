@@ -173,6 +173,29 @@ def test_identity_failing_at_one_size_fails(monkeypatch):
     assert report.exit_code() == 1
 
 
+def test_wrong_content_fails_content_forms(monkeypatch):
+    real = simplex.content_null
+    monkeypatch.setattr(simplex, "content_null", lambda frame: real(frame) * 2)
+    report = verify.run_suite("simplex", n_max=4)
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["content-forms"].status == "fail"
+    assert by_name["content-forms"].details == "size 2"
+
+
+def test_two_signs_in_one_class_fail_periodicity(monkeypatch):
+    real = atlas.periodicity_classes
+
+    def mixed(max_total):
+        classes = real(max_total)
+        classes[0] = {1, -1}
+        return classes
+
+    monkeypatch.setattr(atlas, "periodicity_classes", mixed)
+    by_name = {c.name: c for c in verify.run_suite("atlas").checks}
+    assert by_name["eightfold-periodicity"].status == "fail"
+    assert by_name["eightfold-periodicity"].details == "8 classes"
+
+
 def test_wrong_dual_sum_oracle_fails_its_corrections(monkeypatch):
     def wrong(frame):
         return 7, -5
