@@ -18,10 +18,15 @@ from that commit, the result line of every workload, and:
 - ``kernel_in_process``: untraced single-product times (see
   :func:`time_kernel`);
 - ``samples_total``: the samples that the checks of the seed-2024 report
-  examine, counted by ``tests/test_evidence.py`` (which needs pytest).
+  examine, counted by ``tests/test_evidence.py`` (which needs pytest);
+- ``cli_closure``: per subcommand, the modules one CLI process loads
+  beyond a bare interpreter and the ``src/lpgg`` lines it compiles,
+  probed as ``tests/test_cli_imports.py`` does (see :func:`cli_closure`);
+- ``tier1_wall_s``: the wall time of one Tier-1 pytest run.
 
-``--smoke`` makes each ``run.py`` run tiny and times the kernel at p+q = 7
-only, to check that the recorder still works.
+``--smoke`` makes each ``run.py`` run tiny, times the kernel at p+q = 7
+only and skips the Tier-1 run (``tier1_wall_s`` is null), to check that
+the recorder still works.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import os
 import random
 import subprocess
 import sys
@@ -38,6 +44,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 EVIDENCE = ROOT / "tests" / "test_evidence.py"
+CLI_IMPORTS = ROOT / "tests" / "test_cli_imports.py"
+REFERENCES = ROOT / "perfbench" / "references.json"
+SRC = ROOT / "src"
 SEED = 1
 KERNEL_SIGNATURES = ((3, 4), (4, 4), (4, 5))
 KERNEL_REPEATS = 5
@@ -86,6 +95,40 @@ def samples_total() -> int:
 
     evidence = load(EVIDENCE, "lpgg_evidence_test").evidence
     return sum(samples for samples, _ in evidence(DEFAULT_N_MAX).values())
+
+
+def cli_closure() -> dict:
+    """For the first ``cli_pool`` argv of each subcommand in
+    ``perfbench/references.json`` (read only), the modules its process
+    loads beyond a bare interpreter started the same way, and the lines of
+    the ``src/lpgg`` modules among them, with the probe of
+    ``tests/test_cli_imports.py``.  Where ``PYTHONDONTWRITEBYTECODE`` is
+    set, a process compiles all of them."""
+    probe = load(CLI_IMPORTS, "lpgg_cli_imports_test")
+    bare = probe.modules_after(probe.BARE)
+    out = {}
+    for entry in json.loads(REFERENCES.read_text())["cli_pool"]:
+        argv = entry["argv"]
+        if argv[0] in out:
+            continue
+        extra = probe.modules_after(probe.PROBE, *argv) - bare
+        paths = [SRC / "lpgg" / ("__init__.py" if name == "lpgg" else name[5:] + ".py")
+                 for name in extra if name.split(".")[0] == "lpgg"]
+        out[argv[0]] = {"argv": argv, "modules": len(extra),
+                        "src_lines": sum(len(p.read_text().splitlines()) for p in paths)}
+    return out
+
+
+def tier1_wall_s() -> float:
+    """Seconds of one Tier-1 run, the command of ROADMAP.md."""
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                          cwd=ROOT, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, check=False)
+    elapsed = time.perf_counter() - start
+    if done.returncode != 0:
+        raise SystemExit(f"Tier-1 failed with exit code {done.returncode}:\n{done.stdout[-2000:]}")
+    return round(elapsed, 2)
 
 
 def run_workload(name: str, smoke: bool) -> tuple[dict, dict]:
@@ -143,12 +186,13 @@ def main(argv=None) -> int:
     host, results = None, {}
     for name in (w["name"] for w in benchmark["workloads"]):
         host, results[name] = run_workload(name, args.smoke)
-    sys.path.insert(0, str(ROOT / "src"))  # this checkout's lpgg, in process
+    sys.path.insert(0, str(SRC))  # this checkout's lpgg, in process
     row = {"label": args.label, "seed": SEED, "smoke": args.smoke, "host": host,
            "src_modified": src_modified(), "workloads": results,
            "kernel_in_process": time_kernel(args.smoke),
            "suites_in_process": trace_suites(benchmark["per_layer"]),
-           "samples_total": samples_total()}
+           "samples_total": samples_total(), "cli_closure": cli_closure(),
+           "tier1_wall_s": None if args.smoke else tier1_wall_s()}
     rows = json.loads(args.out.read_text()) if args.out.exists() else []
     rows.append(row)
     args.out.write_text(json.dumps(rows, indent=1, sort_keys=True) + "\n")

@@ -157,6 +157,10 @@ class Algebra:
             for blade, (terms, d) in converted.items()
         }, backend, den)
 
+    def _from_integers(self, numerators: dict, den: int) -> "Multivector":
+        """The exact ``{blade: int numerator} / den``, in normal form."""
+        return _normalized(self, {b: {1: c} for b, c in numerators.items()}, den, EXACT)
+
     def zero(self, backend: str = EXACT) -> "Multivector":
         return Multivector(self, {}, backend)
 

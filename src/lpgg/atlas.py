@@ -9,20 +9,13 @@ the all-negative one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import Algebra, DimensionLimitError
 
 ATLAS_LIMIT = 10
 
-
-@dataclass(frozen=True)
-class AtlasRow:
-    p: int
-    q: int
-    blade: str
-    square_sign: int
-    generator_sign_product: int
+AtlasRow = namedtuple("AtlasRow", "p q blade square_sign generator_sign_product")
 
 
 def pseudoscalar_square_sign(p: int, q: int) -> int:

@@ -8,14 +8,13 @@ exact.  A check it reports as ``skipped`` examined nothing; one reported
 as ``pass-corrected`` held on every sample, on some only in the corrected
 form its details state.  The coordinate text picks the backend of
 ``simplex --point``: ``1/3`` stays exact, ``0.25`` is a float.
-Each command imports the modules it runs in its own body, so a process
-loads only those.
+Each command imports the modules it runs in its own body, and only JSON
+output imports ``json``, so a process loads only those.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -27,6 +26,11 @@ from .scalars import InexactSqrtError
 
 USAGE_ERROR = 2
 DOMAIN_ERROR = 1
+
+
+def _print_json(payload):
+    import json
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _matrix_json(matrix):
@@ -70,7 +74,7 @@ def cmd_mult_table(args) -> int:
         "ok": table.ok,
     }
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
     else:
         print(f"pair product grid (n+1 = {size}, sign {args.sign}):")
         width = max(len(cell) for row in grid for cell in row)
@@ -105,7 +109,7 @@ def cmd_frame(args) -> int:
             "null_vectors": [format_multivector(a) for a in frame.vectors],
             "reciprocal_vectors": [format_multivector(r) for r in recip],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
     else:
         import csv
 
@@ -146,13 +150,15 @@ def cmd_verify(args) -> int:
         print(f"verify: a suite worker died: {exc}", file=sys.stderr)
         return DOMAIN_ERROR
     if args.format == "json":
-        print(json.dumps(report.to_json(), indent=2, sort_keys=True))
+        _print_json(report.to_json())
     else:
         print(report.render_text())
     return report.exit_code()
 
 
 def cmd_spectral(args) -> int:
+    import json
+
     from . import frames, spectral
     from .textform import format_multivector
     try:
@@ -192,7 +198,7 @@ def cmd_spectral(args) -> int:
         return DOMAIN_ERROR
     payload = decomposition.to_json()
     payload["element"] = format_multivector(op.element())
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _print_json(payload)
     return 0
 
 
@@ -262,7 +268,7 @@ def cmd_simplex(args) -> int:
         }
 
     payload["content"] = format_multivector(simplex.content_null(frame))
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _print_json(payload)
     return 0
 
 
@@ -298,7 +304,7 @@ def cmd_express(args) -> int:
     if args.a_matrix:
         from . import star
         payload["a_matrix"] = star.a_matrix(frame, mv).to_json()
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    _print_json(payload)
     return 0
 
 
@@ -324,7 +330,7 @@ def cmd_classify(args) -> int:
                 for row in data["rows"]
             ],
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _print_json(payload)
     elif args.format == "csv":
         import csv
 

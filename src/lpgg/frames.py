@@ -16,7 +16,7 @@ and a_{k+1} = (A_k - b_k/alpha_k)/(k-1), gives the rows of T.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import FRAME_LIMIT, linalg
@@ -26,24 +26,21 @@ from .scalars import EXACT, Radical, coerce
 CANONICAL_BASIS_LIMIT = 8
 
 
-@dataclass(frozen=True)
-class CoordinateRow:
+class CoordinateRow(namedtuple("CoordinateRow", "entries basis")):
     """A coordinate row vector, tagged with the basis it multiplies."""
 
-    entries: tuple
-    basis: str  # "standard" or "null"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.basis not in ("standard", "null"):
-            raise ValueError(f"unknown basis tag {self.basis!r}")
+    def __new__(cls, entries: tuple, basis: str):  # basis: "standard" or "null"
+        if basis not in ("standard", "null"):
+            raise ValueError(f"unknown basis tag {basis!r}")
+        return super().__new__(cls, entries, basis)
 
 
-@dataclass(frozen=True)
-class TableReport:
+class TableReport(namedtuple("TableReport", "checked violations", defaults=((),))):
     """Outcome of checking the 4x4 pair product grid for every i<j."""
 
-    checked: int
-    violations: tuple = ()
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 
 PASS = "pass"
 PASS_CORRECTED = "pass-corrected"
@@ -13,16 +12,14 @@ SKIPPED = "skipped"
 STATUSES = (PASS, PASS_CORRECTED, FAIL, SKIPPED)
 
 
-@dataclass
 class CheckResult:
-    name: str
-    claim: str
-    status: str
-    details: str = ""
-
-    def __post_init__(self):
-        if self.status not in STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
+    def __init__(self, name: str, claim: str, status: str, details: str = ""):
+        if status not in STATUSES:
+            raise ValueError(f"unknown status {status!r}")
+        self.name = name
+        self.claim = claim
+        self.status = status
+        self.details = details
 
     def to_json(self) -> dict:
         return {
@@ -82,11 +79,11 @@ class Check:
         return CheckResult(self.name, self.claim, status, details)
 
 
-@dataclass
 class VerificationReport:
-    suite: str
-    seed: int
-    checks: list[CheckResult] = field(default_factory=list)
+    def __init__(self, suite: str, seed: int, checks: list[CheckResult] | None = None):
+        self.suite = suite
+        self.seed = seed
+        self.checks = [] if checks is None else checks
 
     @contextmanager
     def check_group(self, *specs):

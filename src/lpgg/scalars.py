@@ -21,15 +21,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Union
 
 EXACT = "exact"
 APPROX = "approx"
 COMPLEX = "complex"
 
 BACKENDS = (EXACT, APPROX, COMPLEX)  # narrowest first
-
-RationalLike = Union[int, Fraction]
 
 # Relative/absolute tolerances for approx comparisons.  Double precision
 # leaves ample headroom for products with <= 2^12 blade terms.
@@ -169,7 +166,7 @@ class Radical:
 
     __slots__ = ("_terms", "_den")
 
-    def __init__(self, value: "Radical | RationalLike" = 0):
+    def __init__(self, value: "Radical | int | Fraction" = 0):
         if isinstance(value, Radical):
             self._terms, self._den = value._terms, value._den
         elif isinstance(value, int):
@@ -205,7 +202,7 @@ class Radical:
         return self
 
     @classmethod
-    def sqrt(cls, value: "Radical | RationalLike") -> "Radical":
+    def sqrt(cls, value: "Radical | int | Fraction") -> "Radical":
         """Exact square root of a nonnegative rational-valued scalar."""
         if isinstance(value, Radical):
             if not value.is_rational():

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import linalg
 from .algebra import Multivector, combination, wedge_list
-from .calculus import DiffOperator
 from .frames import NullFrame, dual_sum, vector_from_null_coordinates
 from .scalars import APPROX, EXACT, Radical, backend_of, coerce, is_zero
 
@@ -36,14 +35,13 @@ def _scalar_sign(value) -> int:
     return (value > ON_CONE_TOLERANCE) - (value < -ON_CONE_TOLERANCE)
 
 
-@dataclass(frozen=True)
-class SimplexPoint:
-    frame: NullFrame
-    coordinates: tuple
+class SimplexPoint(namedtuple("SimplexPoint", "frame coordinates")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.coordinates) != self.frame.size:
-            raise ValueError(f"expected {self.frame.size} coordinates")
+    def __new__(cls, frame: NullFrame, coordinates: tuple):
+        if len(coordinates) != frame.size:
+            raise ValueError(f"expected {frame.size} coordinates")
+        return super().__new__(cls, frame, coordinates)
 
     @property
     def backend(self) -> str:
@@ -116,21 +114,19 @@ def vertex(frame: NullFrame, i: int) -> SimplexPoint:
 # -- simplicial matrices ----------------------------------------------------------------
 
 
-@dataclass
 class SimplicialMatrix:
     """Vertex rows in null coordinates; barycentric mode checks rows."""
 
-    frame: NullFrame
-    rows: list
-    barycentric: bool = True
-
-    def __post_init__(self):
-        for row in self.rows:
-            if len(row) != self.frame.size:
-                raise ValueError(f"rows must have {self.frame.size} entries")
-        if self.barycentric:
-            for row in self.rows:
-                point = SimplexPoint(self.frame, tuple(row))
+    def __init__(self, frame: NullFrame, rows: list, barycentric: bool = True):
+        self.frame = frame
+        self.rows = rows
+        self.barycentric = barycentric
+        for row in rows:
+            if len(row) != frame.size:
+                raise ValueError(f"rows must have {frame.size} entries")
+        if barycentric:
+            for row in rows:
+                point = SimplexPoint(frame, tuple(row))
                 if not point.is_barycentric():
                     raise ValueError(
                         "barycentric rows must be nonnegative and sum to 1"
@@ -236,6 +232,7 @@ def truncated_dual_nabla(frame: NullFrame) -> DiffOperator:
     The printed simplex Laplacian displays sum to n; the dual gradient as
     defined sums all n+1 terms (:func:`~lpgg.calculus.make_dual_nabla`).
     """
+    from .calculus import DiffOperator
     return DiffOperator.linear(
         frame, [dual_sum(frame, i) for i in range(1, frame.size)]
     )

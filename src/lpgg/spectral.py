@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraError, Multivector, combination
@@ -26,7 +25,6 @@ from .scalars import (
     is_zero,
     widest_backend,
 )
-from .star import from_coefficient_matrix
 
 
 class DegenerateSpectrumError(ValueError):
@@ -123,16 +121,14 @@ def pseudoscalar_endo_3d_expanded(frame: NullFrame, coords) -> Multivector:
 # -- scalar-plus-bivector operators ------------------------------------------------------
 
 
-@dataclass
 class BivectorOperator:
     """Operator G = (1/2) tr + g1 a2^a3 + g2 a3^a1 + g3 a1^a2 on a 3-frame."""
 
-    frame: NullFrame
-    coefficients: dict  # (i, j) 1-based, i != j
-
-    def __post_init__(self):
-        _require_frame_size(self.frame, 3)
-        for (i, j) in self.coefficients:
+    def __init__(self, frame: NullFrame, coefficients: dict):
+        self.frame = frame
+        self.coefficients = coefficients  # (i, j) 1-based, i != j
+        _require_frame_size(frame, 3)
+        for (i, j) in coefficients:
             if not (1 <= i <= 3 and 1 <= j <= 3 and i != j):
                 raise ValueError(f"bad coefficient index ({i}, {j})")
 
@@ -167,21 +163,24 @@ class BivectorOperator:
 
     def element_from_matrix(self) -> Multivector:
         """The same element as sum g_ij a_i a_j (cross-check route)."""
+        from .star import from_coefficient_matrix
         matrix = [
             [self.entry(i, j) for j in (1, 2, 3)] for i in (1, 2, 3)
         ]
         return from_coefficient_matrix(self.frame, matrix)
 
 
-@dataclass
 class SpectralDecomposition:
-    operator: BivectorOperator
-    root_minus: object
-    root_plus: object
-    idempotent_1: Multivector
-    idempotent_2: Multivector
-    claimed_discriminant: object
-    discriminant: object
+    def __init__(self, operator: BivectorOperator, root_minus, root_plus,
+                 idempotent_1: Multivector, idempotent_2: Multivector,
+                 claimed_discriminant, discriminant):
+        self.operator = operator
+        self.root_minus = root_minus
+        self.root_plus = root_plus
+        self.idempotent_1 = idempotent_1
+        self.idempotent_2 = idempotent_2
+        self.claimed_discriminant = claimed_discriminant
+        self.discriminant = discriminant
 
     @property
     def discriminant_corrected(self) -> bool:

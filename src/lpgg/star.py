@@ -9,7 +9,6 @@ from two such contractions up to the square of that factor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraError, Multivector, combination
@@ -33,13 +32,13 @@ def star_normalization(frame: NullFrame) -> Fraction:
     return Fraction(2, size * (size - 1))
 
 
-@dataclass
 class AMatrix:
     """Grid of products a_i g a_j for a fixed g."""
 
-    frame: NullFrame
-    element: Multivector
-    entries: list  # (n+1) x (n+1) multivectors
+    def __init__(self, frame: NullFrame, element: Multivector, entries: list):
+        self.frame = frame
+        self.element = element
+        self.entries = entries  # (n+1) x (n+1) multivectors
 
     def contraction(self) -> Multivector:
         """All-ones contraction: the sum of every entry, A g A."""

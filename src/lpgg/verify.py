@@ -37,11 +37,15 @@ def _rational(rng: random.Random) -> Fraction:
 
 def random_multivector(algebra: Algebra, rng: random.Random,
                        terms=5) -> Multivector:
-    coeffs = {}
+    """``terms`` times, a value drawn as :func:`_rational` draws it, then a
+    blade; a later draw on a blade replaces its value and keeps its place.
+    Built from the integer numerators over their lcm, with no ``Fraction``."""
+    draws = {}
     for _ in range(terms):
-        value = _rational(rng)
-        coeffs[rng.randrange(algebra.dim)] = value
-    return algebra.multivector(coeffs)
+        value = rng.randint(-9, 9), rng.randint(1, 9)
+        draws[rng.randrange(algebra.dim)] = value
+    den = math.lcm(*(d for _, d in draws.values()))
+    return algebra._from_integers({b: n * (den // d) for b, (n, d) in draws.items()}, den)
 
 
 def random_vector(vectors, rng: random.Random) -> Multivector:

@@ -3,13 +3,15 @@ import inspect
 import json
 import multiprocessing
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import lpgg
-from lpgg import atlas, calculus, frames, simplex, verify
+from lpgg import Algebra, atlas, calculus, frames, simplex, verify
 from lpgg.reporting import CheckResult, VerificationReport
 
 
@@ -297,3 +299,27 @@ def test_report_json_shape():
             "exit_code"} <= set(payload["summary"])
     for check in payload["checks"]:
         assert {"name", "claim", "status", "details"} == set(check)
+
+
+def fraction_multivector(algebra, rng, terms):
+    """The sampler's reference: the same draws as ``Fraction`` values,
+    built by ``Algebra.multivector``."""
+    coeffs = {}
+    for _ in range(terms):
+        value = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        coeffs[rng.randrange(algebra.dim)] = value
+    return algebra.multivector(coeffs)
+
+
+@pytest.mark.parametrize("algebra", [
+    Algebra(1, 2), Algebra(2, 2), Algebra(1, 3), frames.build_null_frame(8, 1).algebra,
+], ids=repr)
+def test_random_multivector_matches_the_fraction_path(algebra):
+    for terms in (4, 5, 6):
+        for seed in range(200):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            mv = verify.random_multivector(algebra, rng, terms)
+            ref = fraction_multivector(algebra, ref_rng, terms)
+            assert (mv._den, mv._coeffs, list(mv._coeffs)) == (
+                ref._den, ref._coeffs, list(ref._coeffs)), (terms, seed)
+            assert rng.getstate() == ref_rng.getstate()
