@@ -233,7 +233,7 @@ def pseudoscalar_relation(frame: NullFrame) -> Multivector:
         raise ValueError("stated for positively correlated frames")
     n = frame.n
     factor = -Radical.sqrt(Fraction(2 ** (n + 1), n))
-    return wedge_list(list(frame.vectors)) * factor
+    return wedge_list(frame.vectors) * factor
 
 
 # -- canonical null products ----------------------------------------------------------

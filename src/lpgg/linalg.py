@@ -1,7 +1,8 @@
 """Small matrix helpers (lists of lists of scalars).
 
-Products add in index order for any scalar type.  Rank and determinant
-eliminate over Fractions; :func:`invert` is Gauss-Jordan over radicals.
+Products and traces add in index order for any scalar type.  Rank and
+determinant eliminate over Fractions; :func:`invert` is Gauss-Jordan
+over radicals.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ def identity(n: int) -> Matrix:
 
 def matmul(a: Matrix, b: Matrix) -> Matrix:
     return [vec_mat(row, b) for row in a]
+
+
+def trace(matrix: Matrix):
+    return sum_scalars(matrix[i][i] for i in range(len(matrix)))
 
 
 def vec_mat(row: list, m: Matrix) -> list:

@@ -192,10 +192,6 @@ def content_point_wedge(frame: NullFrame, point: SimplexPoint) -> Multivector:
     return point.to_multivector().wedge(content_null(frame))
 
 
-def full_wedge(frame: NullFrame) -> Multivector:
-    return wedge_list(list(frame.vectors))
-
-
 # -- closed graphs and order ------------------------------------------------------------------
 
 

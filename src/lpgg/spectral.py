@@ -5,7 +5,8 @@ eigenvalues are +-det of the coefficient matrix), the Cayley-Grassmann
 identity, the central pseudoscalar endomorphism on a three-vector frame,
 scalar-plus-bivector operators with their minimal polynomial and
 spectral idempotents, and 2x2 matrix representations taken in the
-spectral basis {a2 a1, a2; a1, a1 a2}.
+spectral basis {a2 a1, a2; a1, a1 a2}: real for G(1,1), and complex,
+P + iQ, for G(1,2), written exactly as the real [[P, -Q], [Q, P]].
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ def pseudoscalar_endo_3d(frame: NullFrame, x: Multivector) -> Multivector:
     """f(x) = 2 (a1 ^ a2 ^ a3) x = -i x with i the central pseudoscalar."""
     _require_frame_size(frame, 3)
     _require_grade_one(x)
-    return (wedge_list(list(frame.vectors)) * x) * 2
+    return (wedge_list(frame.vectors) * x) * 2
 
 
 def pseudoscalar_endo_3d_expanded(frame: NullFrame, coords) -> Multivector:
@@ -311,23 +312,22 @@ def rep_g11(mv: Multivector):
 
 
 def rep_g12(mv: Multivector):
-    """2x2 complex matrix of an element of G(1,2).
+    """The complex 2x2 matrix P + iQ of G(1,2), as real [[P, -Q], [Q, P]].
 
     The central pseudoscalar i = e1 f1 f2 squares to -1 and maps to the
     imaginary unit.  Writing mv = P + i Q with P and Q on the blades
     {1, e1, f1, e1^f1}: i times those blades gives e1^f1^f2, f1^f2, e1^f2
     and f2, all with sign +1, so Q reads blades 7, 6, 5, 4 of mv.  P and Q
-    take the G(1,1) closed form; each entry becomes complex only after
-    its exact sum.
+    take the G(1,1) closed form: read P off the top-left 2x2 block of the
+    4x4 result and Q off the bottom-left one.  The real form multiplies as
+    P + iQ does, with trace 2 Re tr(P + iQ) and determinant |det(P + iQ)|^2.
     """
     if (mv.algebra.p, mv.algebra.q) != (1, 2):
         raise AlgebraError("expected an element of G(1,2)")
     p = _spectral_matrix(*(mv.coefficient(b) for b in (0, 1, 2, 3)))
     q = _spectral_matrix(*(mv.coefficient(b) for b in (7, 6, 5, 4)))
-    return [
-        [complex(x) + 1j * complex(y) for x, y in zip(p_row, q_row)]
-        for p_row, q_row in zip(p, q)
-    ]
+    return ([p_row + [-y for y in q_row] for p_row, q_row in zip(p, q)]
+            + [q_row + p_row for p_row, q_row in zip(p, q)])
 
 
 def regular_representation(mv: Multivector) -> list[list]:

@@ -206,7 +206,7 @@ def suite_frame(n_max: int = DEFAULT_N_MAX,
                 for i, j in itertools.combinations(range(fr.size), 2):
                     check(fr.vectors[i].dot(fr.vectors[j]) == half,
                           f"a_{i+1}.a_{j+1} mismatch at {where}")
-                check(not frames.wedge_list(list(fr.vectors)).is_zero(),
+                check(not frames.wedge_list(fr.vectors).is_zero(),
                       f"dependent frame at {where}")
 
     with report.check(
@@ -302,7 +302,7 @@ def suite_frame(n_max: int = DEFAULT_N_MAX,
                   f"size {fr.size}")
         for fr3 in _frames(n_max, 3, 3):
             check(fr3.algebra.pseudoscalar()
-                  == frames.wedge_list(list(fr3.vectors)) * (-2), "n = 2")
+                  == frames.wedge_list(fr3.vectors) * (-2), "n = 2")
 
     with report.check(
         "canonical-basis-invertible",
@@ -346,7 +346,7 @@ def suite_frame(n_max: int = DEFAULT_N_MAX,
             e1f1f2 = g.e(1) * g.f(1) * g.f(2)
             form_e1f1f2(matches(e1f1f2, {0b001: 1, 0b010: -1, 0b100: 1, 0b111: -2}),
                         "expansion")
-            form_e1f1f2(e1f1f2 == frames.wedge_list(list(fr3.vectors)) * (-2),
+            form_e1f1f2(e1f1f2 == frames.wedge_list(fr3.vectors) * (-2),
                         "pseudoscalar")
 
     return report
@@ -724,29 +724,24 @@ def suite_spectral(n_max: int = DEFAULT_N_MAX,
             x = frames.vector_from_null_coordinates(
                 fr3, [Fraction(2), Fraction(-3), Fraction(5)]
             )
-            check(spectral.rep_g12(x) == [[5j, complex(2)], [complex(7), -5j]],
+            check(spectral.rep_g12(x) == [[0, 2, -5, 0], [7, 0, 0, 5],
+                                          [5, 0, 0, 2], [0, -5, 7, 0]],
                   "x = (2, -3, 5)")
 
     pairs = 100
+    reps = ((fr2s, spectral.rep_g11, 4, "G(1,1)"),
+            (fr3s, spectral.rep_g12, 5, "G(1,2)"))
     with report.check(
         "rep-homomorphism",
         f"rep(uv) = rep(u) rep(v) on {pairs} random pairs in G(1,1) and G(1,2)",
     ) as check:
-        for fr2 in fr2s:
-            for sample in range(pairs):
-                u = random_multivector(fr2.algebra, rng, terms=4)
-                v = random_multivector(fr2.algebra, rng, terms=4)
-                prod = linalg.matmul(spectral.rep_g11(u), spectral.rep_g11(v))
-                check(prod == spectral.rep_g11(u * v), f"G(1,1) sample {sample}")
-        for fr3 in fr3s:
-            for sample in range(pairs):
-                u = random_multivector(fr3.algebra, rng, terms=5)
-                v = random_multivector(fr3.algebra, rng, terms=5)
-                prod = linalg.matmul(spectral.rep_g12(u), spectral.rep_g12(v))
-                target = spectral.rep_g12(u * v)
-                err = max(abs(prod[r][c] - target[r][c])
-                          for r in range(2) for c in range(2))
-                check(err <= 1e-10, f"G(1,2) sample {sample}: error {err:.2e}")
+        for frs, rep, terms, label in reps:
+            for fr in frs:
+                for sample in range(pairs):
+                    u = random_multivector(fr.algebra, rng, terms=terms)
+                    v = random_multivector(fr.algebra, rng, terms=terms)
+                    check(linalg.matmul(rep(u), rep(v)) == rep(u * v),
+                          f"{label} sample {sample}")
 
     with report.check(
         "regular-representation-faithful",
@@ -771,30 +766,14 @@ def suite_spectral(n_max: int = DEFAULT_N_MAX,
         "regular-representation traces and determinants match the 2x2 "
         "reps up to the block multiplicity",
     ) as check:
-        for fr3 in fr3s:
-            for sample in range(25):
-                u = random_multivector(fr3.algebra, rng, terms=5)
-                reg = spectral.regular_representation(u)
-                m = spectral.rep_g12(u)
-                tr2 = m[0][0] + m[1][1]
-                det2 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-                where = f"G(1,2) sample {sample}"
-                trace = float(linalg.sum_scalars(reg[i][i] for i in range(8)))
-                check(abs(trace - 4 * tr2.real) <= 1e-8, where)
-                scale = max(1.0, abs(det2) ** 4)
-                check(abs(linalg.determinant(reg) - abs(det2) ** 4)
-                      <= 1e-8 * scale, where)
-        for fr2 in fr2s:
-            for sample in range(25):
-                u = random_multivector(fr2.algebra, rng, terms=4)
-                reg = spectral.regular_representation(u)
-                m = spectral.rep_g11(u)
-                tr2 = m[0][0] + m[1][1]
-                det2 = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-                where = f"G(1,1) sample {sample}"
-                check(linalg.sum_scalars(reg[i][i] for i in range(4)) == tr2 * 2,
-                      where)
-                check(linalg.determinant(reg) == det2 * det2, where)
+        for frs, rep, terms, label in reversed(reps):
+            for fr in frs:
+                for sample in range(25):
+                    u = random_multivector(fr.algebra, rng, terms=terms)
+                    reg, m = spectral.regular_representation(u), rep(u)
+                    where = f"{label} sample {sample}"
+                    check(linalg.trace(reg) == linalg.trace(m) * 2, where)
+                    check(linalg.determinant(reg) == linalg.determinant(m) ** 2, where)
     return report
 
 
@@ -817,7 +796,7 @@ def suite_simplex(n_max: int = DEFAULT_N_MAX,
         for size in sizes:
             fr = frames.build_null_frame(size, 1)
             scale = Fraction(1, math.factorial(size - 1))
-            target = simplex.full_wedge(fr) * scale
+            target = frames.wedge_list(fr.vectors) * scale
             content = simplex.content_null(fr)
             alternating = combination(fr.algebra, (
                 (frames.wedge_list(fr.vectors[:i] + fr.vectors[i + 1:]), (-1) ** i)

@@ -286,7 +286,7 @@ def test_criterion_10_spectral():
 
 
 def test_criterion_11_matrix_representations():
-    """Fixed matrices, homomorphism within 1e-10, faithful regular rep."""
+    """Fixed matrices, exact homomorphism, faithful regular rep."""
     fr2 = frames.build_null_frame(2, 1)
     zero, one = Radical(0), Radical(1)
     assert spectral.rep_g11(fr2.vector(1)) == [[zero, zero], [one, zero]]
@@ -297,32 +297,23 @@ def test_criterion_11_matrix_representations():
     x = frames.vector_from_null_coordinates(fr3, (x1, x2, x3))
     matrix = spectral.rep_g12(x)
     # stated off-diagonals x2-x3, x1-x3 contradict [a1], [a2] and the
-    # standard-coordinate display; the consistent matrix uses the sums
-    assert matrix == [[x3 * 1j, complex(x2 + x3)],
-                      [complex(x1 + x3), -x3 * 1j]]
+    # standard-coordinate display; the consistent matrix uses the sums.
+    # [[x3 i, x2+x3], [x1+x3, -x3 i]] = P + iQ is written [[P, -Q], [Q, P]].
+    assert matrix == [[0, x2 + x3, -x3, 0],
+                      [x1 + x3, 0, 0, x3],
+                      [x3, 0, 0, x2 + x3],
+                      [0, -x3, x1 + x3, 0]]
     report = verify.suite_spectral(seed=SEED)
     by_name = {c.name: c for c in report.checks}
     assert by_name["rep-position-vector"].status == "pass-corrected"
 
     rng = random.Random(SEED)
-    g11, g12 = Algebra(1, 1), Algebra(1, 2)
-
-    def matmul2(a, b):
-        return [
-            [a[0][0] * b[0][0] + a[0][1] * b[1][0],
-             a[0][0] * b[0][1] + a[0][1] * b[1][1]],
-            [a[1][0] * b[0][0] + a[1][1] * b[1][0],
-             a[1][0] * b[0][1] + a[1][1] * b[1][1]],
-        ]
-
+    g12 = Algebra(1, 2)
     for _ in range(100):
         u = verify.random_multivector(g12, rng)
         v = verify.random_multivector(g12, rng)
-        got = matmul2(spectral.rep_g12(u), spectral.rep_g12(v))
-        want = spectral.rep_g12(u * v)
-        assert max(
-            abs(got[r][c] - want[r][c]) for r in range(2) for c in range(2)
-        ) <= 1e-10
+        got = linalg.matmul(spectral.rep_g12(u), spectral.rep_g12(v))
+        assert got == spectral.rep_g12(u * v)
 
     for blade in range(8):
         reg = spectral.regular_representation(g12.blade(blade, 1))
@@ -334,7 +325,7 @@ def test_criterion_11_matrix_representations():
         assert [reg[row][0] for row in range(8)] == \
             [u.coefficient(row) for row in range(8)]
     announce(11, "[a1], [a2], [x] matrices reproduced ([x] sign slip "
-                 "documented); homomorphism within 1e-10; regular rep "
+                 "documented); homomorphism exact; regular rep "
                  "faithful on G(1,2)")
 
 
@@ -344,7 +335,7 @@ def test_criterion_12_simplex():
     checked = 0
     for size in range(2, 7):
         frame = frames.build_null_frame(size, 1)
-        target = simplex.full_wedge(frame) * Fraction(
+        target = wedge_list(frame.vectors) * Fraction(
             1, math.factorial(size - 1)
         )
         for _ in range(10):

@@ -510,6 +510,18 @@ def test_dense_geometric_product_matches_per_pair_reference(p, q, backend):
     assert_normal_form(result)
 
 
+@pytest.mark.parametrize("backend", ["approx", "complex"])
+def test_geometric_method_is_the_product_operator(backend):
+    """``x.geometric(y)`` is ``x * y`` bit for bit, with the output blades in
+    the same order: the dense-float benchmark calls each product by name."""
+    algebra = Algebra(3, 3)
+    rng = random.Random(33)
+    x, y = dense_mv(algebra, rng, backend), dense_mv(algebra, rng, backend)
+    result, expected = x.geometric(y), x * y
+    assert list(result.coefficients()) == list(expected.coefficients())
+    assert bitwise(result.coefficients()) == bitwise(expected.coefficients())
+
+
 @pytest.mark.parametrize("backend", ["exact", "approx", "complex"])
 @pytest.mark.parametrize("p", [0, 5, 12])
 def test_products_at_the_dimension_limit_match_per_pair_reference(p, backend):

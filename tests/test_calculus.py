@@ -103,8 +103,8 @@ def test_operator_identities(fr3, fr4):
 
 
 @pytest.fixture(scope="module")
-def identity_checks():
-    report = verify.run_suite("calculus", n_max=3, seed=1)
+def identity_checks(suite_report):
+    report = suite_report("calculus", 3, 1)
     return {c.name: c for c in report.checks}
 
 

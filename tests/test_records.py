@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lpgg import atlas, frames, simplex, spectral, verify
+from lpgg import atlas, frames, simplex, spectral
 from lpgg.reporting import CheckResult, VerificationReport
 
 
@@ -53,8 +53,8 @@ def test_reports_do_not_share_checks():
     assert len(first.checks) == 1 and second.checks == []
 
 
-def test_report_round_trips_through_pickle():
-    report = verify.run_suite("atlas", seed=3)
+def test_report_round_trips_through_pickle(suite_report):
+    report = suite_report("atlas", seed=3)
     copy = pickle.loads(pickle.dumps(report))
     assert type(copy) is VerificationReport
     assert copy.to_json() == report.to_json()

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lpgg import calculus, frames, linalg, simplex, verify
+from lpgg import calculus, frames, linalg, simplex
 
 
 @pytest.fixture(scope="module")
@@ -77,7 +77,7 @@ def test_point_wedge_content():
     rng = random.Random(5)
     for size in range(2, 7):
         fr = frames.build_null_frame(size, 1)
-        target = simplex.full_wedge(fr) * Fraction(
+        target = frames.wedge_list(fr.vectors) * Fraction(
             1, math.factorial(size - 1)
         )
         for _ in range(10):
@@ -206,10 +206,8 @@ def test_grid_norm_nonnegative():
             assert (value == 0) == (nonzero <= 1)
 
 
-def test_laplacian_report_statuses():
-    statuses = {
-        c.name: c.status for c in verify.run_suite("simplex", n_max=4).checks
-    }
+def test_laplacian_report_statuses(suite_report):
+    statuses = {c.name: c.status for c in suite_report("simplex", 4).checks}
     for n in (2, 3):
         assert statuses[f"laplacian-dual-gradient-of-x-n{n}"] == "pass-corrected"
         assert statuses[f"laplacian-dual-laplacian-scalar-valued-n{n}"] == "pass"

@@ -224,39 +224,39 @@ def test_rep_g11_wrong_algebra(fr3):
         spectral.rep_g11(fr3.algebra.scalar(1))
 
 
-def matmul2(a, b):
-    return [
-        [a[0][0] * b[0][0] + a[0][1] * b[1][0],
-         a[0][0] * b[0][1] + a[0][1] * b[1][1]],
-        [a[1][0] * b[0][0] + a[1][1] * b[1][0],
-         a[1][0] * b[0][1] + a[1][1] * b[1][1]],
-    ]
-
-
 def test_rep_g11_homomorphism():
     rng = random.Random(67)
     g11 = Algebra(1, 1)
     for _ in range(100):
         u, v = rmv(g11, rng, 4), rmv(g11, rng, 4)
-        prod = matmul2(spectral.rep_g11(u), spectral.rep_g11(v))
-        target = spectral.rep_g11(u * v)
-        for r in range(2):
-            for c in range(2):
-                assert Radical(0) + prod[r][c] == Radical(0) + target[r][c]
+        prod = linalg.matmul(spectral.rep_g11(u), spectral.rep_g11(v))
+        assert prod == spectral.rep_g11(u * v)
+
+
+def complex_form(real_form):
+    """P + iQ read off [[P, -Q], [Q, P]]: P top left, Q bottom left."""
+    return [[complex(real_form[r][c]) + 1j * complex(real_form[r + 2][c])
+             for c in range(2)] for r in range(2)]
 
 
 def test_rep_g12_position_vector(fr3):
     x1, x2, x3 = Fraction(2), Fraction(-3), Fraction(5)
     x = frames.vector_from_null_coordinates(fr3, (x1, x2, x3))
     matrix = spectral.rep_g12(x)
-    assert matrix == [[5j, complex(2)], [complex(7), -5j]]
+    assert matrix == [[0, 2, -5, 0], [7, 0, 0, 5], [5, 0, 0, 2], [0, -5, 7, 0]]
+    assert all(isinstance(entry, Radical) for row in matrix for entry in row)
+    assert complex_form(matrix) == [[5j, 2], [7, -5j]]
 
 
 def test_rep_g12_central_pseudoscalar():
     g12 = Algebra(1, 2)
     i_ps = g12.e(1) * g12.f(1) * g12.f(2)
-    assert spectral.rep_g12(i_ps) == [[1j, 0], [0, 1j]]
-    assert spectral.rep_g12(i_ps * i_ps) == [[-1 - 0j, 0], [0, -1 - 0j]]
+    unit = spectral.rep_g12(i_ps)
+    assert unit == [[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]]
+    assert complex_form(unit) == [[1j, 0], [0, 1j]]
+    minus_one = [[-v for v in row] for row in linalg.identity(4)]
+    assert linalg.matmul(unit, unit) == minus_one
+    assert spectral.rep_g12(i_ps * i_ps) == minus_one
 
 
 def test_rep_g12_homomorphism():
@@ -264,11 +264,24 @@ def test_rep_g12_homomorphism():
     g12 = Algebra(1, 2)
     for _ in range(100):
         u, v = rmv(g12, rng), rmv(g12, rng)
-        prod = matmul2(spectral.rep_g12(u), spectral.rep_g12(v))
-        target = spectral.rep_g12(u * v)
-        err = max(abs(prod[r][c] - target[r][c])
-                  for r in range(2) for c in range(2))
-        assert err <= 1e-10
+        prod = linalg.matmul(spectral.rep_g12(u), spectral.rep_g12(v))
+        assert prod == spectral.rep_g12(u * v)
+
+
+def test_rep_g12_multiplies_every_blade_pair_exactly():
+    g12 = Algebra(1, 2)
+    blades = [g12.blade(b, 1) for b in range(8)]
+    for u in blades:
+        for v in blades:
+            prod = linalg.matmul(spectral.rep_g12(u), spectral.rep_g12(v))
+            assert prod == spectral.rep_g12(u * v), (u, v)
+
+
+def test_rep_g12_blade_images_are_independent():
+    g12 = Algebra(1, 2)
+    images = [[entry for row in spectral.rep_g12(g12.blade(b, 1)) for entry in row]
+              for b in range(8)]
+    assert linalg.rank(images) == 8
 
 
 def test_regular_representation():

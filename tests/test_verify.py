@@ -1,11 +1,16 @@
+import ast
+import bisect
 import hashlib
 import inspect
+import io
 import json
 import multiprocessing
 import os
 import random
+import re
 import subprocess
 import sys
+import tokenize
 from fractions import Fraction
 
 import pytest
@@ -16,17 +21,17 @@ from lpgg.reporting import CheckResult, VerificationReport
 
 
 @pytest.mark.parametrize("suite", verify.SUITES)
-def test_each_suite_is_green(suite):
+def test_each_suite_is_green(suite, suite_report):
     for n_max in (2, 6):
-        report = verify.run_suite(suite, n_max=n_max, seed=123)
+        report = suite_report(suite, n_max, 123)
         assert not report.failed, (n_max, [
             c.name for c in report.checks if c.status == "fail"
         ])
         assert report.exit_code() == 0
 
 
-def test_run_all_merges_and_prefixes():
-    report = verify.run_suite("all", n_max=4, seed=9)
+def test_run_all_merges_and_prefixes(suite_report):
+    report = suite_report("all", 4, 9)
     assert report.suite == "all"
     assert any(c.name.startswith("core/") for c in report.checks)
     assert any(c.name.startswith("atlas/") for c in report.checks)
@@ -40,11 +45,11 @@ def test_run_all_merges_and_prefixes():
 
 @pytest.mark.parametrize("seed", [1, 7, 2024])
 @pytest.mark.parametrize("n_max", [4, verify.DEFAULT_N_MAX])
-def test_all_in_workers_equals_the_suites_in_order(n_max, seed):
+def test_all_in_workers_equals_the_suites_in_order(n_max, seed, suite_report):
     report = verify.run_suite("all", n_max=n_max, seed=seed)
     assert multiprocessing.active_children() == []
     in_order = verify.merge_reports("all", seed, [
-        verify.run_suite(suite, n_max=n_max, seed=seed) for suite in verify.SUITES])
+        suite_report(suite, n_max, seed) for suite in verify.SUITES])
     assert report.to_json() == in_order.to_json()
 
 
@@ -52,12 +57,12 @@ def statuses(report):
     return {c.name: c.status for c in report.checks}
 
 
-def test_empty_size_range_is_skipped():
-    frame = statuses(verify.run_suite("frame", n_max=1))
+def test_empty_size_range_is_skipped(suite_report):
+    frame = statuses(suite_report("frame", 1))
     assert frame["frame-axioms"] == "skipped"
     assert frame["multiplication-tables"] == "skipped"
     assert frame["transition-3"] == "skipped"
-    calculus = statuses(verify.run_suite("calculus", n_max=1))
+    calculus = statuses(suite_report("calculus", 1))
     assert calculus["gradient-of-x"] == "skipped"
 
 
@@ -65,14 +70,14 @@ def test_empty_size_range_is_skipped():
     ("frame", 4, "transition-8"),
     ("spectral", 2, "spectral-idempotents"),
 ])
-def test_skipped_check_states_no_finding(suite, n_max, name):
-    check = {c.name: c for c in verify.run_suite(suite, n_max=n_max).checks}[name]
+def test_skipped_check_states_no_finding(suite, n_max, name, suite_report):
+    check = {c.name: c for c in suite_report(suite, n_max).checks}[name]
     assert (check.status, check.details) == ("skipped", "")
 
 
-def test_pseudoscalar_claim_names_only_checked_cases():
+def test_pseudoscalar_claim_names_only_checked_cases(suite_report):
     def claim(n_max):
-        report = verify.run_suite("frame", n_max=n_max)
+        report = suite_report("frame", n_max)
         return next(c.claim for c in report.checks
                     if c.name == "pseudoscalar-relation")
 
@@ -101,8 +106,8 @@ def test_no_size_above_n_max_is_built(suite, monkeypatch):
         assert all(size <= n_max for _, size in built), (n_max, built)
 
 
-def test_periodicity_checked_through_ten_for_any_n_max():
-    assert statuses(verify.run_suite("atlas", n_max=0))[
+def test_periodicity_checked_through_ten_for_any_n_max(suite_report):
+    assert statuses(suite_report("atlas", 0))[
         "eightfold-periodicity"] == "pass"
 
 
@@ -214,22 +219,22 @@ def test_wrong_dual_sum_oracle_fails_its_corrections(monkeypatch):
         assert simp[name] == "fail", name
 
 
-def test_simplex_laplacian_lines_follow_n_max():
+def test_simplex_laplacian_lines_follow_n_max(suite_report):
     # n_max bounds the frame size n+1, so the n = 3 lines need n_max >= 4.
-    names = {n_max: [c.name for c in verify.run_suite("simplex", n_max=n_max).checks]
+    names = {n_max: [c.name for c in suite_report("simplex", n_max).checks]
              for n_max in (2, 3)}
     assert not any(name.endswith("-n3") for name in names[2])
     assert any(name.endswith("-n2") for name in names[3])
     assert not any(name.endswith("-n3") for name in names[3])
 
 
-def test_range_claims_follow_n_max():
-    calc = {c.name: c.claim for c in verify.run_suite("calculus", n_max=3).checks}
+def test_range_claims_follow_n_max(suite_report):
+    calc = {c.name: c.claim for c in suite_report("calculus", 3).checks}
     assert calc["gradient-of-x"] == "nabla x = n+1 exactly, n = 1..2"
-    frame = {c.name: c.claim for c in verify.run_suite("frame", n_max=3).checks}
+    frame = {c.name: c.claim for c in suite_report("frame", 3).checks}
     assert "a_1^..^a_{n+1}, n = 1..2;" in frame["pseudoscalar-relation"]
     assert frame["k-sum-squares"].endswith("k = 2..3")
-    core = {c.name: c.claim for c in verify.run_suite("core", n_max=2).checks}
+    core = {c.name: c.claim for c in suite_report("core", 2).checks}
     assert core["associativity"].endswith("p+q <= 2")
     for suite in verify.SUITE_FUNCTIONS.values():
         default = inspect.signature(suite).parameters["n_max"].default
@@ -290,8 +295,8 @@ def test_exit_code_mapping():
         CheckResult("d", "claim", "bogus")
 
 
-def test_report_json_shape():
-    report = verify.run_suite("atlas", seed=5)
+def test_report_json_shape(suite_report):
+    report = suite_report("atlas", seed=5)
     payload = report.to_json()
     assert payload["suite"] == "atlas"
     assert payload["seed"] == 5
@@ -323,3 +328,36 @@ def test_random_multivector_matches_the_fraction_path(algebra):
             assert (mv._den, mv._coeffs, list(mv._coeffs)) == (
                 ref._den, ref._coeffs, list(ref._coeffs)), (terms, seed)
             assert rng.getstate() == ref_rng.getstate()
+
+
+def check_names(node):
+    """The names that a ``with report.check(...)`` or ``check_group(...)``
+    statement declares, or None for any other node."""
+    if not isinstance(node, ast.With):
+        return None
+    for item in node.items:
+        call = item.context_expr
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute):
+            if call.func.attr == "check":
+                return [ast.unparse(call.args[0])]
+            if call.func.attr == "check_group":
+                return [ast.unparse(group.elts[0] if isinstance(group, ast.Tuple)
+                                    else group) for group in call.args]
+    return None
+
+
+def test_float_tolerances_only_in_the_float_checks():
+    # Each exponent-form float literal of verify.py belongs to the first
+    # check statement that ends at or after its line, so a tolerance set up
+    # just before a check counts as inside it.
+    with open(verify.__file__, "rb") as source:
+        text = source.read()
+    checks = sorted((node.end_lineno, names) for node in ast.walk(ast.parse(text))
+                    if (names := check_names(node)))
+    ends = [end for end, _ in checks]
+    owners = [(tok.string, checks[bisect.bisect_left(ends, tok.start[0])][1])
+              for tok in tokenize.tokenize(io.BytesIO(text).readline)
+              if tok.type == tokenize.NUMBER
+              and re.fullmatch(r"[0-9.]+[eE][-+]?[0-9]+", tok.string)]
+    assert owners and all(names in (["'radical-arithmetic'"], ["'finite-differences'"])
+                          for _, names in owners), owners
