@@ -18,10 +18,15 @@ from that commit, the result line of every workload, and:
 - ``kernel_in_process``: untraced single-product times (see
   :func:`time_kernel`);
 - ``samples_total``: the samples that the checks of the seed-2024 report
-  examine, counted by ``tests/test_evidence.py`` (which needs pytest);
+  examine, counted by ``tests/test_evidence.py`` through the suite builder
+  of ``tests/conftest.py`` (both need pytest);
 - ``cli_closure``: per subcommand, the modules one CLI process loads
   beyond a bare interpreter and the ``src/lpgg`` lines it compiles,
   probed as ``tests/test_cli_imports.py`` does (see :func:`cli_closure`);
+- ``compile_peak_kb``: per ``src/lpgg`` module, the tracemalloc peak in KB
+  of compiling it, by ``compile_peaks`` of ``tests/test_cli_imports.py``;
+  where no bytecode is cached, the largest a process imports sets its
+  peak memory;
 - ``tier1_wall_s``: the wall time of one Tier-1 pytest run.
 
 ``--smoke`` makes each ``run.py`` run tiny, times the kernel at p+q = 7
@@ -44,6 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 EVIDENCE = ROOT / "tests" / "test_evidence.py"
+CONFTEST = ROOT / "tests" / "conftest.py"
 CLI_IMPORTS = ROOT / "tests" / "test_cli_imports.py"
 REFERENCES = ROOT / "perfbench" / "references.json"
 SRC = ROOT / "src"
@@ -94,17 +100,18 @@ def samples_total() -> int:
     from lpgg import DEFAULT_N_MAX
 
     evidence = load(EVIDENCE, "lpgg_evidence_test").evidence
-    return sum(samples for samples, _ in evidence(DEFAULT_N_MAX).values())
+    build = load(CONFTEST, "lpgg_tests_conftest").build_with_evidence
+    table = evidence(DEFAULT_N_MAX, lambda *key: build(*key)[1])
+    return sum(samples for samples, _ in table.values())
 
 
-def cli_closure() -> dict:
+def cli_closure(probe) -> dict:
     """For the first ``cli_pool`` argv of each subcommand in
     ``perfbench/references.json`` (read only), the modules its process
     loads beyond a bare interpreter started the same way, and the lines of
     the ``src/lpgg`` modules among them, with the probe of
     ``tests/test_cli_imports.py``.  Where ``PYTHONDONTWRITEBYTECODE`` is
-    set, a process compiles all of them."""
-    probe = load(CLI_IMPORTS, "lpgg_cli_imports_test")
+    set, a process compiles all of them.  ``probe`` is that test module."""
     bare = probe.modules_after(probe.BARE)
     out = {}
     for entry in json.loads(REFERENCES.read_text())["cli_pool"]:
@@ -187,11 +194,13 @@ def main(argv=None) -> int:
     for name in (w["name"] for w in benchmark["workloads"]):
         host, results[name] = run_workload(name, args.smoke)
     sys.path.insert(0, str(SRC))  # this checkout's lpgg, in process
+    cli_imports = load(CLI_IMPORTS, "lpgg_cli_imports_test")
     row = {"label": args.label, "seed": SEED, "smoke": args.smoke, "host": host,
            "src_modified": src_modified(), "workloads": results,
            "kernel_in_process": time_kernel(args.smoke),
            "suites_in_process": trace_suites(benchmark["per_layer"]),
-           "samples_total": samples_total(), "cli_closure": cli_closure(),
+           "samples_total": samples_total(), "cli_closure": cli_closure(cli_imports),
+           "compile_peak_kb": cli_imports.compile_peaks(),
            "tier1_wall_s": None if args.smoke else tier1_wall_s()}
     rows = json.loads(args.out.read_text()) if args.out.exists() else []
     rows.append(row)

@@ -13,7 +13,8 @@ import math
 import random
 from fractions import Fraction
 
-from lpgg import atlas, calculus, frames, linalg, simplex, spectral, star, verify
+from lpgg import (atlas, calculus, frames, linalg, simplex, spectral, star, verify,
+                  verify_draws, verify_frame)
 from lpgg.algebra import Algebra, wedge_list
 from lpgg.calculus import PolyField
 from lpgg.scalars import Radical, is_zero
@@ -56,12 +57,12 @@ def test_criterion_02_multiplication_tables():
 def test_criterion_03_transition_matrices():
     """T3 and T8/T8^-1 entry-for-entry; T T^-1 = I exact."""
     fr3 = frames.build_null_frame(3, 1)
-    t3, t3_inv = verify._t3_fixture()
+    t3, t3_inv = verify_frame._t3_fixture()
     assert fr3.t_matrix == t3
     assert fr3.t_inverse == t3_inv
 
     fr8 = frames.build_null_frame(8, 1)
-    t8, t8_inv = verify._t8_fixture()
+    t8, t8_inv = verify_frame._t8_fixture()
     assert fr8.t_matrix == t8
     assert fr8.t_inverse == t8_inv
     # the stated (4,4) entry of T8^-1 is -2/sqrt(3); it must be +2/sqrt(3)
@@ -111,8 +112,8 @@ def test_criterion_06_star_projection():
     for size in (2, 3, 4):
         frame = frames.build_null_frame(size, 1)
         for _ in range(40):
-            g = verify.random_multivector(frame.algebra, rng)
-            h = verify.random_multivector(frame.algebra, rng)
+            g = verify_draws.random_multivector(frame.algebra, rng)
+            h = verify_draws.random_multivector(frame.algebra, rng)
             for k in range(2, size + 1):
                 assert star.star(frame, star.star(frame, g, k), k) == g
                 involutions += 1
@@ -129,7 +130,7 @@ def test_criterion_07_canonical_basis():
     rng = random.Random(SEED)
     for size in range(2, 9):
         frame = frames.build_null_frame(size, 1)
-        mv = verify.random_multivector(frame.algebra, rng, terms=6)
+        mv = verify_draws.random_multivector(frame.algebra, rng, terms=6)
         coeffs = frames.express_in_null_basis(frame, mv)
         assert frames.reconstruct_from_null_basis(frame, coeffs) == mv
 
@@ -310,8 +311,8 @@ def test_criterion_11_matrix_representations():
     rng = random.Random(SEED)
     g12 = Algebra(1, 2)
     for _ in range(100):
-        u = verify.random_multivector(g12, rng)
-        v = verify.random_multivector(g12, rng)
+        u = verify_draws.random_multivector(g12, rng)
+        v = verify_draws.random_multivector(g12, rng)
         got = linalg.matmul(spectral.rep_g12(u), spectral.rep_g12(v))
         assert got == spectral.rep_g12(u * v)
 
@@ -320,7 +321,7 @@ def test_criterion_11_matrix_representations():
         column = [reg[row][0] for row in range(8)]
         assert column == [int(row == blade) for row in range(8)]
     for _ in range(20):
-        u = verify.random_multivector(g12, rng)
+        u = verify_draws.random_multivector(g12, rng)
         reg = spectral.regular_representation(u)
         assert [reg[row][0] for row in range(8)] == \
             [u.coefficient(row) for row in range(8)]

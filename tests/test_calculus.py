@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from lpgg import calculus, frames, simplex, verify
+from lpgg import calculus, frames, simplex, verify_draws
 from lpgg.calculus import DiffOperator, PolyField
 
 
@@ -279,7 +279,7 @@ def random_field(fr, rng):
         exp = [0] * fr.size
         for _ in range(rng.randint(0, 3)):
             exp[rng.randrange(fr.size)] += 1
-        pairs.append((verify.random_multivector(fr.algebra, rng, 3), exp))
+        pairs.append((verify_draws.random_multivector(fr.algebra, rng, 3), exp))
     return PolyField(fr, pairs)
 
 

@@ -13,6 +13,7 @@ import ast
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -112,3 +113,26 @@ def test_parser_defaults_match_verify(capsys):
         cli.main(["verify", "--help"])
     help_text = " ".join(capsys.readouterr().out.split())
     assert "all, " + ", ".join(verify.SUITES) in help_text
+
+
+def compile_peaks():
+    """``{module file name: KB}``: the tracemalloc peak of ``compile()`` of
+    each ``src/lpgg`` module, the work an import does first where no
+    bytecode is cached."""
+    peaks = {}
+    for path in sorted((SRC / "lpgg").glob("*.py")):
+        source = path.read_bytes()
+        tracemalloc.start()
+        try:
+            compile(source, str(path), "exec", dont_inherit=True)
+            peaks[path.name] = round(tracemalloc.get_traced_memory()[1] / 1024)
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_no_module_compiles_above_the_kernel():
+    # The compile of the largest module a process imports sets its peak
+    # memory, so no module may cost more to compile than algebra.py.
+    peaks = compile_peaks()
+    assert all(kb <= peaks["algebra.py"] for kb in peaks.values()), peaks

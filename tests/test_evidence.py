@@ -3,14 +3,15 @@
 The report's bytes say what each check concluded, not how much it looked
 at, so a change that shrinks a sampling loop but keeps every status would
 leave the digest alone.  These tests pin the sample count of each check of
-the seed-2024 report, at the default n_max and at n_max = 4.  The suites
-run one after another in this process: ``run_suite("all")`` runs them in
+the seed-2024 report, at the default n_max and at n_max = 4.  The counts
+are recorded while the session's memo builds each suite in this process
+(``suite_evidence`` in ``conftest.py``): ``run_suite("all")`` runs them in
 worker processes, and the counts recorded there would be lost.
 """
 
 import pytest
 
-from lpgg import DEFAULT_N_MAX, SUITES, reporting, verify
+from lpgg import DEFAULT_N_MAX, SUITES
 
 SEED = 2024
 
@@ -134,29 +135,17 @@ KNOWN_CLAIM_MISMATCHES = {
 }
 
 
-def evidence(n_max):
+def evidence(n_max, suite_evidence):
     """``{check name: (samples, claim)}`` of the seed-``SEED`` report, its
-    seven suites run in this process."""
-    table = {}
-    result = reporting.Check.result
-    for suite in SUITES:
-        def recorded(check, error=None, suite=suite):
-            name = f"{suite}/{check.name}"
-            assert name not in table, name
-            table[name] = check.samples, check.claim
-            return result(check, error)
-
-        reporting.Check.result = recorded
-        try:
-            verify.run_suite(suite, n_max=n_max, seed=SEED)
-        finally:
-            reporting.Check.result = result
-    return table
+    seven suites run in this process, from ``suite_evidence(suite, n_max,
+    seed)``, which gives one suite's table by check name."""
+    return {f"{suite}/{name}": entry for suite in SUITES
+            for name, entry in suite_evidence(suite, n_max, SEED).items()}
 
 
 @pytest.fixture(scope="module")
-def tables():
-    return {DEFAULT_N_MAX: evidence(DEFAULT_N_MAX), 4: evidence(4)}
+def tables(suite_evidence):
+    return {n_max: evidence(n_max, suite_evidence) for n_max in (DEFAULT_N_MAX, 4)}
 
 
 @pytest.mark.parametrize("n_max,pinned,total", [

@@ -12,11 +12,12 @@ import subprocess
 import sys
 import tokenize
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import lpgg
-from lpgg import Algebra, atlas, calculus, frames, simplex, verify
+from lpgg import Algebra, atlas, calculus, frames, simplex, verify, verify_core, verify_draws
 from lpgg.reporting import CheckResult, VerificationReport
 
 
@@ -53,6 +54,10 @@ def test_all_in_workers_equals_the_suites_in_order(n_max, seed, suite_report):
     assert report.to_json() == in_order.to_json()
 
 
+def test_schedule_is_a_permutation_of_the_suites():
+    assert sorted(verify.SCHEDULE) == sorted(verify.SUITES)
+
+
 def statuses(report):
     return {c.name: c.status for c in report.checks}
 
@@ -87,8 +92,11 @@ def test_pseudoscalar_claim_names_only_checked_cases(suite_report):
 
 @pytest.mark.parametrize("suite", [s for s in verify.SUITES if s != "atlas"])
 def test_no_size_above_n_max_is_built(suite, monkeypatch):
+    # The core suite builds its G(p,q) by the name Algebra of its module,
+    # and every other suite builds frames; each run from n_max = 2 up must
+    # record one, so a wrapper that the suites no longer call fails here.
     built = []
-    real_frame, real_algebra = frames.build_null_frame, verify.Algebra
+    real_frame, real_algebra = frames.build_null_frame, verify_core.Algebra
 
     def frame(size, sign=1):
         built.append(("frame", size))
@@ -99,11 +107,14 @@ def test_no_size_above_n_max_is_built(suite, monkeypatch):
         return real_algebra(p, q)
 
     monkeypatch.setattr(frames, "build_null_frame", frame)
-    monkeypatch.setattr(verify, "Algebra", algebra)
+    monkeypatch.setattr(verify_core, "Algebra", algebra)
     for n_max in range(6):
         built.clear()
         verify.run_suite(suite, n_max=n_max)
         assert all(size <= n_max for _, size in built), (n_max, built)
+        if n_max >= 2:
+            assert any(kind.startswith("G(") if suite == "core" else kind == "frame"
+                       for kind, _ in built), (n_max, built)
 
 
 def test_periodicity_checked_through_ten_for_any_n_max(suite_report):
@@ -323,7 +334,7 @@ def test_random_multivector_matches_the_fraction_path(algebra):
     for terms in (4, 5, 6):
         for seed in range(200):
             rng, ref_rng = random.Random(seed), random.Random(seed)
-            mv = verify.random_multivector(algebra, rng, terms)
+            mv = verify_draws.random_multivector(algebra, rng, terms)
             ref = fraction_multivector(algebra, ref_rng, terms)
             assert (mv._den, mv._coeffs, list(mv._coeffs)) == (
                 ref._den, ref._coeffs, list(ref._coeffs)), (terms, seed)
@@ -347,17 +358,19 @@ def check_names(node):
 
 
 def test_float_tolerances_only_in_the_float_checks():
-    # Each exponent-form float literal of verify.py belongs to the first
-    # check statement that ends at or after its line, so a tolerance set up
-    # just before a check counts as inside it.
-    with open(verify.__file__, "rb") as source:
-        text = source.read()
-    checks = sorted((node.end_lineno, names) for node in ast.walk(ast.parse(text))
-                    if (names := check_names(node)))
-    ends = [end for end, _ in checks]
-    owners = [(tok.string, checks[bisect.bisect_left(ends, tok.start[0])][1])
-              for tok in tokenize.tokenize(io.BytesIO(text).readline)
-              if tok.type == tokenize.NUMBER
-              and re.fullmatch(r"[0-9.]+[eE][-+]?[0-9]+", tok.string)]
+    # Each exponent-form float literal of a verify module belongs to the
+    # first check statement of that module that ends at or after its line,
+    # so a tolerance set up just before a check counts as inside it.
+    owners = []
+    for path in sorted(Path(verify.__file__).parent.glob("verify*.py")):
+        text = path.read_bytes()
+        checks = sorted((node.end_lineno, names) for node in ast.walk(ast.parse(text))
+                        if (names := check_names(node)))
+        ends = [end for end, _ in checks]
+        owners += [(path.name, tok.string,
+                    checks[bisect.bisect_left(ends, tok.start[0])][1])
+                   for tok in tokenize.tokenize(io.BytesIO(text).readline)
+                   if tok.type == tokenize.NUMBER
+                   and re.fullmatch(r"[0-9.]+[eE][-+]?[0-9]+", tok.string)]
     assert owners and all(names in (["'radical-arithmetic'"], ["'finite-differences'"])
-                          for _, names in owners), owners
+                          for *_, names in owners), owners
