@@ -10,6 +10,12 @@ form its details state.  The coordinate text picks the backend of
 ``simplex --point``: ``1/3`` stays exact, ``0.25`` is a float.
 Each command imports the modules it runs in its own body, and only JSON
 output imports ``json``, so a process loads only those.
+
+A CLI process (``python -m lpgg.cli`` or the installed ``lpgg`` script)
+enters through :func:`run`: it flushes stdout and stderr and ends with
+``os._exit``, so the interpreter does not tear down the modules it
+loaded.  In-process callers use :func:`main`, which returns the exit
+code.
 """
 
 from __future__ import annotations
@@ -452,5 +458,23 @@ def main(argv=None) -> int:
         return DOMAIN_ERROR
 
 
+def run():
+    """The process entry: ``main()``, a flush, then ``os._exit`` with its code.
+
+    No output needs the interpreter's teardown, so the process skips it;
+    an uncaught exception still takes Python's normal path.
+    """
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: 2 for usage errors, 0 for --help, --version
+        code = exc.code
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except BrokenPipeError:  # the reader closed the pipe before the flush
+            code = DOMAIN_ERROR
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()
