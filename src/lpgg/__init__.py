@@ -28,6 +28,8 @@ __version__ = "0.1.0"
 
 # Shared with the CLI parser, which must not import the modules that use them.
 FRAME_LIMIT = 12  # largest frame size n+1 that build_null_frame accepts
+CANONICAL_BASIS_LIMIT = 8  # largest frame size with the 2^(n+1) null products
+ATLAS_LIMIT = 10  # largest level p+q of the pseudoscalar sign atlas
 SUITES = ("core", "frame", "star", "calculus", "spectral", "simplex", "atlas")
 DEFAULT_SEED = 2024
 DEFAULT_N_MAX = 8

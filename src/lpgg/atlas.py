@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
+from . import ATLAS_LIMIT
 from .algebra import Algebra, DimensionLimitError
-
-ATLAS_LIMIT = 10
 
 AtlasRow = namedtuple("AtlasRow", "p q blade square_sign generator_sign_product")
 

@@ -1,8 +1,8 @@
 """Command-line front end: construction, conversion, and verification.
 
 Exit codes: 0 success (corrected findings included), 1 domain error,
-failed verification, a ``verify`` worker that died or stdout closed
-early, 2 usage error.  JSON output is schema-stable and
+failed verification, a ``verify`` worker that died or stdout that
+cannot be written, 2 usage error.  JSON output is schema-stable and
 byte-identical across runs with the same seed.  ``verify`` is always
 exact.  A check it reports as ``skipped`` examined nothing; one reported
 as ``pass-corrected`` held on every sample, on some only in the corrected
@@ -12,7 +12,7 @@ Each command imports the modules it runs in its own body, and only JSON
 output imports ``json``, so a process loads only those.
 
 A CLI process (``python -m lpgg.cli`` or the installed ``lpgg`` script)
-enters through :func:`run`: it flushes stdout and stderr and ends with
+enters through :func:`run`: it flushes stdout and ends with
 ``os._exit``, so the interpreter does not tear down the modules it
 loaded.  In-process callers use :func:`main`, which returns the exit
 code.
@@ -26,7 +26,8 @@ import os
 import sys
 from fractions import Fraction
 
-from . import DEFAULT_N_MAX, DEFAULT_SEED, FRAME_LIMIT, SUITES, __version__
+from . import (ATLAS_LIMIT, CANONICAL_BASIS_LIMIT, DEFAULT_N_MAX, DEFAULT_SEED,
+               FRAME_LIMIT, SUITES, __version__)
 from .algebra import AlgebraError
 from .scalars import InexactSqrtError
 
@@ -56,9 +57,6 @@ def cmd_mult_table(args) -> int:
     from . import frames
     from .textform import format_multivector
     size = args.n
-    if not 2 <= size <= 8:
-        print(f"--n must be in 2..8, got {size}", file=sys.stderr)
-        return USAGE_ERROR
     sign = 1 if args.sign == "+" else -1
     frame = frames.build_null_frame(size, sign)
     table = frames.verify_multiplication_table(frame)
@@ -99,10 +97,6 @@ def cmd_frame(args) -> int:
     from . import frames
     from .textform import format_multivector
     size = args.n
-    if not 2 <= size <= FRAME_LIMIT:
-        print(f"--n must be in 2..{FRAME_LIMIT}, got {size}",
-              file=sys.stderr)
-        return USAGE_ERROR
     frame = frames.build_null_frame(size, 1 if args.sign == "+" else -1)
     recip = frames.reciprocal_frame(frame)
     if args.format == "json":
@@ -141,10 +135,6 @@ def cmd_verify(args) -> int:
             f"unknown suite {name!r}; pick from all, {', '.join(SUITES)}",
             file=sys.stderr,
         )
-        return USAGE_ERROR
-    if not 2 <= args.n_max <= FRAME_LIMIT:
-        print(f"--n-max must be in 2..{FRAME_LIMIT}, got {args.n_max}",
-              file=sys.stderr)
         return USAGE_ERROR
     try:
         report = verify.run_suite(name, n_max=args.n_max, seed=args.seed)
@@ -212,9 +202,6 @@ def cmd_simplex(args) -> int:
     from . import frames, simplex
     from .textform import format_multivector
     size = args.n + 1
-    if not 2 <= size <= FRAME_LIMIT:
-        print(f"--n must be in 1..{FRAME_LIMIT - 1}", file=sys.stderr)
-        return USAGE_ERROR
     if not args.point and not args.vertices and not args.vertices_file:
         print("need --point, --vertices, or --vertices-file", file=sys.stderr)
         return USAGE_ERROR
@@ -282,10 +269,6 @@ def cmd_express(args) -> int:
     from . import frames
     from .textform import ParseError, format_multivector, parse_multivector
     size = args.n
-    if not 2 <= size <= frames.CANONICAL_BASIS_LIMIT:
-        print(f"--n must be in 2..{frames.CANONICAL_BASIS_LIMIT}",
-              file=sys.stderr)
-        return USAGE_ERROR
     frame = frames.build_null_frame(size, 1)
     try:
         mv = parse_multivector(args.mv, frame.algebra)
@@ -316,9 +299,6 @@ def cmd_express(args) -> int:
 
 def cmd_classify(args) -> int:
     from . import atlas
-    if not 1 <= args.max <= atlas.ATLAS_LIMIT:
-        print(f"--max must be in 1..{atlas.ATLAS_LIMIT}", file=sys.stderr)
-        return USAGE_ERROR
     data = atlas.atlas(args.max)
     if args.format == "json":
         payload = {
@@ -366,8 +346,19 @@ def ascii_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """``--help`` and ``--version`` fail on stdout like any command: argparse
+    drops a failed write, and writes to stderr when stdout is closed."""
+
+    def _print_message(self, message, file=None):
+        if file is not sys.stdout:
+            super()._print_message(message, file)
+        elif file is not None:
+            file.write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lpgg",
         description=(
             "Correlated null-frame geometric algebra: construction, "
@@ -382,14 +373,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="frame size (count of null vectors)")
     p.add_argument("--sign", choices=["+", "-"], default="+")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_mult_table)
+    p.set_defaults(func=cmd_mult_table, bounds={"n": (2, CANONICAL_BASIS_LIMIT)})
 
     p = sub.add_parser("frame", help="emit T, T^-1, null and reciprocal vectors")
     p.add_argument("--n", type=ascii_int, required=True,
                    help="frame size (count of null vectors)")
     p.add_argument("--sign", choices=["+", "-"], default="+")
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=cmd_frame)
+    p.set_defaults(func=cmd_frame, bounds={"n": (2, FRAME_LIMIT)})
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", default="all",
@@ -400,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "no size left are skipped")
     p.add_argument("--seed", type=ascii_int, default=DEFAULT_SEED)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, bounds={"n_max": (2, FRAME_LIMIT)})
 
     p = sub.add_parser("spectral", help="spectral decomposition of g_ij")
     p.add_argument("--g", required=True,
@@ -418,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="CSV file with one vertex row per line")
     p.add_argument("--free-vertices", action="store_true",
                    help="skip the barycentric row checks")
-    p.set_defaults(func=cmd_simplex)
+    p.set_defaults(func=cmd_simplex, bounds={"n": (1, FRAME_LIMIT - 1)})
 
     p = sub.add_parser("express", help="expand a multivector over the "
                                        "canonical null products")
@@ -428,13 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="multivector text, e.g. '1/2*e1 + 1/2*f1'")
     p.add_argument("--a-matrix", action="store_true",
                    help="include the A-matrix grid in the output")
-    p.set_defaults(func=cmd_express)
+    p.set_defaults(func=cmd_express, bounds={"n": (2, CANONICAL_BASIS_LIMIT)})
 
     p = sub.add_parser("classify", help="pseudoscalar sign atlas")
     p.add_argument("--max", type=ascii_int, default=6, help="largest level p+q")
     p.add_argument("--format", choices=["text", "json", "csv"],
                    default="text")
-    p.set_defaults(func=cmd_classify)
+    p.set_defaults(func=cmd_classify, bounds={"max": (1, ATLAS_LIMIT)})
     return parser
 
 
@@ -445,34 +436,41 @@ def main(argv=None) -> int:
         if isinstance(value, list):  # argparse turns `--opt=--` into []
             print(f"--{name.replace('_', '-')} needs a value", file=sys.stderr)
             return USAGE_ERROR
+    # Each subparser declares its integer ranges; no command module is loaded yet.
+    for name, (lo, hi) in getattr(args, "bounds", {}).items():
+        value = getattr(args, name)
+        if not lo <= value <= hi:
+            print(f"--{name.replace('_', '-')} must be in {lo}..{hi}, got {value}",
+                  file=sys.stderr)
+            return USAGE_ERROR
     try:
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
+        return args.func(args)
     except AlgebraError as exc:
         print(str(exc), file=sys.stderr)
-        return DOMAIN_ERROR
-    except BrokenPipeError:  # the reader closed stdout early
-        # Point stdout at devnull so the flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return DOMAIN_ERROR
 
 
 def run():
     """The process entry: ``main()``, a flush, then ``os._exit`` with its code.
 
-    No output needs the interpreter's teardown, so the process skips it;
-    an uncaught exception still takes Python's normal path.
+    Stdout that cannot be written, or that was closed at start, exits 1
+    with one line on stderr, or none if the reader closed the pipe.  No
+    output needs the interpreter's teardown, so the process skips it; an
+    exception that is not an ``OSError`` still takes Python's normal path.
     """
     try:
-        code = main()
-    except SystemExit as exc:  # argparse: 2 for usage errors, 0 for --help, --version
-        code = exc.code
-    for stream in (sys.stdout, sys.stderr):
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
         try:
-            stream.flush()
-        except BrokenPipeError:  # the reader closed the pipe before the flush
-            code = DOMAIN_ERROR
+            code = main()
+        except SystemExit as exc:  # argparse: 2 for usage errors, 0 for --help, --version
+            code = exc.code
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = DOMAIN_ERROR
+    except OSError as exc:
+        print(f"lpgg: {exc}", file=sys.stderr)
+        code = DOMAIN_ERROR
     os._exit(code)
 
 

@@ -19,11 +19,9 @@ import itertools
 from collections import namedtuple
 from fractions import Fraction
 
-from . import FRAME_LIMIT, linalg
+from . import CANONICAL_BASIS_LIMIT, FRAME_LIMIT, linalg
 from .algebra import Algebra, AlgebraError, Multivector, combination, wedge_list
 from .scalars import EXACT, Radical, coerce
-
-CANONICAL_BASIS_LIMIT = 8
 
 
 class CoordinateRow(namedtuple("CoordinateRow", "entries basis")):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from lpgg import verify
-from lpgg.cli import main
+from lpgg.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -111,6 +111,36 @@ def test_verify_n_max_out_of_range_is_usage_error(capsys, n_max):
     assert code == 2
     assert out == ""
     assert "--n-max must be in 2..12" in err
+
+
+def declared_bounds():
+    """``(subparser, command, option, lo, hi)`` for each bound declared."""
+    commands = build_parser()._subparsers._group_actions[0].choices
+    return [(parser, command, name, lo, hi)
+            for command, parser in commands.items()
+            for name, (lo, hi) in (parser.get_default("bounds") or {}).items()]
+
+
+BOUNDS = declared_bounds()
+
+
+def test_every_integer_size_option_declares_its_bound():
+    assert [(command, name) for _, command, name, *_ in BOUNDS] == [
+        ("mult-table", "n"), ("frame", "n"), ("verify", "n_max"),
+        ("simplex", "n"), ("express", "n"), ("classify", "max")]
+
+
+@pytest.mark.parametrize("parser, command, name, lo, hi", BOUNDS,
+                         ids=[bound[1] for bound in BOUNDS])
+def test_declared_bound_rejects_both_neighbours(capsys, parser, command, name, lo, hi):
+    required = [arg for action in parser._actions
+                if action.required and action.dest != name
+                for arg in (action.option_strings[0], "1")]
+    flag = "--" + name.replace("_", "-")
+    for value in (lo - 1, hi + 1):
+        code, out, err = run_cli(capsys, command, *required, flag, str(value))
+        assert (code, out) == (2, "")
+        assert err == f"{flag} must be in {lo}..{hi}, got {value}\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -37,17 +37,17 @@ print(repr([code, sorted(sys.modules)]))
 BARE = "import sys; print(repr([0, sorted(sys.modules)]))"
 
 
-def modules_after(source, *argv):
+def modules_after(source, *argv, code=0):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     result = subprocess.run([sys.executable, "-c", source, *argv], env=env,
                             capture_output=True, text=True, check=True)
-    code, modules = ast.literal_eval(result.stdout)
-    assert code == 0, result.stderr
+    exit_code, modules = ast.literal_eval(result.stdout)
+    assert exit_code == code, result.stderr
     return set(modules)
 
 
-def loaded_modules(*argv):
-    return {m.removeprefix("lpgg.") for m in modules_after(PROBE, *argv)
+def loaded_modules(*argv, code=0):
+    return {m.removeprefix("lpgg.") for m in modules_after(PROBE, *argv, code=code)
             if m.startswith("lpgg")}
 
 
@@ -64,6 +64,15 @@ def test_import_and_parser_load_no_command_module():
 ])
 def test_command_loads_only_its_own_modules(argv, modules):
     assert loaded_modules(*argv) == BASE | modules
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n-max", "13"],
+    ["express", "--n", "9", "--mv", "e1"],
+    ["classify", "--max", "11"],
+])
+def test_out_of_range_option_loads_no_command_module(argv):
+    assert loaded_modules(*argv, code=cli.USAGE_ERROR) == BASE
 
 
 # One argv per subcommand, each with the output format it names.

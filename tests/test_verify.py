@@ -44,6 +44,18 @@ def test_run_all_merges_and_prefixes(suite_report):
     )
 
 
+def test_default_seed_report_at_n_max_4_is_pinned(suite_report):
+    """The seed-2024 report at n_max = 4, merged from the memoized suites
+    (``run_suite("all")`` equals it, as the next test checks).  The CLI's
+    stdout adds one newline and hashes to ``bab09c22…``."""
+    report = verify.merge_reports("all", 2024, [
+        suite_report(suite, 4, 2024) for suite in verify.SUITES])
+    text = json.dumps(report.to_json(), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "003e9eb52e8956511c093cbfe5665f29cdd7435158d94fdfe220ae26bf6ec09a"
+    )
+
+
 @pytest.mark.parametrize("seed", [1, 7, 2024])
 @pytest.mark.parametrize("n_max", [4, verify.DEFAULT_N_MAX])
 def test_all_in_workers_equals_the_suites_in_order(n_max, seed, suite_report):
