@@ -35,6 +35,16 @@ USAGE_ERROR = 2
 DOMAIN_ERROR = 1
 
 
+def _fail(code, message):
+    """Print ``message`` as one stderr line, dropped if stderr cannot be
+    written, and return the exit ``code``."""
+    try:
+        print(message, file=sys.stderr)
+    except OSError:
+        pass
+    return code
+
+
 def _print_json(payload):
     import json
     print(json.dumps(payload, indent=2, sort_keys=True))
@@ -128,14 +138,11 @@ def cmd_frame(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from . import verify
     name = args.suite
     if name != "all" and name not in SUITES:
-        print(
-            f"unknown suite {name!r}; pick from all, {', '.join(SUITES)}",
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
+        return _fail(USAGE_ERROR,
+                     f"unknown suite {name!r}; pick from all, {', '.join(SUITES)}")
+    from . import verify
     try:
         report = verify.run_suite(name, n_max=args.n_max, seed=args.seed)
     except RuntimeError as exc:
@@ -143,8 +150,7 @@ def cmd_verify(args) -> int:
         from concurrent.futures.process import BrokenProcessPool
         if not isinstance(exc, BrokenProcessPool):
             raise
-        print(f"verify: a suite worker died: {exc}", file=sys.stderr)
-        return DOMAIN_ERROR
+        return _fail(DOMAIN_ERROR, f"verify: a suite worker died: {exc}")
     if args.format == "json":
         _print_json(report.to_json())
     else:
@@ -160,11 +166,9 @@ def cmd_spectral(args) -> int:
     try:
         raw = json.loads(args.g)
     except ValueError as exc:  # not JSON, or an integer too long to convert
-        print(f"--g must be JSON: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _fail(USAGE_ERROR, f"--g must be JSON: {exc}")
     if not isinstance(raw, dict):
-        print("--g must be a JSON object of g_ij coefficients", file=sys.stderr)
-        return USAGE_ERROR
+        return _fail(USAGE_ERROR, "--g must be a JSON object of g_ij coefficients")
     coefficients = {}
     try:
         for key, value in raw.items():
@@ -183,15 +187,13 @@ def cmd_spectral(args) -> int:
                 raise ValueError(f"{key} must be finite, not {value!r}")
             coefficients[(i, j)] = value
     except (ValueError, ZeroDivisionError) as exc:
-        print(f"bad --g: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _fail(USAGE_ERROR, f"bad --g: {exc}")
     frame = frames.build_null_frame(3, 1)
     try:
         op = spectral.BivectorOperator(frame, coefficients)
         decomposition = spectral.spectral_decompose(op)
     except (spectral.DegenerateSpectrumError, ValueError, InexactSqrtError) as exc:
-        print(f"spectral error: {exc}", file=sys.stderr)
-        return DOMAIN_ERROR
+        return _fail(DOMAIN_ERROR, f"spectral error: {exc}")
     payload = decomposition.to_json()
     payload["element"] = format_multivector(op.element())
     _print_json(payload)
@@ -203,8 +205,7 @@ def cmd_simplex(args) -> int:
     from .textform import format_multivector
     size = args.n + 1
     if not args.point and not args.vertices and not args.vertices_file:
-        print("need --point, --vertices, or --vertices-file", file=sys.stderr)
-        return USAGE_ERROR
+        return _fail(USAGE_ERROR, "need --point, --vertices, or --vertices-file")
     frame = frames.build_null_frame(size, 1)
     payload = {"n": args.n}
 
@@ -215,16 +216,14 @@ def cmd_simplex(args) -> int:
             )
             point = simplex.SimplexPoint(frame, coords)
         except (ValueError, ZeroDivisionError) as exc:
-            print(f"bad --point: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+            return _fail(USAGE_ERROR, f"bad --point: {exc}")
         norm_sq = point.norm_squared()
         try:
             norm_sq_float = float(norm_sq)
         except OverflowError:
             norm_sq_float = math.inf
         if not math.isfinite(norm_sq_float):
-            print("--point: |x|^2 overflows a float", file=sys.stderr)
-            return DOMAIN_ERROR
+            return _fail(DOMAIN_ERROR, "--point: |x|^2 overflows a float")
         payload.update({
             "coordinates": [str(c) for c in coords],
             "barycentric": point.is_barycentric(),
@@ -250,8 +249,7 @@ def cmd_simplex(args) -> int:
             )
             content, degenerate = simplex.content_vertices(matrix)
         except (OSError, ValueError, ZeroDivisionError) as exc:
-            print(f"bad vertex rows: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+            return _fail(USAGE_ERROR, f"bad vertex rows: {exc}")
         payload["vertices"] = {
             "rows": [[str(v) for v in row] for row in matrix.rows],
             "content": format_multivector(content),
@@ -273,8 +271,7 @@ def cmd_express(args) -> int:
     try:
         mv = parse_multivector(args.mv, frame.algebra)
     except (ParseError, AlgebraError, InexactSqrtError) as exc:
-        print(f"bad --mv: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _fail(USAGE_ERROR, f"bad --mv: {exc}")
     subsets = frames.canonical_subsets(size)
     coefficients = frames.express_in_null_basis(frame, mv)
 
@@ -347,12 +344,13 @@ def ascii_int(text: str) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """``--help`` and ``--version`` fail on stdout like any command: argparse
-    drops a failed write, and writes to stderr when stdout is closed."""
+    """``--help`` and ``--version`` fail on stdout like any command (argparse
+    drops a failed write); usage errors go through :func:`_fail`, since
+    argparse before 3.11 lets a failed stderr write raise."""
 
     def _print_message(self, message, file=None):
         if file is not sys.stdout:
-            super()._print_message(message, file)
+            _fail(None, message.removesuffix("\n"))
         elif file is not None:
             file.write(message)
 
@@ -434,31 +432,32 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     for name, value in vars(args).items():
         if isinstance(value, list):  # argparse turns `--opt=--` into []
-            print(f"--{name.replace('_', '-')} needs a value", file=sys.stderr)
-            return USAGE_ERROR
+            return _fail(USAGE_ERROR, f"--{name.replace('_', '-')} needs a value")
     # Each subparser declares its integer ranges; no command module is loaded yet.
     for name, (lo, hi) in getattr(args, "bounds", {}).items():
         value = getattr(args, name)
         if not lo <= value <= hi:
-            print(f"--{name.replace('_', '-')} must be in {lo}..{hi}, got {value}",
-                  file=sys.stderr)
-            return USAGE_ERROR
+            flag = "--" + name.replace("_", "-")
+            return _fail(USAGE_ERROR, f"{flag} must be in {lo}..{hi}, got {value}")
     try:
         return args.func(args)
     except AlgebraError as exc:
-        print(str(exc), file=sys.stderr)
-        return DOMAIN_ERROR
+        return _fail(DOMAIN_ERROR, str(exc))
 
 
 def run():
     """The process entry: ``main()``, a flush, then ``os._exit`` with its code.
 
     Stdout that cannot be written, or that was closed at start, exits 1
-    with one line on stderr, or none if the reader closed the pipe.  No
-    output needs the interpreter's teardown, so the process skips it; an
-    exception that is not an ``OSError`` still takes Python's normal path.
+    with one line on stderr, or none if the reader closed the pipe.  A
+    stderr closed at start becomes ``os.devnull``, since argparse prints a
+    usage error on stdout when ``sys.stderr`` is ``None``.  No output needs
+    the interpreter's teardown, so the process skips it; an exception that
+    is not an ``OSError`` still takes Python's normal path.
     """
     try:
+        if sys.stderr is None:
+            sys.stderr = open(os.devnull, "w")
         if sys.stdout is None:
             raise OSError("stdout is closed")
         try:
@@ -469,8 +468,7 @@ def run():
     except BrokenPipeError:
         code = DOMAIN_ERROR
     except OSError as exc:
-        print(f"lpgg: {exc}", file=sys.stderr)
-        code = DOMAIN_ERROR
+        code = _fail(DOMAIN_ERROR, f"lpgg: {exc}")
     os._exit(code)
 
 

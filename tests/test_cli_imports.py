@@ -70,6 +70,7 @@ def test_command_loads_only_its_own_modules(argv, modules):
     ["verify", "--n-max", "13"],
     ["express", "--n", "9", "--mv", "e1"],
     ["classify", "--max", "11"],
+    ["verify", "--suite", "nope"],
 ])
 def test_out_of_range_option_loads_no_command_module(argv):
     assert loaded_modules(*argv, code=cli.USAGE_ERROR) == BASE
