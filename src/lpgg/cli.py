@@ -1,7 +1,7 @@
 """Command-line front end: construction, conversion, and verification.
 
 Exit codes: 0 success (corrected findings included), 1 domain error,
-failed verification, a ``verify`` worker that died or stdout that
+failed verification, a failed ``verify`` worker, or stdout that
 cannot be written, 2 usage error.  JSON output is schema-stable and
 byte-identical across runs with the same seed.  ``verify`` is always
 exact.  A check it reports as ``skipped`` examined nothing; one reported
@@ -145,12 +145,8 @@ def cmd_verify(args) -> int:
     from . import verify
     try:
         report = verify.run_suite(name, n_max=args.n_max, seed=args.seed)
-    except RuntimeError as exc:
-        # Imported only on failure: single suites never load the pool.
-        from concurrent.futures.process import BrokenProcessPool
-        if not isinstance(exc, BrokenProcessPool):
-            raise
-        return _fail(DOMAIN_ERROR, f"verify: a suite worker died: {exc}")
+    except verify.SuiteWorkerError as exc:
+        return _fail(DOMAIN_ERROR, f"verify: a suite worker failed: {exc}")
     if args.format == "json":
         _print_json(report.to_json())
     else:

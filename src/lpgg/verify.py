@@ -20,10 +20,11 @@ load, so forked workers inherit them, and dispatches by name.
 """
 from __future__ import annotations
 
+import marshal
 import os
 
 from . import DEFAULT_N_MAX, DEFAULT_SEED, SUITES
-from .reporting import VerificationReport, merge_reports
+from .reporting import CheckResult, VerificationReport, merge_reports
 from .verify_atlas import suite_atlas
 from .verify_calculus import suite_calculus
 from .verify_core import suite_core
@@ -42,39 +43,100 @@ SUITE_FUNCTIONS = {
     "atlas": suite_atlas,
 }
 
-# The order in which run_suite("all") submits the suites to its workers:
+# The order in which run_suite("all") hands the suites to its workers:
 # longest first, by the per-suite times measured in process
 # (``suites_in_process`` in BENCH_26.json), so no long suite starts last.
 SCHEDULE = ("core", "spectral", "frame", "star", "calculus", "simplex", "atlas")
+
+
+class SuiteWorkerError(RuntimeError):
+    """A suite worker of ``run_suite("all")`` exited with a nonzero status,
+    or a suite's report never came back."""
 
 
 def run_suite(name: str, n_max: int = DEFAULT_N_MAX,
               seed: int = DEFAULT_SEED) -> VerificationReport:
     """One suite's report; ``"all"`` merges the seven in ``SUITES`` order.
 
-    ``"all"`` runs each suite in a worker process, one worker per usable
-    CPU and at most one per suite, submitted in ``SCHEDULE`` order and
-    collected in ``SUITES`` order.  Every suite seeds its own generator
-    and no module keeps a cache, so the merged report is the one the
-    suites give run in order.  Workers are forked where the platform can,
-    so they inherit the modules as the caller left them; the pool starts
-    its threads only after its forks.  A worker that dies raises
-    ``BrokenProcessPool``.  The pool modules are imported here, so that
-    importing this module loads none of them.
+    ``"all"`` runs the suites in forked workers (:func:`_run_in_workers`)
+    where the platform has ``os.fork``, and in order in this process where
+    it has not.  Every suite seeds its own generator and no module keeps a
+    cache, so either way the merged report is the one the suites give run
+    in order.  A worker that exits with a nonzero status, because its suite
+    raised or the process died, raises :class:`SuiteWorkerError` once every
+    worker has been reaped.
     """
     if name == "all":
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)
-        with ProcessPoolExecutor(min(cpus, len(SUITES)), mp_context=context) as pool:
-            futures = {suite: pool.submit(run_suite, suite, n_max, seed)
-                       for suite in SCHEDULE}
-            reports = [futures[suite].result() for suite in SUITES]
+        if hasattr(os, "fork"):
+            checks = _run_in_workers(n_max, seed)
+            reports = [VerificationReport(suite, seed, [CheckResult(*c) for c in checks[suite]])
+                       for suite in SUITES]
+        else:
+            reports = [run_suite(suite, n_max, seed) for suite in SUITES]
         return merge_reports("all", seed, reports)
     if name not in SUITE_FUNCTIONS:
         raise KeyError(name)
     return SUITE_FUNCTIONS[name](n_max=n_max, seed=seed)
+
+
+def _run_in_workers(n_max, seed):
+    """``{suite: [(name, claim, status, details), ...]}`` of the seven suites.
+
+    The indices into ``SCHEDULE`` wait in one pipe, in order.  Each of
+    ``min(usable CPUs, 7)`` forked workers reads it one byte at a time until
+    EOF; a 1-byte pipe read is atomic, so each suite goes to exactly one
+    worker, and a free worker takes the longest suite left.  Each worker
+    returns its results through its own pipe with the built-in ``marshal``,
+    so this process loads no pool module, pickles nothing and starts no
+    thread.  It reaps every worker, also when a fork or a read fails.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    schedule, queued = os.pipe()
+    with open(queued, "wb") as stream:
+        stream.write(bytes(range(len(SCHEDULE))))
+    pids, streams = [], []
+    try:
+        for _ in range(min(cpus, len(SUITES))):
+            read_end, write_end = os.pipe()
+            streams.append(open(read_end, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(schedule, write_end, n_max, seed)
+            finally:
+                os.close(write_end)
+            pids.append(pid)
+        outputs = [stream.read() for stream in streams]
+    finally:
+        os.close(schedule)
+        for stream in streams:
+            stream.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    checks = {}
+    for code, output in zip(codes, outputs):
+        if code == 0:
+            checks.update(marshal.loads(output))
+    missing = [suite for suite in SUITES if suite not in checks]
+    if missing or any(codes):
+        raise SuiteWorkerError(f"worker exit statuses {codes}, "
+                               f"missing suites: {', '.join(missing) or 'none'}")
+    return checks
+
+
+def _work(schedule, out, n_max, seed):
+    """A forked worker: run suites from ``schedule`` until EOF, write their
+    results to ``out``, and exit, 0 only if all of that held.  It never
+    returns into the caller's frames or flushes the caller's buffers."""
+    code = 1
+    try:
+        results = []
+        while index := os.read(schedule, 1):
+            suite = SCHEDULE[index[0]]
+            results.append((suite, [(c.name, c.claim, c.status, c.details)
+                                    for c in run_suite(suite, n_max, seed).checks]))
+        with open(out, "wb") as stream:
+            marshal.dump(results, stream)
+        code = 0
+    finally:
+        os._exit(code)

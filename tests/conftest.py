@@ -4,10 +4,12 @@
 report once per test session, and ``suite_evidence`` hands out the
 per-check samples recorded while that same build ran.  Tests that patch
 or wrap the suites call ``verify.run_suite`` themselves, so their runs
-never reach the memo.
+never reach the memo.  ``forked`` records the children ``os.fork``
+makes while a test runs.
 """
 
 import copy
+import os
 
 import pytest
 
@@ -70,3 +72,20 @@ def suite_evidence(built_suites):
         return dict(built_suites(suite, n_max, seed)[1])
 
     return evidence
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids ``os.fork`` returns to this process during the test, in
+    fork order; ``os.fork`` is wrapped to record them."""
+    pids = []
+    fork = os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    return pids

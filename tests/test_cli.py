@@ -1,6 +1,5 @@
 import hashlib
 import json
-import multiprocessing
 import os
 from pathlib import Path
 
@@ -190,13 +189,23 @@ def test_verify_all_report_is_pinned(capsys):
     assert (statuses.count("pass"), statuses.count("pass-corrected")) == (53, 23)
 
 
-def test_verify_all_exits_1_when_a_suite_worker_dies(capsys, monkeypatch):
+def test_verify_all_exits_1_when_a_suite_worker_dies(capsys, monkeypatch, forked):
     # Forked workers inherit the patch, so the core suite's worker exits.
     monkeypatch.setitem(verify.SUITE_FUNCTIONS, "core", lambda **_: os._exit(3))
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n-max", "2")
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and "Traceback" not in err, err
-    assert multiprocessing.active_children() == []
+    assert "missing suites: core" in err, err
+    for pid in forked:  # every worker has been reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+def test_verify_all_exits_1_when_a_suite_raises_in_a_worker(capsys, monkeypatch):
+    monkeypatch.setitem(verify.SUITE_FUNCTIONS, "core", lambda **_: 1 / 0)
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n-max", "2")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err, err
 
 
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"

@@ -72,7 +72,8 @@ def test_a_broken_final_flush_exits_1(monkeypatch):
 
 
 def test_verify_all_leaves_no_thread_behind(capsys):
-    """``os._exit`` ends the process at once, so the pool must be gone by then."""
+    """``os._exit`` ends the process at once, so no thread may outlive
+    ``main``; ``run_suite("all")`` forks its workers and starts none."""
     before = set(threading.enumerate())
     assert cli.main(["verify", "--suite", "all", "--n-max", "2"]) == 0
     capsys.readouterr()

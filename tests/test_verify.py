@@ -4,7 +4,6 @@ import hashlib
 import inspect
 import io
 import json
-import multiprocessing
 import os
 import random
 import re
@@ -44,13 +43,17 @@ def test_run_all_merges_and_prefixes(suite_report):
     )
 
 
+def in_order(suite_report, n_max, seed):
+    """The seven suites' reports, each built in this process, merged in order."""
+    return verify.merge_reports("all", seed, [
+        suite_report(suite, n_max, seed) for suite in verify.SUITES])
+
+
 def test_default_seed_report_at_n_max_4_is_pinned(suite_report):
     """The seed-2024 report at n_max = 4, merged from the memoized suites
     (``run_suite("all")`` equals it, as the next test checks).  The CLI's
     stdout adds one newline and hashes to ``bab09c22…``."""
-    report = verify.merge_reports("all", 2024, [
-        suite_report(suite, 4, 2024) for suite in verify.SUITES])
-    text = json.dumps(report.to_json(), indent=2, sort_keys=True)
+    text = json.dumps(in_order(suite_report, 4, 2024).to_json(), indent=2, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "003e9eb52e8956511c093cbfe5665f29cdd7435158d94fdfe220ae26bf6ec09a"
     )
@@ -58,12 +61,26 @@ def test_default_seed_report_at_n_max_4_is_pinned(suite_report):
 
 @pytest.mark.parametrize("seed", [1, 7, 2024])
 @pytest.mark.parametrize("n_max", [4, verify.DEFAULT_N_MAX])
-def test_all_in_workers_equals_the_suites_in_order(n_max, seed, suite_report):
+def test_all_in_workers_equals_the_suites_in_order(n_max, seed, suite_report, forked):
     report = verify.run_suite("all", n_max=n_max, seed=seed)
-    assert multiprocessing.active_children() == []
-    in_order = verify.merge_reports("all", seed, [
-        suite_report(suite, n_max, seed) for suite in verify.SUITES])
-    assert report.to_json() == in_order.to_json()
+    assert len(forked) == min(len(os.sched_getaffinity(0)), len(verify.SUITES))
+    for pid in forked:  # every worker has been reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+    assert report.to_json() == in_order(suite_report, n_max, seed).to_json()
+
+
+def test_one_usable_cpu_runs_every_suite_in_one_worker(monkeypatch, suite_report, forked):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    report = verify.run_suite("all", n_max=4, seed=7)
+    assert len(forked) == 1
+    assert report.to_json() == in_order(suite_report, 4, 7).to_json()
+
+
+def test_without_fork_the_suites_run_in_process(monkeypatch, suite_report):
+    monkeypatch.delattr(os, "fork")
+    report = verify.run_suite("all", n_max=4, seed=7)
+    assert report.to_json() == in_order(suite_report, 4, 7).to_json()
 
 
 def test_schedule_is_a_permutation_of_the_suites():
@@ -290,11 +307,13 @@ def test_spectral_suite_does_not_import_numpy():
 
 
 def test_importing_verify_loads_no_pool_module():
-    # The worker pool of run_suite("all") is imported when first used.
+    # run_suite("all") forks its workers with os and reads their results with marshal.
     assert fresh_interpreter(
         "import sys\n"
-        "import lpgg.verify\n"
-        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])\n"
+        "from lpgg import verify\n"
+        "verify.run_suite('all', n_max=2)\n"
+        "print([m for m in ('multiprocessing', 'concurrent.futures', 'pickle')"
+        " if m in sys.modules])\n"
     ) == "[]"
 
 
