@@ -45,7 +45,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from record import src_modified
+from record import run_perfbench, src_modified
 
 ROOT = Path(__file__).resolve().parent.parent
 FIRST_SEED = 101
@@ -96,23 +96,6 @@ def extract(rev: str, into: Path) -> str:
     return commit
 
 
-def run_side(tree: Path, workload: str, seed: int, seconds: float,
-             smoke: bool) -> tuple[dict, dict]:
-    """The host record and the result line of one untraced ``run.py`` in ``tree``."""
-    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-            "--seconds", str(seconds), "--trace", "0"]
-    if smoke:
-        argv.append("--smoke")
-    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=False)
-    if done.returncode != 0:
-        raise SystemExit(f"{workload} in {tree} failed with exit code "
-                         f"{done.returncode}:\n{done.stderr}")
-    *_, host_line, result_line = done.stdout.splitlines()
-    host = json.loads(host_line)["host"]
-    del host["calibration_s"]  # host speed during one run, not a fact of the tree
-    return host, json.loads(result_line)
-
-
 def ab_round(parent_tree: Path, args, metrics: list[dict]) -> dict:
     trees = {"parent": parent_tree, "change": ROOT}
     hosts, pairs = {}, []
@@ -120,8 +103,9 @@ def ab_round(parent_tree: Path, args, metrics: list[dict]) -> dict:
     for seed, order in schedule(args.pairs, args.seed):
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            hosts[side], result = run_side(trees[side], args.workload, seed,
-                                           args.seconds, args.smoke)
+            hosts[side], result = run_perfbench(
+                trees[side], args.workload, "--seed", str(seed), "--seconds", str(args.seconds),
+                "--trace", "0", smoke=args.smoke)
             pair[side] = {key: result[key] for key in ("correct", "attempted", "failed")}
             for name, series in values[side].items():
                 series.append(result["metrics"][name]["value"])

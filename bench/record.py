@@ -18,8 +18,7 @@ from that commit, the result line of every workload, and:
 - ``kernel_in_process``: untraced single-product times (see
   :func:`time_kernel`);
 - ``samples_total``: the samples that the checks of the seed-2024 report
-  examine, counted by ``tests/test_evidence.py`` through the suite builder
-  of ``tests/conftest.py`` (both need pytest);
+  examine, summed over the checks of ``run_suite("all")``;
 - ``cli_closure``: per subcommand, the modules one CLI process loads
   beyond a bare interpreter and the ``src/lpgg`` lines it compiles,
   probed as ``tests/test_cli_imports.py`` does (see :func:`cli_closure`);
@@ -48,8 +47,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
-EVIDENCE = ROOT / "tests" / "test_evidence.py"
-CONFTEST = ROOT / "tests" / "conftest.py"
 CLI_IMPORTS = ROOT / "tests" / "test_cli_imports.py"
 REFERENCES = ROOT / "perfbench" / "references.json"
 SRC = ROOT / "src"
@@ -96,13 +93,14 @@ def time_kernel(smoke: bool) -> dict:
 
 
 def samples_total() -> int:
-    """The samples of the evidence test's seed-2024 table at the default n_max."""
-    from lpgg import DEFAULT_N_MAX
+    """The samples of the seed-2024 report's checks at the default n_max,
+    each check counted once."""
+    from lpgg import verify
 
-    evidence = load(EVIDENCE, "lpgg_evidence_test").evidence
-    build = load(CONFTEST, "lpgg_tests_conftest").build_with_evidence
-    table = evidence(DEFAULT_N_MAX, lambda *key: build(*key)[1])
-    return sum(samples for samples, _ in table.values())
+    checks = verify.run_suite("all", seed=2024).checks
+    names = [check.name for check in checks]
+    assert len(set(names)) == len(names), "duplicate check names"
+    return sum(check.samples for check in checks)
 
 
 def cli_closure(probe) -> dict:
@@ -138,18 +136,20 @@ def tier1_wall_s() -> float:
     return round(elapsed, 2)
 
 
-def run_workload(name: str, smoke: bool) -> tuple[dict, dict]:
-    """The host record and the result line of one traced run."""
-    argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", name,
-            "--seed", str(SEED), "--trace", "1"]
+def run_perfbench(tree: Path, workload: str, *options: str,
+                  smoke: bool = False) -> tuple[dict, dict]:
+    """The host record and the result line of one ``perfbench/run.py
+    --workload WORKLOAD OPTIONS... [--smoke]`` run in ``tree``."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, *options]
     if smoke:
         argv.append("--smoke")
-    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=False)
+    done = subprocess.run(argv, cwd=tree, capture_output=True, text=True, check=False)
     if done.returncode != 0:
-        raise SystemExit(f"{name} failed with exit code {done.returncode}:\n{done.stderr}")
+        raise SystemExit(f"{workload} in {tree} failed with exit code "
+                         f"{done.returncode}:\n{done.stderr}")
     *_, host_line, result_line = done.stdout.splitlines()
     host = json.loads(host_line)["host"]
-    del host["calibration_s"]  # host speed during one run, not a fact of the checkout
+    del host["calibration_s"]  # host speed during one run, not a fact of the tree
     return host, json.loads(result_line)
 
 
@@ -192,7 +192,8 @@ def main(argv=None) -> int:
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
     host, results = None, {}
     for name in (w["name"] for w in benchmark["workloads"]):
-        host, results[name] = run_workload(name, args.smoke)
+        host, results[name] = run_perfbench(ROOT, name, "--seed", str(SEED), "--trace", "1",
+                                            smoke=args.smoke)
     sys.path.insert(0, str(SRC))  # this checkout's lpgg, in process
     cli_imports = load(CLI_IMPORTS, "lpgg_cli_imports_test")
     row = {"label": args.label, "seed": SEED, "smoke": args.smoke, "host": host,

@@ -13,13 +13,16 @@ STATUSES = (PASS, PASS_CORRECTED, FAIL, SKIPPED)
 
 
 class CheckResult:
-    def __init__(self, name: str, claim: str, status: str, details: str = ""):
+    """One check's outcome and its sample count, which ``to_json`` leaves out."""
+
+    def __init__(self, name: str, claim: str, status: str, details: str = "", samples: int = 0):
         if status not in STATUSES:
             raise ValueError(f"unknown status {status!r}")
         self.name = name
         self.claim = claim
         self.status = status
         self.details = details
+        self.samples = samples
 
     def to_json(self) -> dict:
         return {
@@ -76,7 +79,7 @@ class Check:
         else:
             status = PASS
             details = "" if self.details == self.corrected else self.details
-        return CheckResult(self.name, self.claim, status, details)
+        return CheckResult(self.name, self.claim, status, details, self.samples)
 
 
 class VerificationReport:
@@ -163,6 +166,7 @@ def merge_reports(suite: str, seed: int, reports) -> VerificationReport:
                     check.claim,
                     check.status,
                     check.details,
+                    check.samples,
                 )
             )
     return merged

@@ -34,8 +34,7 @@ def format_multivector(mv: Multivector) -> str:
     if mv.is_zero():
         return "0"
     parts = []
-    for blade in sorted(mv.coefficients(), key=lambda b: (b.bit_count(), b)):
-        value = mv.coefficient(blade)
+    for blade, value in sorted(mv.items(), key=lambda item: (item[0].bit_count(), item[0])):
         if isinstance(value, Radical) and len(value.terms()) > 1:
             if all(c < 0 for c in value.terms().values()):
                 value = -value

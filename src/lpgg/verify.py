@@ -50,8 +50,8 @@ SCHEDULE = ("core", "spectral", "frame", "star", "calculus", "simplex", "atlas")
 
 
 class SuiteWorkerError(RuntimeError):
-    """A suite worker of ``run_suite("all")`` exited with a nonzero status,
-    or a suite's report never came back."""
+    """A suite of ``run_suite("all")`` raised in its worker, a worker exited
+    with a nonzero status, or a suite's report never came back."""
 
 
 def run_suite(name: str, n_max: int = DEFAULT_N_MAX,
@@ -62,9 +62,10 @@ def run_suite(name: str, n_max: int = DEFAULT_N_MAX,
     where the platform has ``os.fork``, and in order in this process where
     it has not.  Every suite seeds its own generator and no module keeps a
     cache, so either way the merged report is the one the suites give run
-    in order.  A worker that exits with a nonzero status, because its suite
-    raised or the process died, raises :class:`SuiteWorkerError` once every
-    worker has been reaped.
+    in order; each check keeps its ``samples``.  A suite that raises in its
+    worker, or a worker that dies, raises :class:`SuiteWorkerError` once
+    every worker has been reaped; it names the suite and its
+    ``Type: message``, or the exit statuses and the missing suites.
     """
     if name == "all":
         if hasattr(os, "fork"):
@@ -80,7 +81,8 @@ def run_suite(name: str, n_max: int = DEFAULT_N_MAX,
 
 
 def _run_in_workers(n_max, seed):
-    """``{suite: [(name, claim, status, details), ...]}`` of the seven suites.
+    """``{suite: [(name, claim, status, details, samples), ...]}`` of the
+    seven suites.
 
     The indices into ``SCHEDULE`` wait in one pipe, in order.  Each of
     ``min(usable CPUs, 7)`` forked workers reads it one byte at a time until
@@ -88,7 +90,8 @@ def _run_in_workers(n_max, seed):
     worker, and a free worker takes the longest suite left.  Each worker
     returns its results through its own pipe with the built-in ``marshal``,
     so this process loads no pool module, pickles nothing and starts no
-    thread.  It reaps every worker, also when a fork or a read fails.
+    thread; a suite that raised comes back as its ``Type: message``.  It
+    reaps every worker, also when a fork or a read fails.
     """
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -117,24 +120,31 @@ def _run_in_workers(n_max, seed):
     for code, output in zip(codes, outputs):
         if code == 0:
             checks.update(marshal.loads(output))
+    raised = [f"suite {suite} raised {error}" for suite, error in checks.items()
+              if isinstance(error, str)]
     missing = [suite for suite in SUITES if suite not in checks]
-    if missing or any(codes):
-        raise SuiteWorkerError(f"worker exit statuses {codes}, "
+    if raised or missing or any(codes):
+        raise SuiteWorkerError("; ".join(raised) or f"worker exit statuses {codes}, "
                                f"missing suites: {', '.join(missing) or 'none'}")
     return checks
 
 
 def _work(schedule, out, n_max, seed):
     """A forked worker: run suites from ``schedule`` until EOF, write their
-    results to ``out``, and exit, 0 only if all of that held.  It never
-    returns into the caller's frames or flushes the caller's buffers."""
+    results, or the ``Type: message`` of a suite that raised, to ``out``,
+    and exit, 0 only if all of that held.  It never returns into the
+    caller's frames or flushes the caller's buffers."""
     code = 1
     try:
         results = []
         while index := os.read(schedule, 1):
             suite = SCHEDULE[index[0]]
-            results.append((suite, [(c.name, c.claim, c.status, c.details)
-                                    for c in run_suite(suite, n_max, seed).checks]))
+            try:
+                checks = [(c.name, c.claim, c.status, c.details, c.samples)
+                          for c in run_suite(suite, n_max, seed).checks]
+            except Exception as exc:
+                checks = f"{type(exc).__name__}: {exc}"
+            results.append((suite, checks))
         with open(out, "wb") as stream:
             marshal.dump(results, stream)
         code = 0

@@ -201,11 +201,16 @@ def test_verify_all_exits_1_when_a_suite_worker_dies(capsys, monkeypatch, forked
             os.waitpid(pid, os.WNOHANG)
 
 
-def test_verify_all_exits_1_when_a_suite_raises_in_a_worker(capsys, monkeypatch):
+def test_verify_all_exits_1_when_a_suite_raises_in_a_worker(capsys, monkeypatch, forked):
+    # The worker sends back the suite's exception, and the line names both.
     monkeypatch.setitem(verify.SUITE_FUNCTIONS, "core", lambda **_: 1 / 0)
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "--n-max", "2")
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and "Traceback" not in err, err
+    assert "core" in err and "ZeroDivisionError" in err, err
+    for pid in forked:  # every worker has been reaped
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"

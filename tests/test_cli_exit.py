@@ -22,6 +22,7 @@ ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 
 
 def in_process(capsysbinary, argv):
+    """``(code, stdout, stderr)`` of ``cli.main(argv)``."""
     try:
         code = cli.main(argv)
     except SystemExit as exc:  # argparse's usage errors, --help and --version

@@ -24,16 +24,15 @@ import ast
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
+import test_cli_exit
 from lpgg import cli
+from test_cli_exit import ROOT, in_process
 
-ROOT = Path(__file__).resolve().parents[1]
 # A fixed width, so that --help wraps alike in process and in the child.
-ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80",
-           PYTHONUNBUFFERED="1")
+ENV = dict(test_cli_exit.ENV, COLUMNS="80", PYTHONUNBUFFERED="1")
 
 # One cheap argv per subcommand, plus the two options argparse answers itself.
 ARGVS = {
@@ -82,16 +81,6 @@ def full_device(argv, stream="stdout", env=ENV):
 def closed_at_start(argv, stream="stdout"):
     fd = 1 if stream == "stdout" else 2
     return lpgg(argv, preexec_fn=lambda: os.close(fd))
-
-
-def in_process(capsysbinary, argv):
-    """``(code, stdout, stderr)`` of ``cli.main(argv)``."""
-    try:
-        code = cli.main(argv)
-    except SystemExit as exc:  # argparse's usage errors, --help and --version
-        code = exc.code
-    captured = capsysbinary.readouterr()
-    return code, captured.out, captured.err
 
 
 @pytest.mark.parametrize("name", ARGVS)

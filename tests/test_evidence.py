@@ -3,15 +3,15 @@
 The report's bytes say what each check concluded, not how much it looked
 at, so a change that shrinks a sampling loop but keeps every status would
 leave the digest alone.  These tests pin the sample count of each check of
-the seed-2024 report, at the default n_max and at n_max = 4.  The counts
-are recorded while the session's memo builds each suite in this process
-(``suite_evidence`` in ``conftest.py``): ``run_suite("all")`` runs them in
-worker processes, and the counts recorded there would be lost.
+the seed-2024 report, at the default n_max and at n_max = 4.  Each check
+of the report carries its count (``CheckResult.samples``), also back from
+the forked workers of ``run_suite("all")``, which builds the reports read
+here.
 """
 
 import pytest
 
-from lpgg import DEFAULT_N_MAX, SUITES
+from lpgg import DEFAULT_N_MAX
 
 SEED = 2024
 
@@ -135,17 +135,18 @@ KNOWN_CLAIM_MISMATCHES = {
 }
 
 
-def evidence(n_max, suite_evidence):
-    """``{check name: (samples, claim)}`` of the seed-``SEED`` report, its
-    seven suites run in this process, from ``suite_evidence(suite, n_max,
-    seed)``, which gives one suite's table by check name."""
-    return {f"{suite}/{name}": entry for suite in SUITES
-            for name, entry in suite_evidence(suite, n_max, SEED).items()}
+def evidence(report):
+    """``{check name: (samples, claim)}`` of ``report``, whose check names
+    must be unique."""
+    table = {c.name: (c.samples, c.claim) for c in report.checks}
+    assert len(table) == len(report.checks), "duplicate check names"
+    return table
 
 
 @pytest.fixture(scope="module")
-def tables(suite_evidence):
-    return {n_max: evidence(n_max, suite_evidence) for n_max in (DEFAULT_N_MAX, 4)}
+def tables(suite_report):
+    return {n_max: evidence(suite_report("all", n_max, SEED))
+            for n_max in (DEFAULT_N_MAX, 4)}
 
 
 @pytest.mark.parametrize("n_max,pinned,total", [

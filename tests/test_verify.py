@@ -83,6 +83,24 @@ def test_without_fork_the_suites_run_in_process(monkeypatch, suite_report):
     assert report.to_json() == in_order(suite_report, 4, 7).to_json()
 
 
+def samples(report):
+    return [(c.name, c.samples) for c in report.checks]
+
+
+@pytest.mark.parametrize("n_max", [4, verify.DEFAULT_N_MAX])
+def test_all_carries_the_sample_counts_of_the_suites_in_order(n_max, monkeypatch,
+                                                               suite_report):
+    """Forked, on one usable CPU and without fork, each check of the merged
+    report keeps the samples it examined."""
+    expected = samples(in_order(suite_report, n_max, 2024))
+    assert sum(count for _, count in expected) > 0
+    assert samples(verify.run_suite("all", n_max=n_max, seed=2024)) == expected
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert samples(verify.run_suite("all", n_max=n_max, seed=2024)) == expected
+    monkeypatch.delattr(os, "fork")
+    assert samples(verify.run_suite("all", n_max=n_max, seed=2024)) == expected
+
+
 def test_schedule_is_a_permutation_of_the_suites():
     assert sorted(verify.SCHEDULE) == sorted(verify.SUITES)
 
