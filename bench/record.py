@@ -17,6 +17,9 @@ from that commit, the result line of every workload, and:
   in this process (see :func:`trace_suites`);
 - ``kernel_in_process``: untraced single-product times (see
   :func:`time_kernel`);
+- ``kernel_peak_kb``: per product of ``kernel_in_process``, the
+  tracemalloc peak in KB of one more call, outside the timed ones: the
+  transient of the product and its result, not of its operands;
 - ``samples_total``: the samples that the checks of the seed-2024 report
   examine, summed over the checks of ``run_suite("all")``;
 - ``cli_closure``: per subcommand, the modules one CLI process loads
@@ -28,9 +31,9 @@ from that commit, the result line of every workload, and:
   peak memory;
 - ``tier1_wall_s``: the wall time of one Tier-1 pytest run.
 
-``--smoke`` makes each ``run.py`` run tiny, times the kernel at p+q = 7
-only and skips the Tier-1 run (``tier1_wall_s`` is null), to check that
-the recorder still works.
+``--smoke`` makes each ``run.py`` run tiny, times the kernel and takes its
+peaks at p+q = 7 only, and skips the Tier-1 run (``tier1_wall_s`` is
+null), to check that the recorder still works.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -63,9 +67,10 @@ def load(path: Path, name: str):
     return module
 
 
-def time_kernel(smoke: bool) -> dict:
+def time_kernel(smoke: bool) -> tuple[dict, dict]:
     """Min-of-``KERNEL_REPEATS`` ms of one dense wedge, dot and geometric
-    product per signature and float backend, seeded, with no tracer.
+    product per signature and float backend, seeded, with no tracer, and
+    the tracemalloc peak in KB of one more call of each.
 
     The perfbench tracer wraps ``keep``, so every traced wedge and dot
     takes the kernel's grade filter; these rows time the routes that
@@ -74,7 +79,7 @@ def time_kernel(smoke: bool) -> dict:
     from lpgg import Algebra
 
     rng = random.Random(SEED)
-    out = {}
+    out, peaks = {}, {}
     for p, q in KERNEL_SIGNATURES[:1] if smoke else KERNEL_SIGNATURES:
         algebra = Algebra(p, q)
         for backend in ("approx", "complex"):
@@ -88,8 +93,13 @@ def time_kernel(smoke: bool) -> dict:
                     start = time.perf_counter()
                     getattr(x, name)(y)
                     times.append(time.perf_counter() - start)
-                out[f"G({p},{q}) {backend} {name}"] = round(min(times) * 1e3, 3)
-    return out
+                key = f"G({p},{q}) {backend} {name}"
+                out[key] = round(min(times) * 1e3, 3)
+                tracemalloc.start()
+                getattr(x, name)(y)
+                peaks[key] = round(tracemalloc.get_traced_memory()[1] / 1024, 1)
+                tracemalloc.stop()
+    return out, peaks
 
 
 def samples_total() -> int:
@@ -196,9 +206,10 @@ def main(argv=None) -> int:
                                             smoke=args.smoke)
     sys.path.insert(0, str(SRC))  # this checkout's lpgg, in process
     cli_imports = load(CLI_IMPORTS, "lpgg_cli_imports_test")
+    kernel_ms, kernel_peak_kb = time_kernel(args.smoke)
     row = {"label": args.label, "seed": SEED, "smoke": args.smoke, "host": host,
            "src_modified": src_modified(), "workloads": results,
-           "kernel_in_process": time_kernel(args.smoke),
+           "kernel_in_process": kernel_ms, "kernel_peak_kb": kernel_peak_kb,
            "suites_in_process": trace_suites(benchmark["per_layer"]),
            "samples_total": samples_total(), "cli_closure": cli_closure(cli_imports),
            "compile_peak_kb": cli_imports.compile_peaks(),

@@ -95,17 +95,12 @@ class Algebra:
         blade = 0
         for part in name.split("^"):
             part = part.strip()
-            kind, idx = part[0], int(part[1:])
-            if kind == "e":
-                k = idx - 1
-                if not 0 <= k < self.p:
-                    raise AlgebraError(f"no generator {part} in {self!r}")
-            elif kind == "f":
-                k = self.p + idx - 1
-                if not self.p <= k < self.n_generators:
-                    raise AlgebraError(f"no generator {part} in {self!r}")
-            else:
+            kind, digits = part[:1], part[1:]
+            if kind not in ("e", "f") or not (digits.isascii() and digits.isdigit()):
                 raise AlgebraError(f"bad generator name {part!r}")
+            k = int(digits) - 1 + (self.p if kind == "f" else 0)
+            if not (0 <= k < self.p if kind == "e" else self.p <= k < self.n_generators):
+                raise AlgebraError(f"no generator {part} in {self!r}")
             if blade >> k & 1:
                 raise AlgebraError(f"repeated generator in blade {name!r}")
             blade |= 1 << k
@@ -294,12 +289,15 @@ def _dot_keep(ga: int, gb: int, gout: int) -> bool:
 def _submasks(m: int, memo: dict) -> list:
     """The submasks of ``m`` in ascending order, built by doubling: those
     of ``m`` without its top bit, then each of them with it.  ``memo``
-    holds the lists built so far and starts as ``{0: [0]}``."""
+    starts as ``{0: [0]}`` and keeps only such prefix lists, so at most
+    3^(n-1) entries for ``n`` generators."""
     subs = memo.get(m)
     if subs is None:
         top = 1 << (m.bit_length() - 1)
-        low = _submasks(m ^ top, memo)
-        subs = memo[m] = low + [s | top for s in low]
+        low = memo.get(m ^ top)
+        if low is None:
+            low = memo[m ^ top] = _submasks(m ^ top, memo)
+        subs = low + [s | top for s in low]
     return subs
 
 
@@ -469,7 +467,8 @@ class Multivector:
         known right blades: the submasks of ``~a`` for a wedge, the
         submasks and the supermasks of ``a`` for a dot.  A left grade
         reads them from ascending submask lists (``_submasks``, built per
-        product), not through the filter, when the right blades ascend
+        product; its memo keeps only prefix lists, at most 3^(n-1)
+        entries), not through the filter, when the right blades ascend
         and there are fewer of them, 2^(n-|a|) for a wedge and
         2^|a| + 2^(n-|a|) - 1 for a dot, than right blades.  Each left
         blade then visits its kept rows in the right operand's own order,

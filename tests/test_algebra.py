@@ -676,6 +676,45 @@ def test_sparse_wedge_and_dot_split_left_grades_between_routes(n, backend, subma
         assert submask_grades and left_grades - submask_grades, name
 
 
+@pytest.mark.parametrize("name", ["wedge", "dot"])
+def test_dense_submask_memo_keeps_only_prefix_lists(name, monkeypatch):
+    """The per-product memo of ``_submasks`` holds masks below 2^(n-1)
+    only, at most 3^(n-1) list entries, however many lists it returns."""
+    algebra = Algebra(4, 4)
+    n = algebra.n_generators
+    rng = random.Random(44)
+    x, y = dense_mv(algebra, rng, "approx"), dense_mv(algebra, rng, "approx")
+    memos = {}
+    submasks = algebra_module._submasks
+
+    def spy(m, memo):
+        memos[id(memo)] = memo
+        return submasks(m, memo)
+
+    monkeypatch.setattr(algebra_module, "_submasks", spy)
+    assert_matches_reference(x, y, name)
+    [memo] = memos.values()
+    assert max(memo) < 1 << (n - 1)
+    assert sum(map(len, memo.values())) <= 3 ** (n - 1)
+
+
+@pytest.mark.parametrize("name", [
+    "", "e1^", "e", "ex", "e+1", "e 1", "e١", "e1_0", "e1^^f1", "x1", "e0", "f3",
+])
+def test_malformed_blade_name_raises_algebra_error(name):
+    """Generator indices are ASCII digits; ``int`` would also read signs,
+    spaces, underscores and other scripts' digits."""
+    with pytest.raises(algebra_module.AlgebraError):
+        Algebra(10, 2).blade_from_name(name)
+
+
+def test_blade_names_round_trip():
+    algebra = Algebra(4, 4)
+    for blade in range(algebra.dim):
+        assert algebra.blade_from_name(algebra.blade_name(blade)) == blade
+    assert algebra.blade_from_name(" e1 ^ f2 ") == 0b100001
+
+
 @st.composite
 def wedge_dot_operands(draw):
     """Two operands of random density, stored in ascending, descending or

@@ -1,4 +1,5 @@
-"""``bench/ab.py``: its pair schedule, its sign test and where a round is stored."""
+"""``bench/ab.py``: its pair schedule, its sign test and where a round is
+stored; ``bench/record.py``: its kernel rows."""
 import importlib.util
 import json
 import sys
@@ -70,3 +71,14 @@ def test_rounds_go_to_the_last_change_row(ab, tmp_path):
     ab.append_round(out, {"round": 2})
     rows = json.loads(out.read_text())
     assert [row.get("ab") for row in rows] == [None, None, None, [{"round": 1}, {"round": 2}]]
+
+
+def test_kernel_rows_time_and_peak_the_same_products():
+    spec = importlib.util.spec_from_file_location("lpgg_bench_record", BENCH / "record.py")
+    record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(record)
+    times, peaks = record.time_kernel(smoke=True)
+    assert list(peaks) == list(times) == [
+        f"G(3,4) {backend} {name}" for backend in ("approx", "complex")
+        for name in ("wedge", "dot", "geometric")]
+    assert all(kb > 0 for kb in peaks.values())

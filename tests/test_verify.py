@@ -49,6 +49,19 @@ def in_order(suite_report, n_max, seed):
         suite_report(suite, n_max, seed) for suite in verify.SUITES])
 
 
+def samples(report):
+    return [(c.name, c.samples) for c in report.checks]
+
+
+def suite_samples(suite_report, n_max, seed):
+    """``samples`` of the merged report, read off the seven suites' own
+    reports, so no step of the merge can lose them on both sides."""
+    expected = [(f"{suite}/{c.name}", c.samples) for suite in verify.SUITES
+                for c in suite_report(suite, n_max, seed).checks]
+    assert sum(count for _, count in expected) > 0
+    return expected
+
+
 def test_default_seed_report_at_n_max_4_is_pinned(suite_report):
     """The seed-2024 report at n_max = 4, merged from the memoized suites
     (``run_suite("all")`` equals it, as the next test checks).  The CLI's
@@ -62,12 +75,15 @@ def test_default_seed_report_at_n_max_4_is_pinned(suite_report):
 @pytest.mark.parametrize("seed", [1, 7, 2024])
 @pytest.mark.parametrize("n_max", [4, verify.DEFAULT_N_MAX])
 def test_all_in_workers_equals_the_suites_in_order(n_max, seed, suite_report, forked):
+    """Forked, the merged report is the suites' in order, and each check
+    keeps the samples it examined."""
     report = verify.run_suite("all", n_max=n_max, seed=seed)
     assert len(forked) == min(len(os.sched_getaffinity(0)), len(verify.SUITES))
     for pid in forked:  # every worker has been reaped
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)
     assert report.to_json() == in_order(suite_report, n_max, seed).to_json()
+    assert samples(report) == suite_samples(suite_report, n_max, seed)
 
 
 def test_one_usable_cpu_runs_every_suite_in_one_worker(monkeypatch, suite_report, forked):
@@ -83,17 +99,12 @@ def test_without_fork_the_suites_run_in_process(monkeypatch, suite_report):
     assert report.to_json() == in_order(suite_report, 4, 7).to_json()
 
 
-def samples(report):
-    return [(c.name, c.samples) for c in report.checks]
-
-
 @pytest.mark.parametrize("n_max", [4, verify.DEFAULT_N_MAX])
 def test_all_carries_the_sample_counts_of_the_suites_in_order(n_max, monkeypatch,
                                                                suite_report):
     """Forked, on one usable CPU and without fork, each check of the merged
     report keeps the samples it examined."""
-    expected = samples(in_order(suite_report, n_max, 2024))
-    assert sum(count for _, count in expected) > 0
+    expected = suite_samples(suite_report, n_max, 2024)
     assert samples(verify.run_suite("all", n_max=n_max, seed=2024)) == expected
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert samples(verify.run_suite("all", n_max=n_max, seed=2024)) == expected
