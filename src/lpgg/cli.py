@@ -182,11 +182,10 @@ def cmd_spectral(args) -> int:
             elif not math.isfinite(value):
                 raise ValueError(f"{key} must be finite, not {value!r}")
             coefficients[(i, j)] = value
+        op = spectral.BivectorOperator(frames.build_null_frame(3, 1), coefficients)
     except (ValueError, ZeroDivisionError) as exc:
         return _fail(USAGE_ERROR, f"bad --g: {exc}")
-    frame = frames.build_null_frame(3, 1)
     try:
-        op = spectral.BivectorOperator(frame, coefficients)
         decomposition = spectral.spectral_decompose(op)
     except (spectral.DegenerateSpectrumError, ValueError, InexactSqrtError) as exc:
         return _fail(DOMAIN_ERROR, f"spectral error: {exc}")

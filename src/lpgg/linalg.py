@@ -1,15 +1,16 @@
 """Small matrix helpers (lists of lists of scalars).
 
-Products and traces add in index order for any scalar type.  Rank and
-determinant eliminate over Fractions; :func:`invert` is Gauss-Jordan
-over radicals.
+Products and traces add in index order for any scalar type.  One exact
+forward elimination over radicals serves the rest: :func:`rank` counts
+its pivots, :func:`determinant` multiplies them, and :func:`invert` runs
+it on ``[matrix | I]`` and back-substitutes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import EXACT, InexactDivisionError, Radical, coerce, is_zero
+from .scalars import EXACT, InexactDivisionError, Radical, coerce
 
 Matrix = list[list]
 
@@ -41,88 +42,75 @@ def sum_scalars(values) -> object:
     return acc
 
 
-def invert(matrix: Matrix) -> Matrix:
-    """Exact Gauss-Jordan inverse; raises on singular or inexact division.
+def _eliminate(matrix: Matrix, cols: int) -> tuple[Matrix, list, int]:
+    """Forward elimination over the first ``cols`` columns of an exact
+    matrix (ints, Fractions, Radicals): (rows, pivots, row swaps).
 
-    Works over :class:`~lpgg.scalars.Radical` only; pivoting prefers
-    divisors with the fewest radical terms and raises
-    :class:`~lpgg.scalars.InexactDivisionError` when no pivot has at most
-    the two terms the radical class can invert.  No library code calls
-    it: null frames write T^-1 from its definition, and the tests check
-    every frame's T^-1 against this independent route.
+    Each pivot is the candidate with the fewest radical terms; when none
+    has at most the two terms a radical can invert, it raises
+    :class:`~lpgg.scalars.InexactDivisionError`.  A column with no
+    nonzero candidate adds no pivot.
     """
-    n = len(matrix)
-    a = [[coerce(v, EXACT) for v in row] for row in matrix]
-    inv = identity(n)
-    for col in range(n):
-        candidates = [r for r in range(col, n) if not is_zero(a[r][col])]
-        if not candidates:
-            raise ZeroDivisionError("singular matrix")
-        pivot_row = min(candidates, key=lambda r: len(a[r][col].terms()))
-        pivot = a[pivot_row][col]
-        if len(pivot.terms()) > 2:
-            raise InexactDivisionError(
-                "no exactly invertible pivot in column %d" % col
-            )
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        pivot_inv = pivot.inverse()
-        a[col] = [v * pivot_inv for v in a[col]]
-        inv[col] = [v * pivot_inv for v in inv[col]]
-        for r in range(n):
-            if r == col or is_zero(a[r][col]):
-                continue
-            factor = a[r][col]
-            a[r] = [a[r][j] - factor * a[col][j] for j in range(n)]
-            inv[r] = [inv[r][j] - factor * inv[col][j] for j in range(n)]
-    return inv
-
-
-def _eliminate(matrix: Matrix) -> tuple[list, int]:
-    """Forward elimination over Fractions: (pivots, row swaps).
-
-    Entries convert exactly: rational radicals, ints, Fractions and
-    floats (by their binary value).
-    """
-    rows = [
-        [v.as_fraction() if isinstance(v, Radical) else Fraction(v) for v in row]
-        for row in matrix
-    ]
+    rows = [[coerce(v, EXACT) for v in row] for row in matrix]
     pivots = []
     swaps = 0
-    cols = len(rows[0]) if rows else 0
     for col in range(cols):
         r = len(pivots)
-        if r == len(rows):
-            break
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
+        candidates = [i for i in range(r, len(rows)) if rows[i][col]]
+        if not candidates:
             continue
-        if pivot != r:
-            rows[r], rows[pivot] = rows[pivot], rows[r]
+        best = min(candidates, key=lambda i: len(rows[i][col].terms()))
+        lead = rows[best][col]
+        if len(lead.terms()) > 2:
+            raise InexactDivisionError(f"no exactly invertible pivot in column {col}")
+        if best != r:
+            rows[r], rows[best] = rows[best], rows[r]
             swaps += 1
-        lead = rows[r][col]
+        # Both rows are zero left of col, so only their tails change.
+        lead_inv, tail = lead.inverse(), rows[r][col:]
         for i in range(r + 1, len(rows)):
-            if rows[i][col] != 0:
-                factor = rows[i][col] / lead
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
+            if rows[i][col]:
+                factor = rows[i][col] * lead_inv
+                rows[i][col:] = [a - factor * b for a, b in zip(rows[i][col:], tail)]
         pivots.append(lead)
-    return pivots, swaps
+    return rows, pivots, swaps
 
 
 def rank(matrix: Matrix) -> int:
-    """Exact rank (entries must be rational)."""
-    return len(_eliminate(matrix)[0])
+    """Exact rank: the pivot count of the elimination."""
+    return len(_eliminate(matrix, len(matrix[0]) if matrix else 0)[1])
 
 
 def determinant(matrix: Matrix) -> Fraction:
-    """Exact determinant of a square matrix (entries must be rational)."""
-    pivots, swaps = _eliminate(matrix)
-    if len(pivots) < len(matrix):
-        return Fraction(0)
-    det = Fraction(-1 if swaps & 1 else 1)
+    """Exact determinant of a square matrix: the signed product of the
+    pivots, which must be rational."""
+    _, pivots, swaps = _eliminate(matrix, len(matrix))
+    det = Radical(-1 if swaps & 1 else 1)
     for p in pivots:
-        det *= p
-    return det
+        det = det * p
+    return det.as_fraction() if len(pivots) == len(matrix) else Fraction(0)
 
+
+def invert(matrix: Matrix) -> Matrix:
+    """Exact inverse: eliminate ``[matrix | I]``, then back-substitute.
+
+    Raises ZeroDivisionError on a singular matrix, and
+    :class:`~lpgg.scalars.InexactDivisionError` as the elimination does.
+    No library code calls it: null frames write T^-1 from its
+    definition, and the tests check every frame's T^-1 against this
+    independent route.
+    """
+    n = len(matrix)
+    rows, pivots, _ = _eliminate(
+        [list(row) + unit for row, unit in zip(matrix, identity(n))], n
+    )
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular matrix")
+    for col in reversed(range(n)):
+        pivot_inv = pivots[col].inverse()
+        tail = rows[col][col:] = [v * pivot_inv for v in rows[col][col:]]
+        for r in range(col):
+            if rows[r][col]:
+                factor = rows[r][col]
+                rows[r][col:] = [a - factor * b for a, b in zip(rows[r][col:], tail)]
+    return [row[n:] for row in rows]

@@ -63,12 +63,6 @@ def wedge_endo_2d_expanded(
     return (v1 * x.dot(v2).scalar_part() - v2 * x.dot(v1).scalar_part()) * 2
 
 
-def coefficient_determinant(v1_coords, v2_coords):
-    """det [[v11, v12], [v21, v22]] -- eigenvalue of a_1 under the map."""
-    (v11, v12), (v21, v22) = v1_coords, v2_coords
-    return v11 * v22 - v12 * v21
-
-
 def cayley_grassmann_residual(
     frame: NullFrame, v1: Multivector, v2: Multivector, x: Multivector
 ) -> Multivector:

@@ -36,7 +36,7 @@ def suite_spectral(n_max: int = DEFAULT_N_MAX,
                 c = [_rational(rng) for _ in range(4)]
                 v1 = a1 * c[0] + a2 * c[1]
                 v2 = a1 * c[2] + a2 * c[3]
-                det = spectral.coefficient_determinant((c[0], c[1]), (c[2], c[3]))
+                det = linalg.determinant([[c[0], c[1]], [c[2], c[3]]])
                 where = f"sample {sample}, coefficients {c}"
                 eigen(spectral.wedge_endo_2d(fr2, v1, v2, a1) == a1 * det, where)
                 eigen(spectral.wedge_endo_2d(fr2, v1, v2, a2) == a2 * (-det),

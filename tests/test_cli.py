@@ -294,6 +294,13 @@ def test_spectral_non_finite_coefficient_is_usage_error(capsys, g):
     assert err.startswith("bad --g: g1") and "must be finite" in err
 
 
+@pytest.mark.parametrize("key", ["g11", "g22", "g33", "g14", "g41", "g00"])
+def test_spectral_key_naming_no_coefficient_is_usage_error(capsys, key):
+    code, out, err = run_cli(capsys, "spectral", "--g", '{"%s": 1}' % key)
+    assert (code, out) == (2, "")
+    assert err.startswith("bad --g: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["express", "--n", "3", "--mv", "\u0663*e1"],
     ["express", "--n", "3", "--mv", "e\u0663"],

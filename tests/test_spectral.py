@@ -48,7 +48,7 @@ def test_wedge_endo_eigenvalues_random(fr2):
         c = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(4)]
         v1 = a1 * c[0] + a2 * c[1]
         v2 = a1 * c[2] + a2 * c[3]
-        det = spectral.coefficient_determinant((c[0], c[1]), (c[2], c[3]))
+        det = linalg.determinant([[c[0], c[1]], [c[2], c[3]]])
         assert spectral.wedge_endo_2d(fr2, v1, v2, a1) == a1 * det
         assert spectral.wedge_endo_2d(fr2, v1, v2, a2) == a2 * (-det)
         x = a1 * c[1] + a2 * c[2]
