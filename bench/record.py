@@ -20,6 +20,9 @@ from that commit, the result line of every workload, and:
 - ``kernel_peak_kb``: per product of ``kernel_in_process``, the
   tracemalloc peak in KB of one more call, outside the timed ones: the
   transient of the product and its result, not of its operands;
+- ``operand_kb``: per signature and float backend of
+  ``kernel_in_process``, the tracemalloc size in KB that one dense
+  operand holds, built from a prebuilt ``{blade: value}`` dict;
 - ``samples_total``: the samples that the checks of the seed-2024 report
   examine, summed over the checks of ``run_suite("all")``;
 - ``cli_closure``: per subcommand, the modules one CLI process loads
@@ -32,8 +35,8 @@ from that commit, the result line of every workload, and:
 - ``tier1_wall_s``: the wall time of one Tier-1 pytest run.
 
 ``--smoke`` makes each ``run.py`` run tiny, times the kernel and takes its
-peaks at p+q = 7 only, and skips the Tier-1 run (``tier1_wall_s`` is
-null), to check that the recorder still works.
+peaks and operand sizes at p+q = 7 only, and skips the Tier-1 run
+(``tier1_wall_s`` is null), to check that the recorder still works.
 """
 
 from __future__ import annotations
@@ -67,10 +70,11 @@ def load(path: Path, name: str):
     return module
 
 
-def time_kernel(smoke: bool) -> tuple[dict, dict]:
+def time_kernel(smoke: bool) -> tuple[dict, dict, dict]:
     """Min-of-``KERNEL_REPEATS`` ms of one dense wedge, dot and geometric
-    product per signature and float backend, seeded, with no tracer, and
-    the tracemalloc peak in KB of one more call of each.
+    product per signature and float backend, seeded, with no tracer, the
+    tracemalloc peak in KB of one more call of each, and the tracemalloc
+    size in KB of the left operand per signature and backend.
 
     The perfbench tracer wraps ``keep``, so every traced wedge and dot
     takes the kernel's grade filter; these rows time the routes that
@@ -79,14 +83,19 @@ def time_kernel(smoke: bool) -> tuple[dict, dict]:
     from lpgg import Algebra
 
     rng = random.Random(SEED)
-    out, peaks = {}, {}
+    out, peaks, operands = {}, {}, {}
     for p, q in KERNEL_SIGNATURES[:1] if smoke else KERNEL_SIGNATURES:
         algebra = Algebra(p, q)
         for backend in ("approx", "complex"):
-            x, y = (algebra.multivector({
-                b: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
-                if backend == "complex" else rng.uniform(-1, 1)
-                for b in range(algebra.dim)}, backend) for _ in range(2))
+            cx, cy = ({b: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                       if backend == "complex" else rng.uniform(-1, 1)
+                       for b in range(algebra.dim)} for _ in range(2))
+            tracemalloc.start()
+            x = algebra.multivector(cx, backend)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.stop()
+            operands[f"G({p},{q}) {backend}"] = round(held / 1024, 1)
+            y = algebra.multivector(cy, backend)
             for name in ("wedge", "dot", "geometric"):
                 times = []
                 for _ in range(KERNEL_REPEATS):
@@ -99,7 +108,7 @@ def time_kernel(smoke: bool) -> tuple[dict, dict]:
                 getattr(x, name)(y)
                 peaks[key] = round(tracemalloc.get_traced_memory()[1] / 1024, 1)
                 tracemalloc.stop()
-    return out, peaks
+    return out, peaks, operands
 
 
 def samples_total() -> int:
@@ -206,10 +215,11 @@ def main(argv=None) -> int:
                                             smoke=args.smoke)
     sys.path.insert(0, str(SRC))  # this checkout's lpgg, in process
     cli_imports = load(CLI_IMPORTS, "lpgg_cli_imports_test")
-    kernel_ms, kernel_peak_kb = time_kernel(args.smoke)
+    kernel_ms, kernel_peak_kb, operand_kb = time_kernel(args.smoke)
     row = {"label": args.label, "seed": SEED, "smoke": args.smoke, "host": host,
            "src_modified": src_modified(), "workloads": results,
            "kernel_in_process": kernel_ms, "kernel_peak_kb": kernel_peak_kb,
+           "operand_kb": operand_kb,
            "suites_in_process": trace_suites(benchmark["per_layer"]),
            "samples_total": samples_total(), "cli_closure": cli_closure(cli_imports),
            "compile_peak_kb": cli_imports.compile_peaks(),

@@ -6,13 +6,13 @@ square to ``+1``, the rest to ``-1``).  All coefficients of a multivector
 are drawn from a single backend (exact radicals, floats, or complex
 floats).
 
-Every backend shares one storage shape, a :class:`Radical` one level up:
-one positive denominator and, per blade, a map from squarefree key to a
-nonzero numerator.  Exact numerators are ints with
-``gcd(den, *all numerators) == 1``; a float or complex coefficient ``c``
-is ``{1: c}`` over denominator 1.  Zero is ``({}, 1)``.  Arithmetic runs
-on the numerators and normalizes once per result, with no gcd over
-denominator 1; a ``Radical`` is built only when a coefficient is read.
+An exact multivector is stored as a :class:`Radical` one level up: one
+positive denominator and, per blade, a map from squarefree key to a
+nonzero int numerator, with ``gcd(den, *all numerators) == 1``.
+Arithmetic runs on the numerators and normalizes once per result; a
+``Radical`` is built only when a coefficient is read.  A float or complex
+multivector stores each nonzero coefficient itself, ``{blade: c}`` over
+denominator 1.  Zero is ``({}, 1)`` in both shapes.
 
 Everything here is immutable and pure: values can be shared freely.
 """
@@ -136,15 +136,18 @@ class Algebra:
                 backend = scalars.backend_of(value)
                 break
         converted = {}
-        den = 1
         for blade, value in coeffs.items():
             if not 0 <= blade < self.dim:
                 raise AlgebraError(f"blade {blade:#x} outside {self!r}")
             value = coerce(value, backend)
             if not is_zero(value):
-                terms, d = to_numerators(value)
-                converted[blade] = terms, d
-                den = math.lcm(den, d)
+                converted[blade] = value
+        if backend != EXACT:
+            return Multivector(self, converted, backend)
+        converted = {blade: to_numerators(value) for blade, value in converted.items()}
+        den = 1
+        for _, d in converted.values():
+            den = math.lcm(den, d)
         # Each value is in normal form, so over the lcm of their
         # denominators no prime divides the denominator and every numerator.
         return Multivector(self, {
@@ -188,10 +191,12 @@ def _normalized(algebra: Algebra, coeffs: dict, den: int,
                 backend: str) -> "Multivector":
     """The multivector ``coeffs / den`` in normal form.
 
-    ``coeffs`` maps blade to ``{key: numerator}`` and may hold zero
-    numerators and empty blades.  The result may keep its inner dicts, so
-    they must not be changed afterwards.
+    ``coeffs`` maps blade to ``{key: numerator}`` (exact) or to value
+    (float, over ``den`` 1) and may hold zeros and empty blades.  The
+    result may keep its inner dicts, so they must not be changed.
     """
+    if backend != EXACT:
+        return Multivector(algebra, {b: c for b, c in coeffs.items() if c}, backend)
     out = {}
     g = den
     for blade, terms in coeffs.items():
@@ -216,18 +221,37 @@ def combination(algebra: Algebra, pairs, backend: str = EXACT) -> "Multivector":
     """``sum(c * mv for mv, c in pairs)``: the one routine behind ``+``,
     ``-``, scaling and every linear combination of multivectors.
 
-    Every term goes over the lcm of the denominators, its numerators are
-    added blade by blade, in order, into one running sum, and the result
-    is normalized once.  Three rules keep a float or complex result
-    bitwise equal to chaining ``mv * c`` with ``+`` from left to right:
+    Every term is added blade by blade, in order, into one running sum;
+    an exact term goes over the lcm of the denominators first, and the
+    exact result is normalized once.  Three rules keep a float or complex
+    result bitwise equal to chaining ``mv * c`` with ``+`` from left to
+    right; the exact sum follows the last two per radical key:
 
     - an int ``c`` of 1 or -1 copies or negates ``mv``, as ``+`` and ``-``
       do; any other ``c`` is coerced and multiplied, as ``*`` does, since
       ``c * (1+0j)`` can flip a complex zero part;
-    - the first term under a key is stored as is, never as ``0 + c``;
-    - a key whose running sum reaches exactly zero is dropped, so a later
-      term under it is again stored as is.
+    - the first term under a blade is stored as is, never as ``0 + c``;
+    - a blade whose running sum reaches exactly zero is dropped, so a
+      later term under it is again stored as is.
     """
+    if backend != EXACT:
+        sums = {}
+        for mv, c in pairs:
+            _check_compatible(algebra, backend, mv)
+            unit = type(c) is int and c in (1, -1)
+            if not unit:
+                c = coerce(c, backend)
+            for blade, term in mv._coeffs.items():
+                if unit:
+                    term = term if c == 1 else -term
+                elif not (term := term * c):  # ``mv * c`` drops an exact zero
+                    continue
+                acc = sums.get(blade)
+                if acc is not None and not (term := acc + term):
+                    del sums[blade]
+                else:
+                    sums[blade] = term
+        return Multivector(algebra, sums, backend)
     scaled = []  # (coeffs, sign or factor numerators, denominator)
     den = 1
     for mv, c in pairs:
@@ -340,9 +364,9 @@ def _subset_rows(a: int, wedge: bool, by_blade: list, memo: dict, exact: bool) -
 class Multivector:
     """Immutable element of G(p,q) over one scalar backend.
 
-    ``_coeffs`` maps blade to ``{key: numerator}`` over the common
-    denominator ``_den``, in the normal form of the module docstring, for
-    every backend, so ``==`` compares ``(_den, _coeffs)`` directly.
+    ``_coeffs`` maps blade to ``{key: numerator}`` over ``_den`` (exact)
+    or to value over 1 (float, complex), in the normal forms of the module
+    docstring, so ``==`` compares ``(_den, _coeffs)`` directly.
     """
 
     __slots__ = ("algebra", "_coeffs", "_den", "backend")
@@ -359,12 +383,15 @@ class Multivector:
         return dict(self.items())
 
     def coefficient(self, blade: int):
-        return from_numerators(self._coeffs.get(blade, {}), self._den, self.backend)
+        if self.backend == EXACT:
+            return from_numerators(self._coeffs.get(blade, {}), self._den)
+        return self._coeffs.get(blade, coerce(0, self.backend))
 
     def items(self):
-        den, backend = self._den, self.backend
-        return [(blade, from_numerators(terms, den, backend))
-                for blade, terms in self._coeffs.items()]
+        if self.backend != EXACT:
+            return list(self._coeffs.items())
+        den = self._den
+        return [(blade, from_numerators(terms, den)) for blade, terms in self._coeffs.items()]
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -444,13 +471,12 @@ class Multivector:
         pairs by their grades.
 
         Every exact row pair adds one product per output blade and key (the
-        key rule of ``scalars.add_products``, inlined).  A float or complex
-        row has key 1 only, so those products skip the key rule and sum in
-        a list indexed by output blade; the first term of each output blade
-        is stored as is, never as ``0 + c``, which would lose a complex
-        ``-0.0`` part, and the output blades keep the order in which they
-        first appear.  The result is over the product of the two
-        denominators and is normalized once.  The sign mask of each left
+        key rule of ``scalars.add_products``, inlined).  Float and complex
+        products sum in a list indexed by output blade; the first term of
+        each output blade is stored as is, never as ``0 + c``, which would
+        lose a complex ``-0.0`` part, and the output blades keep the order
+        in which they first appear.  The result is over the product of the
+        two denominators and is normalized once.  The sign mask of each left
         blade is computed once, and each sign is one ``_PARITY`` read.
 
         ``keep`` is asked once per grade triple, not per pair: blades of
@@ -482,7 +508,7 @@ class Multivector:
             rows_b = [(b, m, c) for b, terms in right.items() for m, c in terms.items()]
             sums: dict[int, dict[int, int]] = {}
         else:
-            rows_b = [(b, terms[1]) for b, terms in right.items()]
+            rows_b = list(right.items())
             running = [None] * algebra.dim  # output blade -> running sum
             order = []  # output blades in order of first appearance
         if keep is not None:
@@ -523,9 +549,8 @@ class Multivector:
                     rows = [row for row, kept in candidates
                             if (a & row[0]).bit_count() in kept]
             if not exact:
-                c1 = terms_a[1]
                 for b, c2 in rows:
-                    c = c1 * c2
+                    c = terms_a * c2
                     if parity[b & mask]:
                         c = -c
                     out = a ^ b
@@ -554,7 +579,8 @@ class Multivector:
                     else:
                         acc[key] = acc.get(key, 0) + c
         if not exact:
-            sums = {out: {1: running[out]} for out in order}
+            return Multivector(algebra, {out: c for out in order if (c := running[out])},
+                               self.backend)
         return _normalized(algebra, sums, self._den * other._den, self.backend)
 
     def geometric(self, other: "Multivector") -> "Multivector":
@@ -581,10 +607,11 @@ class Multivector:
 
     def reverse(self) -> "Multivector":
         coeffs = {}
+        exact = self.backend == EXACT
         for blade, v in self._coeffs.items():
             k = blade.bit_count()
             if (k * (k - 1) // 2) & 1:
-                v = {m: -c for m, c in v.items()}
+                v = {m: -c for m, c in v.items()} if exact else -v
             coeffs[blade] = v
         return Multivector(self.algebra, coeffs, self.backend, self._den)
 
@@ -621,6 +648,8 @@ class Multivector:
         if not self._coeffs.keys() - {0}:
             # A scalar equals its raw value (``mv == 1``), so hash like it.
             return hash(self.coefficient(0))
+        if self.backend != EXACT:
+            return hash((self.algebra, frozenset(self._coeffs.items())))
         return hash((self.algebra, self._den, frozenset(
             (blade, frozenset(terms.items()))
             for blade, terms in self._coeffs.items())))

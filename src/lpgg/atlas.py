@@ -57,18 +57,14 @@ def atlas(n_max: int) -> dict:
     rows: list[AtlasRow] = []
     levels: dict[int, str] = {}
     products: dict[int, int] = {}
-    pair_products: dict[int, int] = {}
     for level in range(1, n_max + 1):
         signs = []
         level_product = 1
-        level_pair_product = 1
         for p in range(level, -1, -1):
             q = level - p
             sign = pseudoscalar_square_sign(p, q)
-            algebra = Algebra(p, q)
-            gen_product = _generator_sign_product(algebra)
+            gen_product = _generator_sign_product(Algebra(p, q))
             level_product *= gen_product
-            level_pair_product *= _pair_sign_product(algebra)
             rows.append(
                 AtlasRow(
                     p=p,
@@ -81,7 +77,6 @@ def atlas(n_max: int) -> dict:
             signs.append("+" if sign > 0 else "-")
         levels[level] = "".join(signs)
         products[level] = level_product
-        pair_products[level] = level_pair_product
     sequence_parts: list[str] = []
     if n_max >= 1:
         sequence_parts.extend(levels[1])  # level one splits into "+", "-"
@@ -94,19 +89,7 @@ def atlas(n_max: int) -> dict:
         "product_sequence": "".join(
             "+" if products[level] > 0 else "-" for level in range(1, n_max + 1)
         ),
-        "pair_products": pair_products,
     }
-
-
-def _pair_sign_product(algebra: Algebra) -> int:
-    """Product over i<j of the sign of (g_i g_j)^2; emitted as data only."""
-    product = 1
-    for i in range(algebra.n_generators):
-        for j in range(i + 1, algebra.n_generators):
-            blade = algebra.blade((1 << i) | (1 << j))
-            square = (blade * blade).scalar_part()
-            product *= 1 if square == 1 else -1
-    return product
 
 
 def periodicity_classes(max_total: int = ATLAS_LIMIT) -> dict[int, set[int]]:

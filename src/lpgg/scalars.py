@@ -12,6 +12,10 @@ Three coefficient domains are supported:
 * ``approx``  -- IEEE binary64 floats.
 * ``complex`` -- pairs of binary64 (Python ``complex``).
 
+A multivector keeps a float or complex coefficient as the value itself;
+only exact ones pass through :func:`to_numerators` and
+:func:`from_numerators`.
+
 The exact class is precisely what the change-of-basis matrices for
 correlated null frames need: entries such as ``sqrt(3)/2`` or
 ``-1/sqrt(21)`` normalize to a single ``r*sqrt(m)`` term.
@@ -93,10 +97,8 @@ def add_products(acc: dict[int, int], a: dict[int, int], b: dict[int, int],
                  negate: bool = False) -> None:
     """Add ``a*b`` (``-a*b`` when ``negate``) into ``acc``.
 
-    All three map a squarefree key ``m`` to the numerator of ``sqrt(m)``
-    (an int, or a float or complex under key 1); ``acc`` may be left
-    holding zeros.  The first term under a key is stored as is, not as
-    ``0 + c``, which would turn a complex ``-0.0`` part into ``0.0``.
+    All three map a squarefree key ``m`` to the int numerator of
+    ``sqrt(m)``; ``acc`` may be left holding zeros.
     """
     for m1, c1 in a.items():
         if negate:
@@ -110,8 +112,7 @@ def add_products(acc: dict[int, int], a: dict[int, int], b: dict[int, int],
                 # sqrt(m1)*sqrt(m2) = g*sqrt(u*v) with m1 = g*u, m2 = g*v.
                 g = math.gcd(m1, m2)
                 key, c = (m1 // g) * (m2 // g), c1 * c2 * g
-            old = acc.get(key)
-            acc[key] = c if old is None else old + c
+            acc[key] = acc.get(key, 0) + c
 
 
 def _sign_of_terms(terms: dict[int, int]) -> int:
@@ -349,23 +350,7 @@ class Radical:
         return f"Radical({str(self)!r})"
 
     def __str__(self):
-        if not self._terms:
-            return "0"
-        parts = []
-        for m, c in sorted(self.terms().items()):
-            if m == 1:
-                text = str(c)
-            elif c == 1:
-                text = f"sqrt({m})"
-            elif c == -1:
-                text = f"-sqrt({m})"
-            else:
-                text = f"{c}*sqrt({m})"
-            if parts and not text.startswith("-"):
-                parts.append("+" + text)
-            else:
-                parts.append(text)
-        return "".join(parts)
+        return format_terms(self.terms())
 
     # -- serialization -------------------------------------------------------
 
@@ -373,6 +358,28 @@ class Radical:
         return [
             {"rational": str(c), "sqrt": m} for m, c in sorted(self.terms().items())
         ]
+
+
+def format_terms(terms: dict[int, Fraction]) -> str:
+    """The text of ``sum_m terms[m] * sqrt(m)``, as ``str(Radical)`` prints
+    it: ``1/2+sqrt(3)-2*sqrt(6)``, ``0`` for no terms."""
+    if not terms:
+        return "0"
+    parts = []
+    for m, c in sorted(terms.items()):
+        if m == 1:
+            text = str(c)
+        elif c == 1:
+            text = f"sqrt({m})"
+        elif c == -1:
+            text = f"-sqrt({m})"
+        else:
+            text = f"{c}*sqrt({m})"
+        if parts and not text.startswith("-"):
+            parts.append("+" + text)
+        else:
+            parts.append(text)
+    return "".join(parts)
 
 
 def backend_of(value) -> str:
@@ -414,25 +421,19 @@ def coerce(value, backend: str):
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def to_numerators(value) -> tuple[dict, int]:
-    """``(terms, den)`` with ``value == sum_m terms[m] * sqrt(m) / den``.
-
-    ``value`` is a backend value: a ``Radical`` gives its normal form, a
-    float or complex ``({1: value}, 1)``.  ``terms`` may be the value's own
-    dict, so it must not be changed.
+def to_numerators(value: Radical) -> tuple[dict, int]:
+    """``(terms, den)`` with ``value == sum_m terms[m] * sqrt(m) / den``,
+    the normal form of ``value``.  ``terms`` is the value's own dict, so it
+    must not be changed.
     """
-    if isinstance(value, Radical):
-        return value._terms, value._den
-    return {1: value}, 1
+    return value._terms, value._den
 
 
-def from_numerators(terms: dict, den: int, backend: str):
-    """The ``backend`` value ``sum_m terms[m] * sqrt(m) / den``, the inverse
-    of :func:`to_numerators` (zero for empty ``terms``)."""
-    if backend == EXACT:
-        # A fresh dict: Radical.from_numerators may keep the one it is given.
-        return Radical.from_numerators(dict(terms), den)
-    return terms[1] if terms else coerce(0, backend)
+def from_numerators(terms: dict, den: int) -> Radical:
+    """The ``Radical`` ``sum_m terms[m] * sqrt(m) / den``, the inverse of
+    :func:`to_numerators` (zero for empty ``terms``)."""
+    # A fresh dict: Radical.from_numerators may keep the one it is given.
+    return Radical.from_numerators(dict(terms), den)
 
 
 def is_zero(value) -> bool:

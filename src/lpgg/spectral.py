@@ -228,6 +228,22 @@ def discriminants(op: BivectorOperator):
     return claimed, derived
 
 
+def _require_float_range(op: BivectorOperator):
+    """Each float coefficient is an exact rational, so the exact
+    discriminants of the same inputs tell whether the float ones overflow
+    or underflow; squaring past the largest float also leaves nan in the
+    bivector part of the traceless square."""
+    exact = BivectorOperator(op.frame, {k: Fraction(v) for k, v in op.coefficients.items()})
+    for name, value in zip(("claimed", "derived"), discriminants(exact)):
+        d = value.as_fraction()
+        try:
+            kind = "underflow" if d and not float(d) else None
+        except OverflowError:
+            kind = "overflow"
+        if kind:
+            raise ValueError(f"the {name} discriminant leaves the float range ({kind})")
+
+
 def spectral_decompose(op: BivectorOperator) -> SpectralDecomposition:
     """Roots and spectral idempotents of G = (1/2)tr + bivector part.
 
@@ -237,10 +253,13 @@ def spectral_decompose(op: BivectorOperator) -> SpectralDecomposition:
     p2 = (2G - tr + sqrt(D))/(2 sqrt(D)).  D is computed by actually
     squaring the traceless part; the decomposition records the stated
     g1^2+g2^2+g3^2 alongside for comparison.  Real inputs with D < 0
-    decompose over the complex backend.
+    decompose over the complex backend.  Float inputs whose discriminants
+    leave the float range raise ``ValueError``.
     """
-    claimed, derived = discriminants(op)
     backend = op.backend()
+    if backend == APPROX:
+        _require_float_range(op)
+    claimed, derived = discriminants(op)
     if is_zero(derived):
         raise DegenerateSpectrumError(
             "traceless part of G squares to zero: double root, "

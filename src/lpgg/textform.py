@@ -16,18 +16,23 @@ import re
 from fractions import Fraction
 
 from .algebra import Algebra, Multivector
-from .scalars import Radical
+from .scalars import Radical, format_terms
 
 
-def _format_coefficient(value) -> tuple[str, bool]:
-    """Return (text, needs_parens_when_multiplied)."""
+def _format_coefficient(value) -> str:
+    """The text of one coefficient, parenthesized when it is a sum of
+    radical terms, with the sign outside when all of them are negative.
+    An exact value's terms are read once."""
     if isinstance(value, Radical):
-        text = str(value)
-        simple = len(value.terms()) <= 1
-        return text, not simple
+        terms = value.terms()
+        if len(terms) <= 1:
+            return format_terms(terms)
+        if all(c < 0 for c in terms.values()):
+            return f"-({format_terms({m: -c for m, c in terms.items()})})"
+        return f"({format_terms(terms)})"
     if isinstance(value, complex):
-        return f"({value.real!r}{value.imag:+}j)", False
-    return repr(value), False
+        return f"({value.real!r}{value.imag:+}j)"
+    return repr(value)
 
 
 def format_multivector(mv: Multivector) -> str:
@@ -35,16 +40,7 @@ def format_multivector(mv: Multivector) -> str:
         return "0"
     parts = []
     for blade, value in sorted(mv.items(), key=lambda item: (item[0].bit_count(), item[0])):
-        if isinstance(value, Radical) and len(value.terms()) > 1:
-            if all(c < 0 for c in value.terms().values()):
-                value = -value
-                coef_text, needs_parens = _format_coefficient(value)
-                parts.append(f"-({coef_text})*{mv.algebra.blade_name(blade)}"
-                             if blade else f"-({coef_text})")
-                continue
-        coef_text, needs_parens = _format_coefficient(value)
-        if needs_parens:
-            coef_text = f"({coef_text})"
+        coef_text = _format_coefficient(value)
         name = mv.algebra.blade_name(blade)
         if blade == 0:
             term = coef_text

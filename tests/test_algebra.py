@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -202,6 +203,32 @@ def test_product_sign_matches_swap_count():
                         swap_count_sign(a, b, p), (p, total - p, a, b)
 
 
+@pytest.mark.parametrize("backend", ["approx", "complex"])
+def test_float_multivectors_store_their_coefficients(backend):
+    """A float or complex multivector holds its values themselves, one per
+    blade: a dense G(4,5) operand built from a prebuilt dict is its blade
+    dict and little more, and every result keeps that shape."""
+    algebra = Algebra(4, 5)
+    rng = random.Random(45)
+    coeffs = [{b: coerce(rng.uniform(-1, 1) + rng.uniform(-1, 1) * 1j
+                         if backend == "complex" else rng.uniform(-1, 1), backend)
+               for b in range(algebra.dim)} for _ in range(2)]
+    tracemalloc.start()
+    try:
+        x = algebra.multivector(coeffs[0], backend)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * 1024, held
+    y = algebra.multivector(coeffs[1], backend)
+    kind = float if backend == "approx" else complex
+    for mv in (x, y, x * y, x.wedge(y), x.dot(y), x + y, x - y, x * 3, x / 2,
+               -x, x.reverse(), x.grade(2), combination(algebra, ((x, 2), (y, -1)), backend)):
+        assert mv._den == 1 and mv._coeffs
+        assert all(type(value) is kind and value for value in mv._coeffs.values())
+        assert_normal_form(mv)
+
+
 def test_dense_product_leaves_algebra_stateless():
     algebra = Algebra(3, 3)
     x = algebra.multivector({blade: blade + 1 for blade in range(algebra.dim)})
@@ -301,19 +328,18 @@ def test_exact_kernel_matches_per_pair_reference(p, q, backend):
 def assert_normal_form(mv):
     """One positive denominator, no empty blade, no zero numerator; exact
     numerators are ints with gcd(den, all numerators) == 1, a float or
-    complex one is the only entry, under key 1, over denominator 1; zero
-    is ({}, 1)."""
+    complex blade holds its value itself, over denominator 1; zero is
+    ({}, 1)."""
     den, coeffs = mv._den, mv._coeffs
     assert isinstance(den, int) and den > 0
-    numerators = [c for terms in coeffs.values() for c in terms.values()]
-    assert all(coeffs.values()) and all(numerators)
+    assert all(coeffs.values())
     if mv.backend == "exact":
-        assert all(isinstance(c, int) for c in numerators)
+        numerators = [c for terms in coeffs.values() for c in terms.values()]
+        assert all(numerators) and all(isinstance(c, int) for c in numerators)
         assert math.gcd(den, *numerators) == 1
     else:
         kind = float if mv.backend == "approx" else complex
-        assert den == 1 and all(list(terms) == [1] for terms in coeffs.values())
-        assert all(type(c) is kind for c in numerators)
+        assert den == 1 and all(type(c) is kind for c in coeffs.values())
     if not coeffs:
         assert den == 1
 
@@ -405,6 +431,9 @@ def chained(algebra, pairs, backend):
 
 
 def storage_order(mv):
+    """The stored blades in order, with each exact blade's keys in order."""
+    if mv.backend != "exact":
+        return list(mv._coeffs)
     return [(blade, list(terms)) for blade, terms in mv._coeffs.items()]
 
 
@@ -790,6 +819,25 @@ def test_equal_exact_values_hash_equal():
                 assert hash(left) == hash(right)
                 assert left._den == right._den and left._coeffs == right._coeffs
             assert len({(u + v) - v, u, (u * 2) / 2}) == 1
+    # Dyadic parts keep the float sums exact, so the float pairs are equal too.
+    for backend in ("approx", "complex"):
+        for p, q in [(1, 1), (1, 2), (2, 2), (1, 4)]:
+            algebra = Algebra(p, q)
+            for _ in range(10):
+                u, v = (
+                    algebra.multivector({rng.randrange(algebra.dim): coerce(complex(
+                        rng.randint(-64, 64) / 8, rng.randint(-64, 64) / 8)
+                        if backend == "complex" else rng.randint(-64, 64) / 8, backend)
+                        for _ in range(4)}, backend)
+                    for _ in range(2)
+                )
+                pairs = [((u + v) - v, u), ((u * 2) / 2, u),
+                         (u.reverse().reverse(), u), (-(-u), u)]
+                for left, right in pairs:
+                    assert left == right
+                    assert hash(left) == hash(right)
+                    assert left._den == right._den and left._coeffs == right._coeffs
+                assert len({(u + v) - v, u, (u * 2) / 2}) == 1
     g = Algebra(1, 1)
     half = g.scalar(Fraction(1, 2))
     assert hash((g.e(1) * g.e(1)) / 2) == hash(half) == hash(Fraction(1, 2))

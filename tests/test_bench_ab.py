@@ -77,8 +77,10 @@ def test_kernel_rows_time_and_peak_the_same_products():
     spec = importlib.util.spec_from_file_location("lpgg_bench_record", BENCH / "record.py")
     record = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(record)
-    times, peaks = record.time_kernel(smoke=True)
+    times, peaks, operands = record.time_kernel(smoke=True)
     assert list(peaks) == list(times) == [
         f"G(3,4) {backend} {name}" for backend in ("approx", "complex")
         for name in ("wedge", "dot", "geometric")]
     assert all(kb > 0 for kb in peaks.values())
+    assert list(operands) == ["G(3,4) approx", "G(3,4) complex"]
+    assert all(kb > 0 for kb in operands.values())

@@ -294,6 +294,18 @@ def test_spectral_non_finite_coefficient_is_usage_error(capsys, g):
     assert err.startswith("bad --g: g1") and "must be finite" in err
 
 
+@pytest.mark.parametrize("g", [
+    '{"g12": 1e200}',  # squares overflow: inf roots and nan idempotents
+    '{"g12": 1e-200}',  # squares underflow to 0, though the exact value is not 0
+    '{"g12": 1e308, "g23": 1e308}',  # nan in the traceless square's bivector part
+])
+def test_spectral_float_discriminant_out_of_range_is_domain_error(capsys, g):
+    code, out, err = run_cli(capsys, "spectral", "--g", g)
+    assert (code, out) == (1, "")
+    assert err.startswith("spectral error: ") and err.count("\n") == 1
+    assert "discriminant leaves the float range" in err
+
+
 @pytest.mark.parametrize("key", ["g11", "g22", "g33", "g14", "g41", "g00"])
 def test_spectral_key_naming_no_coefficient_is_usage_error(capsys, key):
     code, out, err = run_cli(capsys, "spectral", "--g", '{"%s": 1}' % key)
