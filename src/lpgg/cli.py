@@ -7,7 +7,11 @@ byte-identical across runs with the same seed.  ``verify`` is always
 exact.  A check it reports as ``skipped`` examined nothing; one reported
 as ``pass-corrected`` held on every sample, on some only in the corrected
 form its details state.  The coordinate text picks the backend of
-``simplex --point``: ``1/3`` stays exact, ``0.25`` is a float.
+``simplex --point``: ``1/3`` stays exact, ``0.25`` is a float.  Every
+decision on a float (a ``--point`` coordinate or a ``spectral --g``
+value) is exact on the decimal it prints as, so a decimal of up to 15
+significant digits in the normal float range is decided as typed; its
+printed values are still computed in floats.
 Each command imports the modules it runs in its own body, and only JSON
 output imports ``json``, so a process loads only those.
 
@@ -229,7 +233,7 @@ def cmd_simplex(args) -> int:
         if not point.is_on_cone():
             try:
                 payload["unit"] = format_multivector(point.unit())
-            except simplex.LightConeError as exc:
+            except (simplex.LightConeError, InexactSqrtError) as exc:
                 payload["unit_error"] = str(exc)
 
     if args.vertices or args.vertices_file:

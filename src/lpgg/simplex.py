@@ -24,18 +24,13 @@ class LightConeError(ValueError):
     """Normalization of a point on the light cone (|x| = 0)."""
 
 
-ON_CONE_TOLERANCE = 1e-12
-
-
-def _scalar_sign(value) -> int:
-    if isinstance(value, Radical):
-        return value.sign()
-    if isinstance(value, Fraction):
-        return (value > 0) - (value < 0)
-    return (value > ON_CONE_TOLERANCE) - (value < -ON_CONE_TOLERANCE)
-
-
 class SimplexPoint(namedtuple("SimplexPoint", "frame coordinates")):
+    """A point in null coordinates.  Every yes/no question about it is
+    decided exactly; a float coordinate stands for the decimal it prints
+    as (``repr``), so a decimal of up to 15 significant digits in the
+    normal float range is decided as typed.  Printed float values are
+    still computed in floats."""
+
     __slots__ = ()
 
     def __new__(cls, frame: NullFrame, coordinates: tuple):
@@ -48,13 +43,14 @@ class SimplexPoint(namedtuple("SimplexPoint", "frame coordinates")):
         kinds = {backend_of(c) for c in self.coordinates}
         return APPROX if APPROX in kinds else EXACT
 
+    def _exact(self) -> SimplexPoint:
+        return SimplexPoint(self.frame, tuple(
+            Fraction(repr(c)) if isinstance(c, float) else c for c in self.coordinates))
+
     def is_barycentric(self) -> bool:
-        total = linalg.sum_scalars(self.coordinates)
-        if self.backend == EXACT:
-            unit = total == 1
-        else:
-            unit = abs(float(total) - 1.0) <= ON_CONE_TOLERANCE
-        return unit and all(_scalar_sign(c) >= 0 for c in self.coordinates)
+        coordinates = self._exact().coordinates
+        return (linalg.sum_scalars(coordinates) == 1
+                and all(coerce(c, EXACT).sign() >= 0 for c in coordinates))
 
     def to_multivector(self) -> Multivector:
         backend = self.backend
@@ -71,27 +67,23 @@ class SimplexPoint(namedtuple("SimplexPoint", "frame coordinates")):
         return total
 
     def is_on_cone(self) -> bool:
-        value = self.norm_squared()
-        if self.backend == EXACT:
-            return is_zero(value)
-        return abs(float(value)) <= ON_CONE_TOLERANCE
+        return is_zero(self._exact().norm_squared())
 
     def norm(self):
-        value = self.norm_squared()
+        value = coerce(self._exact().norm_squared(), EXACT)
+        if value.sign() < 0:
+            raise LightConeError("|x|^2 < 0: point outside the cone interior")
         if self.backend == EXACT:
-            value = coerce(value, EXACT)
-            if value.sign() < 0:
-                raise LightConeError("|x|^2 < 0: point outside the cone interior")
             if not value.is_rational():
                 raise LightConeError(
                     f"|x|^2 = {value} is irrational; use the approx backend "
                     "to normalize"
                 )
             return Radical.sqrt(value.as_fraction())
-        value = float(value)
-        if value < -ON_CONE_TOLERANCE:
-            raise LightConeError("|x|^2 < 0: point outside the cone interior")
-        return math.sqrt(max(value, 0.0))
+        approx = float(self.norm_squared())
+        if value and approx <= 0:
+            raise LightConeError(f"|x|^2 > 0 rounds to {approx!r} in floats")
+        return math.sqrt(approx) if value else 0.0
 
     def unit(self) -> Multivector:
         if self.is_on_cone():

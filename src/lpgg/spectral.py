@@ -228,22 +228,6 @@ def discriminants(op: BivectorOperator):
     return claimed, derived
 
 
-def _require_float_range(op: BivectorOperator):
-    """Each float coefficient is an exact rational, so the exact
-    discriminants of the same inputs tell whether the float ones overflow
-    or underflow; squaring past the largest float also leaves nan in the
-    bivector part of the traceless square."""
-    exact = BivectorOperator(op.frame, {k: Fraction(v) for k, v in op.coefficients.items()})
-    for name, value in zip(("claimed", "derived"), discriminants(exact)):
-        d = value.as_fraction()
-        try:
-            kind = "underflow" if d and not float(d) else None
-        except OverflowError:
-            kind = "overflow"
-        if kind:
-            raise ValueError(f"the {name} discriminant leaves the float range ({kind})")
-
-
 def spectral_decompose(op: BivectorOperator) -> SpectralDecomposition:
     """Roots and spectral idempotents of G = (1/2)tr + bivector part.
 
@@ -253,35 +237,47 @@ def spectral_decompose(op: BivectorOperator) -> SpectralDecomposition:
     p2 = (2G - tr + sqrt(D))/(2 sqrt(D)).  D is computed by actually
     squaring the traceless part; the decomposition records the stated
     g1^2+g2^2+g3^2 alongside for comparison.  Real inputs with D < 0
-    decompose over the complex backend.  Float inputs whose discriminants
-    leave the float range raise ``ValueError``.
+    decompose over the complex backend.  A float coefficient stands for
+    the decimal it prints as, so every decision on real input is exact and
+    a decimal of up to 15 significant digits in the normal float range is
+    decided as typed; the printed values of float input are floats.  Float
+    input whose discriminants leave the float range, or whose float D has
+    not the sign of the exact D, raises ``ValueError``.
     """
     backend = op.backend()
+    claimed, derived = discriminants(op if backend != APPROX else BivectorOperator(
+        op.frame, {k: Fraction(repr(v)) if isinstance(v, float) else v
+                   for k, v in op.coefficients.items()}))
     if backend == APPROX:
-        _require_float_range(op)
-    claimed, derived = discriminants(op)
+        for name, value in zip(("claimed", "derived"), (claimed, derived)):
+            d = value.as_fraction()
+            try:
+                kind = "underflow" if d and not float(d) else None
+            except OverflowError:
+                kind = "overflow"
+            if kind:
+                raise ValueError(f"the {name} discriminant leaves the float range ({kind})")
     if is_zero(derived):
         raise DegenerateSpectrumError(
             "traceless part of G squares to zero: double root, "
             "idempotents undefined"
         )
 
-    if backend == EXACT:
-        d = derived.as_fraction() if isinstance(derived, Radical) else Fraction(derived)
+    if backend == COMPLEX:
+        root = cmath.sqrt(complex(derived))
+    else:
+        d = derived.as_fraction()
+        if backend == APPROX:
+            claimed, derived = discriminants(op)
+            if not (derived > 0 if d > 0 else derived < 0):
+                raise ValueError(f"the derived discriminant rounds to {derived!r}, "
+                                 "against the sign of its exact value")
+            d = derived
         if d > 0:
-            root = Radical.sqrt(d)
+            root = Radical.sqrt(d) if backend == EXACT else math.sqrt(d)
         else:
             backend = COMPLEX
             root = 1j * math.sqrt(float(-d))
-    elif backend == APPROX:
-        d = float(derived)
-        if d > 0:
-            root = math.sqrt(d)
-        else:
-            backend = COMPLEX
-            root = 1j * math.sqrt(-d)
-    else:
-        root = cmath.sqrt(complex(derived))
 
     trace = coerce(op.trace(), backend)
     half = coerce(Fraction(1, 2), backend)

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import random
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -306,6 +309,55 @@ def test_spectral_float_discriminant_out_of_range_is_domain_error(capsys, g):
     assert "discriminant leaves the float range" in err
 
 
+@pytest.mark.parametrize("g, message", [
+    # the decimals give D = 0 exactly; the float D is rounding noise
+    ('{"g23": 0.1, "g31": 0.4, "g12": 0.1}', "double root"),
+    # the decimals give D = 1e-28; the float D is 0.0
+    ('{"g31": 0.30000000000001, "g21": -0.3}', "the derived discriminant rounds to 0.0"),
+])
+def test_spectral_decimal_input_is_decided_on_its_exact_discriminant(capsys, g, message):
+    code, out, err = run_cli(capsys, "spectral", "--g", g)
+    assert (code, out) == (1, "")
+    assert err.startswith("spectral error: ") and err.count("\n") == 1
+    assert message in err
+
+
+SPECTRAL_KEYS = ("g12", "g13", "g21", "g23", "g31", "g32")
+SPECTRAL_DECIMALS = ("0.1", "0.2", "0.3", "0.4", "-0.1", "-0.3", "0.7")
+
+
+def exact_discriminant(g):
+    """D = g1^2 + g2^2 + g3^2 - 2 (g1 g2 + g2 g3 + g3 g1) of decimal texts."""
+    value = {key: Fraction(text) for key, text in g.items()}
+    g1, g2, g3 = (value.get(a, 0) - value.get(b, 0)
+                  for a, b in (("g23", "g32"), ("g31", "g13"), ("g12", "g21")))
+    return g1 * g1 + g2 * g2 + g3 * g3 - 2 * (g1 * g2 + g2 * g3 + g3 * g1)
+
+
+def spectral_decisions(capsys, g_text):
+    """Exit code, then degenerate or the kind of roots."""
+    code, out, err = run_cli(capsys, "spectral", "--g", g_text)
+    if code:
+        return code, "double root" in err
+    return code, "complex" if "j" in json.loads(out)["roots"][0] else "real"
+
+
+def test_decimal_g_decides_as_its_fraction_spelling(capsys):
+    """A seeded table: every input whose decimals give D = 0, and 100 more."""
+    rng = random.Random(42)
+    table = [{key: rng.choice(SPECTRAL_DECIMALS)
+              for key in rng.sample(SPECTRAL_KEYS, rng.randint(1, 4))}
+             for _ in range(10000)]
+    degenerate = [g for g in table if not exact_discriminant(g)]
+    assert len(degenerate) > 400
+    for g in degenerate + [g for g in table if exact_discriminant(g)][:100]:
+        decimal = spectral_decisions(
+            capsys, "{%s}" % ", ".join(f'"{key}": {text}' for key, text in g.items()))
+        fraction = spectral_decisions(
+            capsys, json.dumps({key: str(Fraction(text)) for key, text in g.items()}))
+        assert decimal == fraction, g
+
+
 @pytest.mark.parametrize("key", ["g11", "g22", "g33", "g14", "g41", "g00"])
 def test_spectral_key_naming_no_coefficient_is_usage_error(capsys, key):
     code, out, err = run_cli(capsys, "spectral", "--g", '{"%s": 1}' % key)
@@ -373,6 +425,59 @@ def test_simplex_vertex_on_cone(capsys):
     payload = json.loads(out)
     assert payload["on_cone"] is True
     assert "unit" not in payload
+
+
+OUTSIDE_THE_CONE = "|x|^2 < 0: point outside the cone interior"
+
+
+def simplex_decisions(capsys, n, point):
+    """Exit code, barycentric, on the cone, |x|^2 < 0."""
+    code, out, _ = run_cli(capsys, "simplex", "--n", str(n), f"--point={point}")
+    payload = json.loads(out) if code == 0 else {}
+    return (code, payload.get("barycentric"), payload.get("on_cone"),
+            payload.get("unit_error") == OUTSIDE_THE_CONE)
+
+
+@pytest.mark.parametrize("point, fraction, outside", [
+    ("1e-13,1", "1/10000000000000,1", False),
+    ("3e-7,-1e-6", "3/10000000,-1/1000000", True),
+])
+def test_simplex_decimal_point_is_decided_as_written(capsys, point, fraction, outside):
+    decisions = simplex_decisions(capsys, 1, point)
+    assert decisions == (0, False, False, outside)
+    assert decisions == simplex_decisions(capsys, 1, fraction)
+
+
+def test_simplex_point_whose_float_norm_underflows(capsys):
+    """|x|^2 = 1e-400 is not on the cone, but its float is 0.0: no unit."""
+    code, out, err = run_cli(capsys, "simplex", "--n", "1", "--point", "1e-200,1e-200")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["on_cone"] is False and "unit" not in payload
+    assert payload["unit_error"] == "|x|^2 > 0 rounds to 0.0 in floats"
+
+
+POINT_DECIMALS = ("0", "0.1", "0.2", "0.25", "0.5", "0.7", "1", "2.5", "-0.1", "-0.3",
+                  "1e-13", "3e-7", "-1e-6")
+
+
+def test_decimal_point_decides_as_its_fraction_spelling(capsys):
+    """A seeded table at n = 1..3; half the points have a last coordinate
+    that makes the decimals sum to 1."""
+    rng = random.Random(42)
+    seen = set()
+    for _ in range(240):
+        n = rng.randint(1, 3)
+        coords = [rng.choice(POINT_DECIMALS) for _ in range(n + 1)]
+        if rng.random() < 0.5:
+            coords[-1] = str(1 - sum(map(Decimal, coords[:-1])))
+        decisions = simplex_decisions(capsys, n, ",".join(coords))
+        fraction = ",".join(str(Fraction(text)) for text in coords)
+        assert decisions == simplex_decisions(capsys, n, fraction), coords
+        seen.add(decisions)
+    assert {True, False} <= {bary for _, bary, _, _ in seen}
+    assert {True, False} <= {cone for _, _, cone, _ in seen}
+    assert {True, False} <= {outside for *_, outside in seen}
 
 
 def test_negative_seed_parses(capsys):

@@ -115,6 +115,7 @@ ARGV = st.one_of(
 @example(["simplex", "--n=1", "--point=1e200,1e200"])
 @example(["simplex", "--n=1", "--point=1e200,-1e200"])
 @example(["simplex", "--n=1", f"--point={10 ** 400},1"])
+@example(["simplex", "--n=1", "--point=1000036000099,1/1000037"])
 def test_cli_keeps_its_exit_code_contract(argv):
     code, out, err = run(argv)
     assert code in (0, 1, 2), (argv, code, err)

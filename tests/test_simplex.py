@@ -1,10 +1,14 @@
+import io
 import math
 import random
+import re
+import tokenize
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from lpgg import calculus, frames, linalg, simplex
+from lpgg import calculus, frames, linalg, simplex, spectral
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +63,39 @@ def test_float_points(fr3):
     assert abs(float(point.norm_squared()) - 1 / 3) < 1e-6
     unit = point.unit()
     assert abs(float((unit * unit).scalar_part()) - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize("coords, barycentric, on_cone, norm_error", [
+    # |x|^2 = 1e-13 > 0 and the sum is 1 + 1e-13: no tolerance rounds either
+    ((1e-13, 1.0), False, False, None),
+    # |x|^2 = -3e-13 < 0, as for 3/10000000, -1/1000000
+    ((3e-7, -1e-6), False, False, "|x|^2 < 0"),
+    # |x|^2 = 1e-400 > 0, which is 0.0 in floats
+    ((1e-200, 1e-200), False, False, "rounds to 0.0 in floats"),
+    # the float sum is 0.9999999999999999; the decimals sum to 1
+    ((0.2, 0.7, 0.1), True, False, None),
+    ((0.5, 0.5, -0.25), False, True, None),
+])
+def test_decimal_points_are_decided_as_written(coords, barycentric, on_cone, norm_error):
+    point = simplex.SimplexPoint(frames.build_null_frame(len(coords), 1), coords)
+    exact = simplex.SimplexPoint(point.frame, tuple(Fraction(repr(c)) for c in coords))
+    assert point.is_barycentric() is exact.is_barycentric() is barycentric
+    assert point.is_on_cone() is exact.is_on_cone() is on_cone
+    if norm_error:
+        with pytest.raises(simplex.LightConeError, match=re.escape(norm_error)):
+            point.norm()
+    elif not on_cone:
+        assert point.norm() == pytest.approx(float(exact.norm()))
+
+
+def test_no_float_literal_in_simplex_or_spectral():
+    """Their decisions are exact, so neither module holds a tolerance."""
+    for module in (simplex, spectral):
+        text = Path(module.__file__).read_bytes()
+        literals = [tok.string for tok in tokenize.tokenize(io.BytesIO(text).readline)
+                    if tok.type == tokenize.NUMBER
+                    and re.fullmatch(r"[0-9.]+[eE][-+]?[0-9]+", tok.string)]
+        assert literals == [], (module.__name__, literals)
 
 
 def test_content_forms_and_normalization():
