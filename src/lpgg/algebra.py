@@ -12,7 +12,9 @@ nonzero int numerator, with ``gcd(den, *all numerators) == 1``.
 Arithmetic runs on the numerators and normalizes once per result; a
 ``Radical`` is built only when a coefficient is read.  A float or complex
 multivector stores each nonzero coefficient itself, ``{blade: c}`` over
-denominator 1.  Zero is ``({}, 1)`` in both shapes.
+denominator 1; its operations build that form directly, and a float
+result is never normalized.  Zero is ``({}, 1)`` in both shapes.  A raw
+coefficient picks its backend by ``scalars.widest_backend``.
 
 Everything here is immutable and pure: values can be shared freely.
 """
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 from . import scalars
 from .scalars import (BACKENDS, COMPLEX, EXACT, Radical, add_products, coerce,
-                      from_numerators, is_zero, to_numerators)
+                      from_numerators, is_zero, to_numerators, widest_backend)
 
 DIMENSION_LIMIT = 12
 
@@ -131,10 +133,7 @@ class Algebra:
 
     def multivector(self, coeffs: dict, backend: str | None = None) -> "Multivector":
         if backend is None:
-            backend = EXACT
-            for value in coeffs.values():
-                backend = scalars.backend_of(value)
-                break
+            backend = widest_backend(coeffs.values())
         converted = {}
         for blade, value in coeffs.items():
             if not 0 <= blade < self.dim:
@@ -157,14 +156,12 @@ class Algebra:
 
     def _from_integers(self, numerators: dict, den: int) -> "Multivector":
         """The exact ``{blade: int numerator} / den``, in normal form."""
-        return _normalized(self, {b: {1: c} for b, c in numerators.items()}, den, EXACT)
+        return _normalized(self, {b: {1: c} for b, c in numerators.items()}, den)
 
     def zero(self, backend: str = EXACT) -> "Multivector":
         return Multivector(self, {}, backend)
 
     def scalar(self, value, backend: str | None = None) -> "Multivector":
-        if backend is None:
-            backend = scalars.backend_of(value)
         return self.multivector({0: value}, backend)
 
     def blade(self, blade: int, value=1) -> "Multivector":
@@ -187,16 +184,14 @@ class Algebra:
         return self.blade(self.dim - 1)
 
 
-def _normalized(algebra: Algebra, coeffs: dict, den: int,
-                backend: str) -> "Multivector":
-    """The multivector ``coeffs / den`` in normal form.
+def _normalized(algebra: Algebra, coeffs: dict, den: int) -> "Multivector":
+    """The exact multivector ``coeffs / den`` in normal form.
 
-    ``coeffs`` maps blade to ``{key: numerator}`` (exact) or to value
-    (float, over ``den`` 1) and may hold zeros and empty blades.  The
-    result may keep its inner dicts, so they must not be changed.
+    ``coeffs`` maps blade to ``{key: numerator}`` and may hold zero
+    numerators and empty blades.  The result may keep its inner dicts, so
+    they must not be changed.  Float and complex results never pass
+    through here: ``combination`` and ``_product`` build them directly.
     """
-    if backend != EXACT:
-        return Multivector(algebra, {b: c for b, c in coeffs.items() if c}, backend)
     out = {}
     g = den
     for blade, terms in coeffs.items():
@@ -214,7 +209,7 @@ def _normalized(algebra: Algebra, coeffs: dict, den: int,
         den //= g
         out = {blade: {m: c // g for m, c in terms.items()}
                for blade, terms in out.items()}
-    return Multivector(algebra, out, backend, den)
+    return Multivector(algebra, out, EXACT, den)
 
 
 def combination(algebra: Algebra, pairs, backend: str = EXACT) -> "Multivector":
@@ -292,7 +287,7 @@ def combination(algebra: Algebra, pairs, backend: str = EXACT) -> "Multivector":
                     acc[m] = c
             if not acc:
                 del sums[blade]
-    return _normalized(algebra, sums, den, backend)
+    return _normalized(algebra, sums, den)
 
 
 def _check_compatible(algebra: Algebra, backend: str, mv: "Multivector"):
@@ -581,7 +576,7 @@ class Multivector:
         if not exact:
             return Multivector(algebra, {out: c for out in order if (c := running[out])},
                                self.backend)
-        return _normalized(algebra, sums, self._den * other._den, self.backend)
+        return _normalized(algebra, sums, self._den * other._den)
 
     def geometric(self, other: "Multivector") -> "Multivector":
         _check_compatible(self.algebra, self.backend, other)
@@ -598,12 +593,6 @@ class Multivector:
         return self._product(other, keep=_dot_keep)
 
     # -- involutions and projections ------------------------------------------------
-
-    def grade(self, k: int) -> "Multivector":
-        if not 0 <= k <= self.algebra.n_generators:
-            raise AlgebraError(f"grade {k} outside 0..{self.algebra.n_generators}")
-        coeffs = {blade: v for blade, v in self._coeffs.items() if blade.bit_count() == k}
-        return _normalized(self.algebra, coeffs, self._den, self.backend)
 
     def reverse(self) -> "Multivector":
         coeffs = {}

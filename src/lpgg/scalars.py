@@ -398,6 +398,13 @@ def widest_backend(values) -> str:
     return max(map(backend_of, values), key=BACKENDS.index, default=EXACT)
 
 
+def exact_value(value):
+    """The exact value a raw number stands for: a float stands for the
+    decimal it prints as (``repr``), so ``0.1`` is 1/10; any other value
+    is itself."""
+    return Fraction(repr(value)) if isinstance(value, float) else value
+
+
 def coerce(value, backend: str):
     """Coerce a raw value into the given backend, widening only."""
     if backend == EXACT:

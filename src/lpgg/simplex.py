@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import linalg
 from .algebra import Multivector, combination, wedge_list
 from .frames import NullFrame, dual_sum, vector_from_null_coordinates
-from .scalars import APPROX, EXACT, Radical, backend_of, coerce, is_zero
+from .scalars import EXACT, Radical, coerce, exact_value, is_zero, widest_backend
 
 
 class LightConeError(ValueError):
@@ -26,10 +26,10 @@ class LightConeError(ValueError):
 
 class SimplexPoint(namedtuple("SimplexPoint", "frame coordinates")):
     """A point in null coordinates.  Every yes/no question about it is
-    decided exactly; a float coordinate stands for the decimal it prints
-    as (``repr``), so a decimal of up to 15 significant digits in the
-    normal float range is decided as typed.  Printed float values are
-    still computed in floats."""
+    decided exactly, on the values that ``scalars.exact_value`` gives: a
+    float coordinate stands for the decimal it prints as (``repr``), so a
+    decimal of up to 15 significant digits in the normal float range is
+    decided as typed.  Printed float values are still computed in floats."""
 
     __slots__ = ()
 
@@ -40,12 +40,10 @@ class SimplexPoint(namedtuple("SimplexPoint", "frame coordinates")):
 
     @property
     def backend(self) -> str:
-        kinds = {backend_of(c) for c in self.coordinates}
-        return APPROX if APPROX in kinds else EXACT
+        return widest_backend(self.coordinates)
 
     def _exact(self) -> SimplexPoint:
-        return SimplexPoint(self.frame, tuple(
-            Fraction(repr(c)) if isinstance(c, float) else c for c in self.coordinates))
+        return SimplexPoint(self.frame, tuple(map(exact_value, self.coordinates)))
 
     def is_barycentric(self) -> bool:
         coordinates = self._exact().coordinates

@@ -23,6 +23,7 @@ from .scalars import (
     EXACT,
     Radical,
     coerce,
+    exact_value,
     is_zero,
     widest_backend,
 )
@@ -237,17 +238,18 @@ def spectral_decompose(op: BivectorOperator) -> SpectralDecomposition:
     p2 = (2G - tr + sqrt(D))/(2 sqrt(D)).  D is computed by actually
     squaring the traceless part; the decomposition records the stated
     g1^2+g2^2+g3^2 alongside for comparison.  Real inputs with D < 0
-    decompose over the complex backend.  A float coefficient stands for
-    the decimal it prints as, so every decision on real input is exact and
-    a decimal of up to 15 significant digits in the normal float range is
-    decided as typed; the printed values of float input are floats.  Float
-    input whose discriminants leave the float range, or whose float D has
-    not the sign of the exact D, raises ``ValueError``.
+    decompose over the complex backend; D = 0, a double root, raises
+    ``DegenerateSpectrumError``, the one degeneracy test.  A float
+    coefficient stands for the decimal it prints as
+    (``scalars.exact_value``), so every decision on real input is exact
+    and a decimal of up to 15 significant digits in the normal float range
+    is decided as typed; the printed values of float input are floats.
+    Float input whose discriminants leave the float range, or whose float
+    D has not the sign of the exact D, raises ``ValueError``.
     """
     backend = op.backend()
     claimed, derived = discriminants(op if backend != APPROX else BivectorOperator(
-        op.frame, {k: Fraction(repr(v)) if isinstance(v, float) else v
-                   for k, v in op.coefficients.items()}))
+        op.frame, {k: exact_value(v) for k, v in op.coefficients.items()}))
     if backend == APPROX:
         for name, value in zip(("claimed", "derived"), (claimed, derived)):
             d = value.as_fraction()

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import pinned_reports
 from lpgg import verify
 from lpgg.cli import build_parser, main
 
@@ -185,9 +186,7 @@ def test_verify_all_report_is_pinned(capsys):
         capsys, "verify", "--suite", "all", "--seed", "2024", "--format", "json",
     )
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "9821fa2e97220a4a641ad7e141373cd6f38fceda070881255c99e86f392c6c5b"
-    )
+    assert hashlib.sha256(out.encode()).hexdigest() == pinned_reports.DEFAULT_REPORT_CLI
     statuses = [c["status"] for c in json.loads(out)["checks"]]
     assert (statuses.count("pass"), statuses.count("pass-corrected")) == (53, 23)
 

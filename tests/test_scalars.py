@@ -11,6 +11,7 @@ from lpgg.scalars import (
     Radical,
     approx_equal,
     coerce,
+    exact_value,
     squarefree_decompose,
 )
 
@@ -91,6 +92,14 @@ def test_coerce_widening_only():
         coerce(0.5, "exact")
     with pytest.raises(TypeError):
         coerce(1j, "approx")
+
+
+def test_a_float_stands_for_the_decimal_it_prints_as():
+    assert exact_value(0.1) == Fraction(1, 10)
+    assert exact_value(1e-13) == Fraction(1, 10 ** 13)
+    assert exact_value(-3e-7) == Fraction(-3, 10 ** 7)
+    for value in (3, Fraction(2, 7), Radical.sqrt(2), 1j):
+        assert exact_value(value) is value
 
 
 @given(radical_strategy(), radical_strategy(), radical_strategy())

@@ -16,7 +16,9 @@ from pathlib import Path
 import pytest
 
 import lpgg
-from lpgg import Algebra, atlas, calculus, frames, simplex, verify, verify_core, verify_draws
+import pinned_reports
+from lpgg import (Algebra, atlas, calculus, frames, simplex, spectral, verify, verify_core,
+                  verify_draws)
 from lpgg.reporting import CheckResult, VerificationReport
 
 
@@ -38,9 +40,7 @@ def test_run_all_merges_and_prefixes(suite_report):
     assert report.corrected
     assert report.exit_code() == 0
     text = json.dumps(report.to_json(), indent=2, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "f9886965ba1a8712911c97d0098b93cf5cd442730564ae6b4caf38aa3003e900"
-    )
+    assert hashlib.sha256(text.encode()).hexdigest() == pinned_reports.SEED_9_N_MAX_4
 
 
 def in_order(suite_report, n_max, seed):
@@ -64,19 +64,17 @@ def suite_samples(suite_report, n_max, seed):
 
 def test_default_seed_report_at_n_max_4_is_pinned(suite_report):
     """The seed-2024 report at n_max = 4, merged from the memoized suites
-    (``run_suite("all")`` equals it, as the next test checks).  The CLI's
-    stdout adds one newline and hashes to ``bab09c22…``."""
+    (``run_suite("all")`` equals it, as the next test checks)."""
     text = json.dumps(in_order(suite_report, 4, 2024).to_json(), indent=2, sort_keys=True)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "003e9eb52e8956511c093cbfe5665f29cdd7435158d94fdfe220ae26bf6ec09a"
-    )
+    assert hashlib.sha256(text.encode()).hexdigest() == pinned_reports.SEED_2024_N_MAX_4
 
 
-@pytest.mark.parametrize("seed", [1, 7, 2024])
-@pytest.mark.parametrize("n_max", [4, verify.DEFAULT_N_MAX])
+@pytest.mark.parametrize("n_max, seed", [
+    (4, 1), (4, 7), (4, 2024), (verify.DEFAULT_N_MAX, 2024)])
 def test_all_in_workers_equals_the_suites_in_order(n_max, seed, suite_report, forked):
     """Forked, the merged report is the suites' in order, and each check
-    keeps the samples it examined."""
+    keeps the samples it examined.  At the default n_max only the default
+    seed runs: its seven suites are built for other tests anyway."""
     report = verify.run_suite("all", n_max=n_max, seed=seed)
     assert len(forked) == min(len(os.sched_getaffinity(0)), len(verify.SUITES))
     for pid in forked:  # every worker has been reaped
@@ -136,6 +134,29 @@ def test_empty_size_range_is_skipped(suite_report):
 def test_skipped_check_states_no_finding(suite, n_max, name, suite_report):
     check = {c.name: c for c in suite_report(suite, n_max).checks}[name]
     assert (check.status, check.details) == ("skipped", "")
+
+
+def test_spectral_suite_decides_degeneracy_once_per_operator(monkeypatch, suite_report):
+    """``spectral-idempotents`` leaves the double-root test to
+    ``spectral_decompose``: one discriminant pass per operator it draws."""
+    drawn, passes = [], []
+    discriminants = spectral.discriminants
+
+    class CountedOperator(spectral.BivectorOperator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            drawn.append(self)
+
+    def counted(op):
+        passes.append(op)
+        return discriminants(op)
+
+    expected = suite_report("spectral").to_json()
+    monkeypatch.setattr(spectral, "BivectorOperator", CountedOperator)
+    monkeypatch.setattr(spectral, "discriminants", counted)
+    assert verify.run_suite("spectral").to_json() == expected
+    assert len(passes) == len(drawn) >= 100
+    assert all(p is op for p, op in zip(passes, drawn))
 
 
 def test_pseudoscalar_claim_names_only_checked_cases(suite_report):
