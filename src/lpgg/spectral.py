@@ -123,6 +123,7 @@ class BivectorOperator:
     def __init__(self, frame: NullFrame, coefficients: dict):
         self.frame = frame
         self.coefficients = coefficients  # (i, j) 1-based, i != j
+        self._element = None
         _require_frame_size(frame, 3)
         for (i, j) in coefficients:
             if not (1 <= i <= 3 and 1 <= j <= 3 and i != j):
@@ -144,18 +145,20 @@ class BivectorOperator:
         return widest_backend(self.coefficients.values())
 
     def element(self) -> Multivector:
-        """The multivector G, assembled from the trace and bivector parts."""
-        backend = self.backend()
-        a1, a2, a3 = (a.to_backend(backend) for a in self.frame.vectors)
-        g1, g2, g3 = self.bivector_components()
-        half_tr = coerce(self.trace(), backend) * coerce(
-            Fraction(1, 2), backend
-        )
-        return combination(self.frame.algebra, (
-            (self.frame.algebra.scalar(half_tr, backend), 1),
-            (a2.wedge(a3), coerce(g1, backend)),
-            (a3.wedge(a1), coerce(g2, backend)),
-            (a1.wedge(a2), coerce(g3, backend))), backend)
+        """The multivector G, assembled once from the trace and bivector parts."""
+        if self._element is None:
+            backend = self.backend()
+            a1, a2, a3 = (a.to_backend(backend) for a in self.frame.vectors)
+            g1, g2, g3 = self.bivector_components()
+            half_tr = coerce(self.trace(), backend) * coerce(
+                Fraction(1, 2), backend
+            )
+            self._element = combination(self.frame.algebra, (
+                (self.frame.algebra.scalar(half_tr, backend), 1),
+                (a2.wedge(a3), coerce(g1, backend)),
+                (a3.wedge(a1), coerce(g2, backend)),
+                (a1.wedge(a2), coerce(g3, backend))), backend)
+        return self._element
 
     def element_from_matrix(self) -> Multivector:
         """The same element as sum g_ij a_i a_j (cross-check route)."""
@@ -167,10 +170,9 @@ class BivectorOperator:
 
 
 class SpectralDecomposition:
-    def __init__(self, operator: BivectorOperator, root_minus, root_plus,
+    def __init__(self, root_minus, root_plus,
                  idempotent_1: Multivector, idempotent_2: Multivector,
                  claimed_discriminant, discriminant):
-        self.operator = operator
         self.root_minus = root_minus
         self.root_plus = root_plus
         self.idempotent_1 = idempotent_1
@@ -292,7 +294,7 @@ def spectral_decompose(op: BivectorOperator) -> SpectralDecomposition:
     p1 = (one * (trace + root) - g * 2) * (root_inv * half)
     p2 = (g * 2 - one * trace + one * root) * (root_inv * half)
     return SpectralDecomposition(
-        op, r_minus, r_plus, p1, p2,
+        r_minus, r_plus, p1, p2,
         claimed_discriminant=claimed, discriminant=derived,
     )
 

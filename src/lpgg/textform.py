@@ -7,7 +7,8 @@ coefficients print as rationals and ``sqrt(m)`` products, e.g.::
     -2*e1^f1
     (1+1/3*sqrt(6))*f2
 
-The parser accepts exactly what the formatter emits (whitespace-tolerant).
+The parser reads the grammar given in :func:`parse_multivector`: all the
+formatter emits, and also forms such as ``2*3*e1`` and ``--e1``.
 """
 
 from __future__ import annotations
@@ -60,103 +61,88 @@ def format_multivector(mv: Multivector) -> str:
     return out
 
 
-_SQRT_RE = re.compile(r"sqrt\(\s*([0-9]+)\s*\)")
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
-_BLADE_RE = re.compile(r"[ef][0-9]+(?:\^[ef][0-9]+)*")
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<rational>[0-9]+(?:/[0-9]+)?)|(?P<sqrt>sqrt\(\s*[0-9]+\s*\))"
+    r"|(?P<blade>[ef][0-9]+(?:\^[ef][0-9]+)*)|(?P<op>[-+*()])|(?P<bad>\S))")
 
 
 class ParseError(ValueError):
     pass
 
 
-def _parse_exact_factor(text: str) -> Radical:
-    """Parse ``rational``, ``sqrt(m)`` or ``rational*sqrt(m)``."""
-    text = text.strip()
+def _take(tokens: list, *kinds: str) -> str:
+    """Pop the next token, which must be of one of ``kinds``; its text."""
+    kind, text = tokens.pop()
+    if kind not in kinds:
+        found = repr(text) if text else "the end"
+        raise ParseError(f"expected {' or '.join(kinds)}, found {found}")
+    return text
+
+
+def _signs(tokens: list) -> int:
+    """Pop a run of ``+`` and ``-`` tokens; the sign they make."""
     sign = 1
-    while text[:1] in ("+", "-"):
-        if text[0] == "-":
-            sign = -sign
-        text = text[1:].strip()
-    if "*" in text:
-        left, right = text.split("*", 1)
-        value = _parse_exact_factor(left) * _parse_exact_factor(right)
-    else:
-        m = _SQRT_RE.fullmatch(text)
-        if not (m or _RATIONAL_RE.fullmatch(text)):
-            raise ParseError(f"bad exact coefficient {text!r}")
-        try:
-            value = Radical.sqrt(int(m.group(1))) if m else Radical(Fraction(text))
-        except ZeroDivisionError:
-            raise ParseError(f"zero denominator in {text!r}") from None
-        except ValueError as exc:  # more digits than int() converts
-            raise ParseError(f"unreadable number: {exc}") from None
-    return -value if sign < 0 else value
+    while tokens[-1][0] in ("+", "-"):
+        sign = -sign if tokens.pop()[0] == "-" else sign
+    return sign
 
 
-def _split_top_level_sum(text: str) -> list[str]:
-    parts, depth, current = [], 0, ""
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        if ch in "+-" and depth == 0 and current.strip() and current.rstrip()[-1:] not in "*(/+-":
-            parts.append(current)
-            current = ch
-        else:
-            current += ch
-    if current.strip():
-        parts.append(current)
-    return parts
+def _factor(tokens: list) -> Radical:
+    text = _take(tokens, "rational", "sqrt")
+    try:
+        if text.startswith("sqrt"):
+            return Radical.sqrt(int(text[5:-1]))
+        return Radical(Fraction(text))
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}") from None
+    except ValueError as exc:  # more digits than int() converts
+        raise ParseError(f"unreadable number: {exc}") from None
 
 
-def _parse_exact_coefficient(text: str) -> Radical:
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        pieces = _split_top_level_sum(text[1:-1])
-        if not pieces:
-            raise ParseError(f"empty group {text!r}")
-        total = Radical(0)
-        for piece in pieces:
-            total = total + _parse_exact_factor(piece)
-        return total
-    return _parse_exact_factor(text)
+def _product(tokens: list) -> Radical:
+    """``sign* factor ("*" sign* factor)*``, leaving a ``"*" blade`` unread."""
+    sign, value = _signs(tokens), _factor(tokens)
+    while tokens[-1][0] == "*" and tokens[-2][0] != "blade":
+        tokens.pop()
+        sign *= _signs(tokens)
+        value = value * _factor(tokens)
+    return value if sign > 0 else -value
 
 
 def parse_multivector(text: str, algebra: Algebra) -> Multivector:
-    """Inverse of :func:`format_multivector`; coefficients are exact."""
-    text = text.strip()
-    if text in ("0", ""):
-        return algebra.zero()
-    coeffs: dict[int, object] = {}
-    for piece in _split_top_level_sum(text):
-        piece = piece.strip()
-        sign = 1
-        while piece[:1] in ("+", "-"):
-            if piece[0] == "-":
-                sign = -sign
-            piece = piece[1:].strip()
-        # Separate trailing blade name (after the last '*' at depth 0), if any.
-        blade_text, coef_text = None, piece
-        depth, split_at = 0, None
-        for idx, ch in enumerate(piece):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "*" and depth == 0:
-                tail = piece[idx + 1 :].strip()
-                if _BLADE_RE.fullmatch(tail):
-                    split_at = idx
-        if split_at is not None:
-            coef_text = piece[:split_at]
-            blade_text = piece[split_at + 1 :]
-        elif _BLADE_RE.fullmatch(piece):
-            coef_text = "1"
-            blade_text = piece
-        blade = algebra.blade_from_name(blade_text) if blade_text else 0
-        value = _parse_exact_coefficient(coef_text)
-        if sign < 0:
-            value = -value
-        coeffs[blade] = coeffs.get(blade, Radical(0)) + value
+    """Inverse of :func:`format_multivector`; coefficients are exact.
+
+    The text form's grammar, where whitespace may separate tokens but not
+    split a rational or a blade name, and terms on one blade add up::
+
+        text    := "" | term (("+" | "-") term)*
+        term    := sign* (blade | coef ["*" blade])
+        coef    := "(" product (("+" | "-") product)* ")" | product
+        product := sign* factor ("*" sign* factor)*
+        factor  := digits ["/" digits] | "sqrt(" digits ")"
+        blade   := [ef]digits ("^" [ef]digits)*     (read by Algebra.blade_from_name)
+    """
+    # The tokens in reverse above an end marker, so each is popped off the end.
+    tokens = [("end", "")] + [(m["op"] or m.lastgroup, m[m.lastgroup])
+                              for m in _TOKEN_RE.finditer(text)][::-1]
+    coeffs: dict[int, Radical] = {}
+    while tokens[-1][0] != "end":
+        sign, name = _signs(tokens), "1"
+        if tokens[-1][0] == "blade":
+            value, name = Radical(1), tokens.pop()[1]
+        elif tokens[-1][0] == "(":
+            tokens.pop()
+            value = _product(tokens)
+            while tokens[-1][0] in ("+", "-"):
+                value = value + _product(tokens)
+            _take(tokens, ")")
+        else:
+            value = _product(tokens)
+        if name == "1" and tokens[-1][0] == "*":  # coef "*" blade
+            tokens.pop()
+            name = _take(tokens, "blade")
+        if tokens[-1][0] not in ("+", "-", "end"):
+            _take(tokens, "+", "-", "end")  # raises: the term must end here
+        blade = algebra.blade_from_name(name)
+        coeffs[blade] = coeffs.get(blade, Radical(0)) + (value if sign > 0 else -value)
     return algebra.multivector(coeffs)

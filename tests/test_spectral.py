@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lpgg import frames, linalg, spectral
-from lpgg.algebra import Algebra, AlgebraError
+from lpgg.algebra import Algebra, AlgebraError, Multivector
 from lpgg.scalars import Radical, is_zero
 
 
@@ -124,6 +124,25 @@ def test_bivector_operator_element_routes(fr3):
         op = spectral.BivectorOperator(fr3, coeffs)
         assert op.element() == op.element_from_matrix()
         assert op.element().grades() <= {0, 2}
+
+
+def test_bivector_operator_assembles_its_element_once(fr3, monkeypatch):
+    """Once G is assembled, the decomposition and later ``element()`` calls
+    read it and build no bivector again."""
+    op = spectral.BivectorOperator(fr3, {(1, 2): 1, (2, 3): Fraction(1, 2), (3, 1): -2})
+    g = op.element()
+    wedges = []
+    wedge = Multivector.wedge
+
+    def counted(self, other):
+        wedges.append(other)
+        return wedge(self, other)
+
+    monkeypatch.setattr(Multivector, "wedge", counted)
+    dec = spectral.spectral_decompose(op)
+    assert op.element() == g
+    assert len(wedges) == 0
+    assert dec.reconstruct() == g
 
 
 def test_spectral_example_unit_coefficient(fr3):

@@ -57,5 +57,34 @@ def test_parse_errors(g12):
             parse_multivector(text, g12)
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("2*-3*e1", "-6*e1"),
+    ("sqrt(2)*-1/2", "-1/2*sqrt(2)"),
+    ("e1 - -e2", "e1 + e2"),
+    ("--e1", "e1"),
+    ("sqrt( 2 )*e1", "sqrt(2)*e1"),
+    ("2 * e1", "2*e1"),
+    ("-(1+sqrt(2))*f2", "-(1+sqrt(2))*f2"),
+    ("(1+sqrt(2))*2*f2", None),
+    ("2*(1)*e1", None),
+    ("2*-e1", None),
+    ("e1*2", None),
+    ("((1))", None),
+    ("1 / 2", None),
+    ("e1 ^ f2", None),
+    ("3-", None),
+])
+def test_parse_grammar_edges(text, expected):
+    """A factor after ``*`` may carry signs, and so may a term; a group is a
+    whole coefficient; whitespace may not split a rational or a blade name.
+    ``None`` marks text the parser rejects."""
+    g22 = Algebra(2, 2)
+    if expected is None:
+        with pytest.raises(ParseError):
+            parse_multivector(text, g22)
+    else:
+        assert format_multivector(parse_multivector(text, g22)) == expected
+
+
 def test_zero_round_trip(g12):
     assert parse_multivector("0", g12).is_zero()
