@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import scalars
 from .scalars import (BACKENDS, COMPLEX, EXACT, Radical, add_products, coerce,
                       from_numerators, is_zero, to_numerators, widest_backend)
 
@@ -642,20 +641,6 @@ class Multivector:
         return hash((self.algebra, self._den, frozenset(
             (blade, frozenset(terms.items()))
             for blade, terms in self._coeffs.items())))
-
-    def isclose(self, other: "Multivector", rel=scalars.REL_TOL, abs_tol=scalars.ABS_TOL) -> bool:
-        if self.algebra != other.algebra:
-            return False
-        blades = set(self._coeffs) | set(other._coeffs)
-        return all(
-            scalars.approx_equal(
-                complex(self.coefficient(b)) if self.backend == COMPLEX else float(self.coefficient(b)),
-                complex(other.coefficient(b)) if other.backend == COMPLEX else float(other.coefficient(b)),
-                rel,
-                abs_tol,
-            )
-            for b in blades
-        )
 
     def max_abs_difference(self, other: "Multivector") -> float:
         blades = set(self._coeffs) | set(other._coeffs)

@@ -39,11 +39,6 @@ def _generator_sign_product(algebra: Algebra) -> int:
     return product
 
 
-def _blade_label(p: int, q: int) -> str:
-    parts = [f"e{i}" for i in range(1, p + 1)] + [f"f{j}" for j in range(1, q + 1)]
-    return "".join(parts)
-
-
 def atlas(n_max: int) -> dict:
     """Rows plus the level strings and the two aggregate sequences.
 
@@ -63,13 +58,14 @@ def atlas(n_max: int) -> dict:
         for p in range(level, -1, -1):
             q = level - p
             sign = pseudoscalar_square_sign(p, q)
-            gen_product = _generator_sign_product(Algebra(p, q))
+            algebra = Algebra(p, q)
+            gen_product = _generator_sign_product(algebra)
             level_product *= gen_product
             rows.append(
                 AtlasRow(
                     p=p,
                     q=q,
-                    blade=_blade_label(p, q),
+                    blade=algebra.blade_name(algebra.dim - 1).replace("^", ""),
                     square_sign=sign,
                     generator_sign_product=gen_product,
                 )

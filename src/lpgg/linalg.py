@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import EXACT, InexactDivisionError, Radical, coerce
+from .scalars import EXACT, InexactDivisionError, Radical, coerce, to_numerators
 
 Matrix = list[list]
 
@@ -59,9 +59,9 @@ def _eliminate(matrix: Matrix, cols: int) -> tuple[Matrix, list, int]:
         candidates = [i for i in range(r, len(rows)) if rows[i][col]]
         if not candidates:
             continue
-        best = min(candidates, key=lambda i: len(rows[i][col].terms()))
+        best = min(candidates, key=lambda i: len(to_numerators(rows[i][col])[0]))
         lead = rows[best][col]
-        if len(lead.terms()) > 2:
+        if len(to_numerators(lead)[0]) > 2:
             raise InexactDivisionError(f"no exactly invertible pivot in column {col}")
         if best != r:
             rows[r], rows[best] = rows[best], rows[r]

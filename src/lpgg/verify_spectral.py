@@ -8,7 +8,7 @@ from fractions import Fraction
 from . import DEFAULT_N_MAX, DEFAULT_SEED
 from . import frames, linalg, spectral
 from .reporting import VerificationReport
-from .scalars import EXACT
+from .scalars import Radical
 from .textform import format_multivector
 from .verify_draws import _frames, _rational, random_multivector, random_vector
 
@@ -106,6 +106,8 @@ def suite_spectral(n_max: int = DEFAULT_N_MAX,
         "discriminant needs the -2 g_i g_j cross terms",
     ) as check:
         for fr3 in fr3s:
+            one = fr3.algebra.scalar(1)
+            i_ps = fr3.algebra.e(1) * fr3.algebra.f(1) * fr3.algebra.f(2)
             corrected_count = 0
             complex_count = 0
             count = 0
@@ -125,19 +127,25 @@ def suite_spectral(n_max: int = DEFAULT_N_MAX,
                 if dec.discriminant_corrected:
                     corrected_count += 1
                 p1, p2 = dec.idempotent_1, dec.idempotent_2
+                r_minus, r_plus = dec.root_minus, dec.root_plus
                 g = op.element()
-                where = f"operator {coeffs}"
-                if p1.backend == EXACT:
-                    check(p1 + p2 == fr3.algebra.scalar(1), where)
-                    check((p1 * p2).is_zero() and (p2 * p1).is_zero(), where)
-                    check(p1 * p1 == p1 and p2 * p2 == p2, where)
-                    check(dec.reconstruct() == g, where)
-                else:
+                d = dec.discriminant.as_fraction()
+                if d < 0:
+                    # The central i squares to -1, so sqrt(D) = i sqrt(-D)
+                    # and 1/(2 sqrt(D)) = sqrt(D)/(2D): the complex roots
+                    # and idempotents are exact elements of G(1,2).
                     complex_count += 1
-                    check((p1 + p2).isclose(fr3.algebra.scalar(complex(1))), where)
-                    check((p1 * p2).isclose(fr3.algebra.zero("complex")), where)
-                    check((p1 * p1).isclose(p1), where)
-                    check(dec.reconstruct().isclose(g.to_backend("complex")), where)
+                    root = i_ps * Radical.sqrt(-d)
+                    tr = one * op.trace()
+                    r_minus, r_plus = (tr - root) / 2, (tr + root) / 2
+                    scale = root / (2 * d)
+                    p1 = (tr + root - g * 2) * scale
+                    p2 = (g * 2 - tr + root) * scale
+                where = f"operator {coeffs}"
+                check(p1 + p2 == one, where)
+                check((p1 * p2).is_zero() and (p2 * p1).is_zero(), where)
+                check(p1 * p1 == p1 and p2 * p2 == p2, where)
+                check(p1 * r_minus + p2 * r_plus == g, where)
             check.details += (f" (corrected on {corrected_count} samples; "
                               f"{complex_count} complexified)")
 

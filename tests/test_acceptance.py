@@ -265,12 +265,10 @@ def test_criterion_10_spectral():
             assert p1 * p1 == p1 and p2 * p2 == p2
             assert dec.reconstruct() == g
         else:
-            assert (p1 + p2).isclose(fr3.algebra.scalar(complex(1)),
-                                     rel=1e-10)
-            assert (p1 * p2).isclose(fr3.algebra.zero("complex"), rel=1e-10)
-            assert (p1 * p1).isclose(p1, rel=1e-10)
-            assert dec.reconstruct().isclose(g.to_backend("complex"),
-                                             rel=1e-10)
+            assert (p1 + p2).max_abs_difference(fr3.algebra.scalar(complex(1))) <= 1e-12
+            assert (p1 * p2).max_abs_difference(fr3.algebra.zero("complex")) <= 1e-12
+            assert (p1 * p1).max_abs_difference(p1) <= 1e-12
+            assert dec.reconstruct().max_abs_difference(g.to_backend("complex")) <= 1e-12
 
     fr2 = frames.build_null_frame(2, 1)
     a1, a2 = fr2.vectors

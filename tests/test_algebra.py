@@ -75,7 +75,7 @@ def test_associativity_exact(backend):
             if backend == "exact":
                 assert left == right
             else:
-                assert left.isclose(right)
+                assert left.max_abs_difference(right) <= 1e-12
 
 
 def test_vector_product_splits_into_dot_and_wedge():

@@ -210,11 +210,47 @@ def test_spectral_identities_random(fr3):
             assert phi.is_zero()
         else:
             one_c = fr3.algebra.scalar(complex(1))
-            assert (p1 + p2).isclose(one_c)
-            assert (p1 * p2).isclose(fr3.algebra.zero("complex"))
-            assert (p1 * p1).isclose(p1) and (p2 * p2).isclose(p2)
-            assert dec.reconstruct().isclose(g.to_backend("complex"))
+            assert (p1 + p2).max_abs_difference(one_c) <= 1e-12
+            assert (p1 * p2).max_abs_difference(fr3.algebra.zero("complex")) <= 1e-12
+            assert (p1 * p1).max_abs_difference(p1) <= 1e-12
+            assert (p2 * p2).max_abs_difference(p2) <= 1e-12
+            assert dec.reconstruct().max_abs_difference(g.to_backend("complex")) <= 1e-12
     assert seen_corrected > 0
+
+
+def test_complex_idempotents_are_the_exact_ones_over_i(fr3):
+    """For D < 0 the library's idempotents are complex floats.  Over the
+    central i = e1 f1 f2, which squares to -1, sqrt(D) = i sqrt(-D) and the
+    same idempotents are exact.  Split one into its even part P and its odd
+    part O = iQ, Q = -iO: then P + 1j Q is the library's value on every
+    blade."""
+    rng = random.Random(3)
+    algebra = fr3.algebra
+    one = algebra.scalar(1)
+    i_ps = algebra.e(1) * algebra.f(1) * algebra.f(2)
+    count = 0
+    while count < 200:
+        coeffs = {
+            (i, j): Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+            for i in (1, 2, 3) for j in (1, 2, 3)
+            if i != j and rng.random() < 0.8
+        }
+        op = spectral.BivectorOperator(fr3, coeffs)
+        d = spectral.discriminants(op)[1].as_fraction()
+        if d >= 0:
+            continue
+        count += 1
+        dec = spectral.spectral_decompose(op)
+        root = i_ps * Radical.sqrt(-d)
+        tr, g = one * op.trace(), op.element()
+        scale = root / (2 * d)
+        exact = ((tr + root - g * 2) * scale, (g * 2 - tr + root) * scale)
+        for x, library in zip(exact, (dec.idempotent_1, dec.idempotent_2)):
+            even = algebra.multivector({b: c for b, c in x.items() if b.bit_count() % 2 == 0})
+            q = -(i_ps * (x - even))
+            assert all(abs(complex(even.coefficient(b)) + 1j * complex(q.coefficient(b))
+                           - library.coefficient(b)) <= 1e-12
+                       for b in range(algebra.dim)), coeffs
 
 
 def test_spectral_complex_coefficients(fr3):
@@ -223,9 +259,9 @@ def test_spectral_complex_coefficients(fr3):
     )
     dec = spectral.spectral_decompose(op)
     p1, p2 = dec.idempotent_1, dec.idempotent_2
-    assert (p1 + p2).isclose(fr3.algebra.scalar(complex(1)))
-    assert (p1 * p2).isclose(fr3.algebra.zero("complex"))
-    assert dec.reconstruct().isclose(op.element())
+    assert (p1 + p2).max_abs_difference(fr3.algebra.scalar(complex(1))) <= 1e-12
+    assert (p1 * p2).max_abs_difference(fr3.algebra.zero("complex")) <= 1e-12
+    assert dec.reconstruct().max_abs_difference(op.element()) <= 1e-12
 
 
 def test_rep_g11_fixed_matrices(fr2):

@@ -159,6 +159,22 @@ def test_spectral_suite_decides_degeneracy_once_per_operator(monkeypatch, suite_
     assert all(p is op for p, op in zip(passes, drawn))
 
 
+def test_nudged_negative_discriminant_fails_the_idempotents(monkeypatch):
+    """A 10^-15 error in a negative D moves the complex-float idempotents
+    by less than any float tolerance; the exact idempotents over i, built
+    from that D, are no longer idempotent."""
+    discriminants = spectral.discriminants
+
+    def nudged(op):
+        claimed, derived = discriminants(op)
+        if derived.as_fraction() < 0:
+            derived = derived + Fraction(1, 10 ** 15)
+        return claimed, derived
+
+    monkeypatch.setattr(spectral, "discriminants", nudged)
+    assert statuses(verify.run_suite("spectral"))["spectral-idempotents"] == "fail"
+
+
 def test_pseudoscalar_claim_names_only_checked_cases(suite_report):
     def claim(n_max):
         report = suite_report("frame", n_max)
@@ -455,3 +471,14 @@ def test_float_tolerances_only_in_the_float_checks():
                    and re.fullmatch(r"[0-9.]+[eE][-+]?[0-9]+", tok.string)]
     assert owners and all(names in (["'radical-arithmetic'"], ["'finite-differences'"])
                           for *_, names in owners), owners
+
+
+def test_no_verify_module_calls_isclose():
+    """An exact claim is decided by ``==``: no check compares within a
+    tolerance through ``isclose``."""
+    calls = [(path.name, node.lineno)
+             for path in sorted(Path(verify.__file__).parent.glob("verify*.py"))
+             for node in ast.walk(ast.parse(path.read_bytes()))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "attr", getattr(node.func, "id", None)) == "isclose"]
+    assert not calls, calls
