@@ -25,6 +25,9 @@ from that commit, the result line of every workload, and:
   operand holds, built from a prebuilt ``{blade: value}`` dict;
 - ``samples_total``: the samples that the checks of the seed-2024 report
   examine, summed over the checks of ``run_suite("all")``;
+- ``constructions_in_process``: per suite of the seed-2024 report, run in
+  this process, the null frames constructed, the reciprocal frames built
+  and the ``Radical.sqrt`` calls (see :func:`count_constructions`);
 - ``cli_closure``: per subcommand, the modules one CLI process loads
   beyond a bare interpreter and the ``src/lpgg`` lines it compiles,
   probed as ``tests/test_cli_imports.py`` does (see :func:`cli_closure`);
@@ -50,6 +53,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -120,6 +124,44 @@ def samples_total() -> int:
     names = [check.name for check in checks]
     assert len(set(names)) == len(names), "duplicate check names"
     return sum(check.samples for check in checks)
+
+
+def count_constructions(suites=None) -> dict:
+    """Per suite of the seed-2024 report (all seven unless ``suites`` names
+    some), each run in this process: ``null_frames``, the ``NullFrame``
+    constructions; ``reciprocal_frames``, the reciprocal frames built, one
+    ``NullFrame.metric_dual_basis`` call each; ``radical_sqrt_calls``.
+
+    The counters wrap the two classes from here and are removed after.
+    perfbench's ``frames.build_calls`` counts calls of ``build_null_frame``,
+    not frames, and reads 0 on verify-all, whose suites run in workers.
+    """
+    from lpgg import SUITES, verify
+    from lpgg.frames import NullFrame
+    from lpgg.scalars import Radical
+
+    counts = Counter()
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    saved = NullFrame.__init__, NullFrame.metric_dual_basis, Radical.__dict__["sqrt"]
+    NullFrame.__init__ = counted("null_frames", NullFrame.__init__)
+    NullFrame.metric_dual_basis = counted("reciprocal_frames", NullFrame.metric_dual_basis)
+    Radical.sqrt = staticmethod(counted("radical_sqrt_calls", Radical.sqrt))
+    out = {}
+    try:
+        for suite in suites or SUITES:
+            counts.clear()
+            verify.run_suite(suite, seed=2024)
+            out[suite] = {name: counts[name] for name in
+                          ("null_frames", "reciprocal_frames", "radical_sqrt_calls")}
+    finally:
+        NullFrame.__init__, NullFrame.metric_dual_basis, Radical.sqrt = saved
+    return out
 
 
 def cli_closure(probe) -> dict:
@@ -221,7 +263,9 @@ def main(argv=None) -> int:
            "kernel_in_process": kernel_ms, "kernel_peak_kb": kernel_peak_kb,
            "operand_kb": operand_kb,
            "suites_in_process": trace_suites(benchmark["per_layer"]),
-           "samples_total": samples_total(), "cli_closure": cli_closure(cli_imports),
+           "samples_total": samples_total(),
+           "constructions_in_process": count_constructions(),
+           "cli_closure": cli_closure(cli_imports),
            "compile_peak_kb": cli_imports.compile_peaks(),
            "tier1_wall_s": None if args.smoke else tier1_wall_s()}
     rows = json.loads(args.out.read_text()) if args.out.exists() else []

@@ -215,11 +215,9 @@ def combination(algebra: Algebra, pairs, backend: str = EXACT) -> "Multivector":
     """``sum(c * mv for mv, c in pairs)``: the one routine behind ``+``,
     ``-``, scaling and every linear combination of multivectors.
 
-    Every term is added blade by blade, in order, into one running sum;
-    an exact term goes over the lcm of the denominators first, and the
-    exact result is normalized once.  Three rules keep a float or complex
-    result bitwise equal to chaining ``mv * c`` with ``+`` from left to
-    right; the exact sum follows the last two per radical key:
+    Every term is added blade by blade, in order, into one running sum.
+    Three rules keep a float or complex result bitwise equal to chaining
+    ``mv * c`` with ``+`` from left to right:
 
     - an int ``c`` of 1 or -1 copies or negates ``mv``, as ``+`` and ``-``
       do; any other ``c`` is coerced and multiplied, as ``*`` does, since
@@ -227,6 +225,13 @@ def combination(algebra: Algebra, pairs, backend: str = EXACT) -> "Multivector":
     - the first term under a blade is stored as is, never as ``0 + c``;
     - a blade whose running sum reaches exactly zero is dropped, so a
       later term under it is again stored as is.
+
+    An exact sum does not depend on the order of its terms, so it keeps
+    none of these rules: each term goes over the lcm of the denominators
+    and is accumulated by ``scalars.add_products`` (an int ``c`` as
+    ``{1: c}``), and ``_normalized`` drops what cancelled, once.  Its
+    blades, and the keys within a blade, sit in the order they first
+    appear among the terms.
     """
     if backend != EXACT:
         sums = {}
@@ -246,46 +251,23 @@ def combination(algebra: Algebra, pairs, backend: str = EXACT) -> "Multivector":
                 else:
                     sums[blade] = term
         return Multivector(algebra, sums, backend)
-    scaled = []  # (coeffs, sign or factor numerators, denominator)
+    scaled = []  # (coeffs, factor numerators, denominator)
     den = 1
     for mv, c in pairs:
         _check_compatible(algebra, backend, mv)
-        d = mv._den
-        if not (type(c) is int and c in (1, -1)):
-            c, dc = to_numerators(coerce(c, backend))
-            d *= dc
+        c, d = ({1: c}, 1) if type(c) is int else to_numerators(coerce(c, backend))
+        d *= mv._den
         scaled.append((mv._coeffs, c, d))
         den = math.lcm(den, d)
     sums: dict[int, dict] = {}
     for coeffs, factor, d in scaled:
-        k = den // d
-        if type(factor) is int:
-            k, factor = k * factor, None
-        elif k != 1:
+        if (k := den // d) != 1:
             factor = {m: c * k for m, c in factor.items()}
         for blade, terms in coeffs.items():
-            if factor is not None:
-                term = {}
-                add_products(term, terms, factor)
-                if 0 in term.values():  # ``mv * c`` drops an exact zero
-                    term = {m: c for m, c in term.items() if c}
-            elif k == 1:
-                term = terms
-            else:
-                term = {m: -c if k == -1 else c * k for m, c in terms.items()}
             acc = sums.get(blade)
             if acc is None:
-                if term:
-                    sums[blade] = dict(term) if term is terms else term
-                continue
-            for m, c in term.items():
-                old = acc.get(m)
-                if old is not None and not (c := old + c):
-                    del acc[m]
-                else:
-                    acc[m] = c
-            if not acc:
-                del sums[blade]
+                acc = sums[blade] = {}
+            add_products(acc, terms, factor)
     return _normalized(algebra, sums, den)
 
 
@@ -319,35 +301,25 @@ def _submasks(m: int, memo: dict) -> list:
     return subs
 
 
-def _rows_by_blade(rows: list, dim: int, exact: bool):
-    """A list indexed by blade that holds the blade's tuple of exact rows,
-    or its one float row (None for an absent blade); None unless the
-    blades of ``rows`` ascend."""
-    by_blade = [()] * dim if exact else [None] * dim
+def _rows_by_blade(rows: list, dim: int):
+    """A list indexed by blade that holds the blade's float or complex row
+    (None for an absent blade); None unless the blades of ``rows`` ascend."""
+    by_blade = [None] * dim
     last = -1
     for row in rows:
         b = row[0]
         if b < last:
             return None
-        if exact:
-            by_blade[b] += (row,)
-        else:
-            by_blade[b] = row
+        by_blade[b] = row
         last = b
     return by_blade
 
 
-def _subset_rows(a: int, wedge: bool, by_blade: list, memo: dict, exact: bool) -> list:
-    """The rows of ``by_blade`` that a wedge (``b`` inside ``~a``) or a dot
-    (``b`` inside ``a``, then ``a`` inside ``b``) keeps for left blade
-    ``a``, in ascending blade order."""
+def _subset_rows(a: int, wedge: bool, by_blade: list, memo: dict) -> list:
+    """The float or complex rows of ``by_blade`` that a wedge (``b`` inside
+    ``~a``) or a dot (``b`` inside ``a``, then ``a`` inside ``b``) keeps
+    for left blade ``a``, in ascending blade order."""
     outside = _submasks((len(by_blade) - 1) ^ a, memo)
-    if exact:
-        if wedge:
-            return [row for s in outside for row in by_blade[s]]
-        rows = [row for s in _submasks(a, memo) for row in by_blade[s]]
-        rows += [row for s in outside[1:] for row in by_blade[a | s]]
-        return rows
     if wedge:
         return [row for s in outside if (row := by_blade[s])]
     rows = [row for s in _submasks(a, memo) if (row := by_blade[s])]
@@ -485,11 +457,12 @@ class Multivector:
 
         Wedge and dot pass ``_wedge_keep`` and ``_dot_keep``, which keep
         known right blades: the submasks of ``~a`` for a wedge, the
-        submasks and the supermasks of ``a`` for a dot.  A left grade
-        reads them from ascending submask lists (``_submasks``, built per
-        product; its memo keeps only prefix lists, at most 3^(n-1)
-        entries), not through the filter, when the right blades ascend
-        and there are fewer of them, 2^(n-|a|) for a wedge and
+        submasks and the supermasks of ``a`` for a dot.  In a float or
+        complex product (an exact one always takes the filter), a left
+        grade reads them from ascending submask lists (``_submasks``,
+        built per product; its memo keeps only prefix lists, at most
+        3^(n-1) entries), not through the filter, when the right blades
+        ascend and there are fewer of them, 2^(n-|a|) for a wedge and
         2^|a| + 2^(n-|a|) - 1 for a dot, than right blades.  Each left
         blade then visits its kept rows in the right operand's own order,
         so the sums and the blade order are the filter's.  The route is
@@ -511,7 +484,8 @@ class Multivector:
             # left grade -> [(row, kept overlaps)], or True on the submask route
             rows_for_grade = {}
             wedge = keep is _wedge_keep
-            subsets = wedge or keep is _dot_keep  # the submask route is open
+            # the submask route is open to float and complex products only
+            subsets = not exact and (wedge or keep is _dot_keep)
             by_blade = None  # built when the first left grade takes the route
         gcd = math.gcd
         parity = _PARITY
@@ -525,7 +499,7 @@ class Multivector:
                     route = subsets and (
                         (1 << (n - ga)) + (0 if wedge else (1 << ga) - 1) < len(right))
                     if route and by_blade is None:
-                        by_blade = _rows_by_blade(rows_b, algebra.dim, exact)
+                        by_blade = _rows_by_blade(rows_b, algebra.dim)
                         subsets = route = by_blade is not None
                         submasks = {0: [0]}
                     if route:
@@ -538,7 +512,7 @@ class Multivector:
                                       if (kept := overlaps[row[0].bit_count()])]
                     rows_for_grade[ga] = candidates
                 if candidates is True:
-                    rows = _subset_rows(a, wedge, by_blade, submasks, exact)
+                    rows = _subset_rows(a, wedge, by_blade, submasks)
                 else:
                     rows = [row for row, kept in candidates
                             if (a & row[0]).bit_count() in kept]

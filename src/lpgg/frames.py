@@ -46,7 +46,13 @@ class TableReport(namedtuple("TableReport", "checked violations", defaults=((),)
 
 
 class NullFrame:
-    """n+1 correlated null vectors with their exact transition matrix."""
+    """n+1 correlated null vectors with their exact transition matrix.
+
+    What the frame derives from them (its k-sums, unit k-sums, reciprocal
+    frame and canonical basis) is built once and kept in ``_derived``, at
+    most 2*size + 2 entries, so ``vectors``, ``t_matrix`` and
+    ``t_inverse`` must not be changed.
+    """
 
     def __init__(self, algebra, sign, vectors, t_matrix, t_inverse):
         self.algebra = algebra
@@ -56,11 +62,18 @@ class NullFrame:
         self.t_inverse = t_inverse
         self.size = len(self.vectors)
         self.n = self.size - 1
-        self._canonical_cache: tuple | None = None
+        self._derived: dict = {}
 
     def __repr__(self):
         kind = "positive" if self.sign > 0 else "negative"
         return f"NullFrame({kind}, n+1={self.size})"
+
+    def _derive(self, key, build):
+        """``build()``, called once per ``key`` for this frame."""
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build()
+        return value
 
     def vector(self, i: int) -> Multivector:
         """1-based accessor for a_i."""
@@ -193,15 +206,16 @@ def k_sum(frame: NullFrame, k: int) -> Multivector:
     """A_k = a_1 + ... + a_k."""
     if not 1 <= k <= frame.size:
         raise ValueError(f"k = {k} outside 1..{frame.size}")
-    return combination(frame.algebra, ((a, 1) for a in frame.vectors[:k]))
+    return frame._derive(("k_sum", k), lambda: combination(
+        frame.algebra, ((a, 1) for a in frame.vectors[:k])))
 
 
 def unit_k_sum(frame: NullFrame, k: int) -> Multivector:
     """The normalized k-sum, squaring to the correlation sign."""
     if k < 2:
         raise ValueError("unit_k_sum needs k >= 2 (normalization undefined)")
-    scale = Radical.sqrt(Fraction(2, k * (k - 1)))
-    return k_sum(frame, k) * scale
+    return frame._derive(("unit_k_sum", k), lambda: (
+        k_sum(frame, k) * Radical.sqrt(Fraction(2, k * (k - 1)))))
 
 
 def dual_sum(frame: NullFrame, i: int) -> Multivector:
@@ -215,11 +229,14 @@ def reciprocal_frame(frame: NullFrame) -> list[Multivector]:
     """Vectors a^i with a^i . a_j = delta_ij.
 
     Columns of T^-1 contract the metric-dual standard frame, so the
-    grade-1 duality is inherited from the orthonormal basis.
+    grade-1 duality is inherited from the orthonormal basis.  The list is
+    new on every call; the vectors are built once per frame.
     """
-    dual = frame.metric_dual_basis()
-    return [combination(frame.algebra, zip(dual, column))
-            for column in zip(*frame.t_inverse)]
+    def build():
+        dual = frame.metric_dual_basis()
+        return tuple(combination(frame.algebra, zip(dual, column))
+                     for column in zip(*frame.t_inverse))
+    return list(frame._derive("reciprocal_frame", build))
 
 
 # -- pseudoscalar relation ---------------------------------------------------------
@@ -291,16 +308,16 @@ def null_canonical_basis(frame: NullFrame):
         raise AlgebraError(
             f"canonical basis limited to n+1 <= {CANONICAL_BASIS_LIMIT}"
         )
-    if frame._canonical_cache is not None:
-        return frame._canonical_cache
-    subsets = canonical_subsets(frame.size)
-    by_subset = {0: frame.algebra.scalar(1)}
-    for subset in range(1, 1 << frame.size):
-        low = subset & -subset
-        by_subset[subset] = (frame.vectors[low.bit_length() - 1]
-                             * by_subset[subset ^ low])
-    frame._canonical_cache = (subsets, [by_subset[s] for s in subsets])
-    return frame._canonical_cache
+
+    def build():
+        subsets = canonical_subsets(frame.size)
+        by_subset = {0: frame.algebra.scalar(1)}
+        for subset in range(1, 1 << frame.size):
+            low = subset & -subset
+            by_subset[subset] = (frame.vectors[low.bit_length() - 1]
+                                 * by_subset[subset ^ low])
+        return subsets, [by_subset[s] for s in subsets]
+    return frame._derive("null_canonical_basis", build)
 
 
 def express_in_null_basis(frame: NullFrame, mv: Multivector) -> list:

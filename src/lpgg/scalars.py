@@ -93,16 +93,13 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"expected a rational value, got {type(value).__name__}")
 
 
-def add_products(acc: dict[int, int], a: dict[int, int], b: dict[int, int],
-                 negate: bool = False) -> None:
-    """Add ``a*b`` (``-a*b`` when ``negate``) into ``acc``.
+def add_products(acc: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
+    """Add ``a*b`` into ``acc``.
 
     All three map a squarefree key ``m`` to the int numerator of
     ``sqrt(m)``; ``acc`` may be left holding zeros.
     """
     for m1, c1 in a.items():
-        if negate:
-            c1 = -c1
         for m2, c2 in b.items():
             if m1 == 1:
                 key, c = m2, c1 * c2
@@ -151,7 +148,7 @@ def _sign_of_terms(terms: dict[int, int]) -> int:
         return sa
     norm: dict[int, int] = {}
     add_products(norm, a, a)
-    add_products(norm, b, {m: p * c for m, c in b.items()}, negate=True)
+    add_products(norm, b, {m: -p * c for m, c in b.items()})
     return sa * _sign_of_terms({m: c for m, c in norm.items() if c})
 
 

@@ -17,7 +17,7 @@ from lpgg import (
 )
 from lpgg import algebra as algebra_module
 from lpgg.algebra import DIMENSION_LIMIT, Multivector, combination
-from lpgg.scalars import coerce
+from lpgg.scalars import coerce, to_numerators
 
 
 def random_mv(algebra, rng, terms=5, backend="exact"):
@@ -445,10 +445,30 @@ def storage_order(mv):
     return [(blade, list(terms)) for blade, terms in mv._coeffs.items()]
 
 
+def first_appearance_order(pairs, result):
+    """The stored blades of an exact ``combination(pairs)``, with each
+    blade's keys, in the order they first appear among the terms: the
+    blades of each ``mv``, and the keys of each blade's numerators times
+    ``c``'s (an int ``c`` as ``{1: c}``), by the key rule."""
+    order = {}
+    for mv, c in pairs:
+        factor = {1: c} if type(c) is int else to_numerators(coerce(c, "exact"))[0]
+        for blade, terms in mv._coeffs.items():
+            keys = order.setdefault(blade, {})
+            for m1 in terms:
+                for m2 in factor:
+                    g = math.gcd(m1, m2)
+                    keys.setdefault((m1 // g) * (m2 // g))
+    return [(blade, [m for m in keys if m in result._coeffs[blade]])
+            for blade, keys in order.items() if blade in result._coeffs]
+
+
 @pytest.mark.parametrize("backend", ["exact", "approx", "complex"])
 def test_combination_matches_chained_addition(backend):
     """The one linear-combination routine against chained ``+``, bit for
-    bit and with blades and keys in the same order."""
+    bit.  A float or complex sum stores its blades in the chain's order;
+    an exact sum, whose value does not depend on the order of its terms,
+    in the order they first appear among the terms."""
     algebra = Algebra(2, 2)
     rng = random.Random(16)
     x, y = (random_backend_mv(algebra, rng, backend, 6) for _ in range(2))
@@ -477,7 +497,10 @@ def test_combination_matches_chained_addition(backend):
         result = combination(algebra, pairs, backend)
         expected = chained(algebra, pairs, backend)
         assert bitwise(result.coefficients()) == bitwise(expected.coefficients()), pairs
-        assert storage_order(result) == storage_order(expected), pairs
+        if backend == "exact":
+            assert storage_order(result) == first_appearance_order(pairs, result), pairs
+        else:
+            assert storage_order(result) == storage_order(expected), pairs
         assert_normal_form(result)
     with pytest.raises(BackendMismatchError):
         combination(algebra, [(x, 1)], "exact" if backend != "exact" else "approx")
@@ -670,8 +693,10 @@ def reordered(mv, blades):
 ])
 def test_dense_wedge_and_dot_route_by_right_blade_order(p, q, backend, submask_grades):
     """Dense operands: right blades in ascending order send some left
-    grades to the submask route; shuffled, every grade keeps the grade
-    filter, so the sums still run in the right operand's own order."""
+    grades of a float or complex product to the submask route; shuffled,
+    every grade keeps the grade filter, so the sums still run in the
+    right operand's own order.  An exact product always keeps the grade
+    filter."""
     algebra = Algebra(p, q)
     rng = random.Random(11 * p + q)
     x, y = dense_mv(algebra, rng, backend), dense_mv(algebra, rng, backend)
@@ -682,7 +707,7 @@ def test_dense_wedge_and_dot_route_by_right_blade_order(p, q, backend, submask_g
     for name in ("wedge", "dot"):
         submask_grades.clear()
         assert_matches_reference(x, y, name)
-        assert submask_grades, name
+        assert bool(submask_grades) == (backend != "exact"), name
         submask_grades.clear()
         assert_matches_reference(x, reordered(y, blades), name)
         assert not submask_grades, name
@@ -691,8 +716,10 @@ def test_dense_wedge_and_dot_route_by_right_blade_order(p, q, backend, submask_g
 @pytest.mark.parametrize("backend", ["exact", "approx", "complex"])
 @pytest.mark.parametrize("n", [7, 8, 9])
 def test_sparse_wedge_and_dot_split_left_grades_between_routes(n, backend, submask_grades):
-    """Sparse operands at p+q = 7..9: the high left grades of a wedge and
-    the middle ones of a dot take submasks, the others the grade filter."""
+    """Sparse operands at p+q = 7..9: in a float or complex product the
+    high left grades of a wedge and the middle ones of a dot take
+    submasks, the others the grade filter; in an exact product every left
+    grade takes the filter, with the right blades ascending or shuffled."""
     algebra = Algebra(n // 2, n - n // 2)
     rng = random.Random(n)
 
@@ -710,7 +737,13 @@ def test_sparse_wedge_and_dot_split_left_grades_between_routes(n, backend, subma
     for name in ("wedge", "dot"):
         submask_grades.clear()
         assert_matches_reference(x, y, name)
-        assert submask_grades and left_grades - submask_grades, name
+        if backend != "exact":
+            assert submask_grades and left_grades - submask_grades, name
+            continue
+        blades = list(y._coeffs)
+        rng.shuffle(blades)
+        assert_matches_reference(x, reordered(y, blades), name)
+        assert not submask_grades, name
 
 
 @pytest.mark.parametrize("name", ["wedge", "dot"])

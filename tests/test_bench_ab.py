@@ -1,5 +1,5 @@
 """``bench/ab.py``: its pair schedule, its sign test and where a round is
-stored; ``bench/record.py``: its kernel rows."""
+stored; ``bench/record.py``: its kernel rows and construction counts."""
 import importlib.util
 import json
 import sys
@@ -73,10 +73,15 @@ def test_rounds_go_to_the_last_change_row(ab, tmp_path):
     assert [row.get("ab") for row in rows] == [None, None, None, [{"round": 1}, {"round": 2}]]
 
 
-def test_kernel_rows_time_and_peak_the_same_products():
+@pytest.fixture(scope="module")
+def record():
     spec = importlib.util.spec_from_file_location("lpgg_bench_record", BENCH / "record.py")
-    record = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(record)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_kernel_rows_time_and_peak_the_same_products(record):
     times, peaks, operands = record.time_kernel(smoke=True)
     assert list(peaks) == list(times) == [
         f"G(3,4) {backend} {name}" for backend in ("approx", "complex")
@@ -84,3 +89,18 @@ def test_kernel_rows_time_and_peak_the_same_products():
     assert all(kb > 0 for kb in peaks.values())
     assert list(operands) == ["G(3,4) approx", "G(3,4) complex"]
     assert all(kb > 0 for kb in operands.values())
+
+
+def test_construction_counts_repeat_and_leave_the_classes_unwrapped(record):
+    """Two in-process runs count the same constructions, within the
+    bounds a frame's kept k-sums and reciprocal frame give."""
+    from lpgg.frames import NullFrame
+    from lpgg.scalars import Radical
+
+    before = NullFrame.__dict__.copy(), Radical.__dict__["sqrt"]
+    counts = record.count_constructions(("star", "calculus"))
+    assert record.count_constructions(("star", "calculus")) == counts
+    assert (NullFrame.__dict__.copy(), Radical.__dict__["sqrt"]) == before
+    assert counts["star"]["null_frames"] > 0
+    assert counts["star"]["radical_sqrt_calls"] <= 16
+    assert 0 < counts["calculus"]["reciprocal_frames"] <= 13

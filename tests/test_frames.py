@@ -1,10 +1,11 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from lpgg import frames, linalg
+from lpgg import frames, linalg, star
 from lpgg.algebra import AlgebraError, wedge_list
 from lpgg.scalars import Radical
 
@@ -178,6 +179,41 @@ def test_reciprocal_frame_2():
     assert recip[0] == fr2.vector(2) * 2
     assert recip[1] == fr2.vector(1) * 2
 
+
+
+def test_a_frame_builds_what_it_derives_once(monkeypatch):
+    """A second star on the same frame takes no square root, and a second
+    reciprocal frame builds no dual basis but is a new list; every
+    derivation of every k keeps at most 2*size + 2 entries."""
+    calls = Counter()
+    sqrt, dual_basis = Radical.sqrt, frames.NullFrame.metric_dual_basis
+
+    def counted_sqrt(value):
+        calls["sqrt"] += 1
+        return sqrt(value)
+
+    def counted_dual_basis(frame):
+        calls["dual"] += 1
+        return dual_basis(frame)
+
+    monkeypatch.setattr(Radical, "sqrt", staticmethod(counted_sqrt))
+    monkeypatch.setattr(frames.NullFrame, "metric_dual_basis", counted_dual_basis)
+    fr = frames.build_null_frame(4, -1)
+    g = fr.algebra.multivector({0: 1, 3: Fraction(1, 2), 6: -2})
+    first = star.star(fr, g, 3)
+    calls.clear()
+    assert star.star(fr, g, 3) == first
+    assert calls["sqrt"] == 0
+    recip = frames.reciprocal_frame(fr)
+    again = frames.reciprocal_frame(fr)
+    assert again == recip and again is not recip
+    assert calls["dual"] == 1
+    for k in range(1, fr.size + 1):
+        frames.k_sum(fr, k)
+        if k >= 2:
+            frames.unit_k_sum(fr, k)
+    frames.null_canonical_basis(fr)
+    assert len(fr._derived) <= 2 * fr.size + 2
 
 @pytest.mark.parametrize("size", range(2, 9))
 def test_pseudoscalar_relation(size):
