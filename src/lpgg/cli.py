@@ -301,16 +301,7 @@ def cmd_classify(args) -> int:
             "levels": {str(k): v for k, v in data["levels"].items()},
             "sign_sequence": data["sign_sequence"],
             "product_sequence": data["product_sequence"],
-            "rows": [
-                {
-                    "p": row.p,
-                    "q": row.q,
-                    "blade": row.blade,
-                    "square_sign": row.square_sign,
-                    "generator_sign_product": row.generator_sign_product,
-                }
-                for row in data["rows"]
-            ],
+            "rows": [row._asdict() for row in data["rows"]],
         }
         _print_json(payload)
     elif args.format == "csv":

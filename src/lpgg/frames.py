@@ -141,22 +141,25 @@ def build_null_frame(n_plus_1: int, sign: int = 1) -> NullFrame:
 def verify_multiplication_table(frame: NullFrame) -> TableReport:
     """Check all sixteen products of {a_i, a_j, a_i a_j, a_j a_i} per pair.
 
-    The expected grid follows from a_i^2 = 0 and a_i . a_j = s/2: with
-    s = +1 every sandwich such as (a_i a_j) a_i collapses back to a_i,
+    The expected grid follows from a_i^2 = 0 and a_i . a_j = s/2: the
+    pair products are a_i a_j = s/2 + a_i^a_j and a_j a_i = s/2 - a_i^a_j;
+    with s = +1 every sandwich such as (a_i a_j) a_i collapses back to a_i,
     with s = -1 it picks up a minus sign.
     """
     s = frame.sign
     violations = []
     checked = 0
     zero = frame.algebra.zero()
+    half = frame.algebra.scalar(Fraction(s, 2))
     for i, j in itertools.combinations(range(frame.size), 2):
         ai, aj = frame.vectors[i], frame.vectors[j]
         aij, aji = ai * aj, aj * ai
+        wedge = ai.wedge(aj)
         labels = ("a_i", "a_j", "a_i*a_j", "a_j*a_i")
         elements = (ai, aj, aij, aji)
         expected = (
-            (zero, aij, zero, ai * s),
-            (aji, zero, aj * s, zero),
+            (zero, half + wedge, zero, ai * s),
+            (half - wedge, zero, aj * s, zero),
             (ai * s, zero, aij * s, zero),
             (zero, aj * s, zero, aji * s),
         )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from contextlib import contextmanager
 
 PASS = "pass"
@@ -12,25 +13,18 @@ SKIPPED = "skipped"
 STATUSES = (PASS, PASS_CORRECTED, FAIL, SKIPPED)
 
 
-class CheckResult:
+class CheckResult(namedtuple("CheckResult", "name claim status details samples")):
     """One check's outcome and its sample count, which ``to_json`` leaves out."""
 
-    def __init__(self, name: str, claim: str, status: str, details: str = "", samples: int = 0):
+    __slots__ = ()
+
+    def __new__(cls, name: str, claim: str, status: str, details: str = "", samples: int = 0):
         if status not in STATUSES:
             raise ValueError(f"unknown status {status!r}")
-        self.name = name
-        self.claim = claim
-        self.status = status
-        self.details = details
-        self.samples = samples
+        return super().__new__(cls, name, claim, status, details, samples)
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "claim": self.claim,
-            "status": self.status,
-            "details": self.details,
-        }
+        return {field: getattr(self, field) for field in ("name", "claim", "status", "details")}
 
 
 class Check:
@@ -157,16 +151,6 @@ class VerificationReport:
 
 
 def merge_reports(suite: str, seed: int, reports) -> VerificationReport:
-    merged = VerificationReport(suite, seed)
-    for report in reports:
-        for check in report.checks:
-            merged.checks.append(
-                CheckResult(
-                    f"{report.suite}/{check.name}",
-                    check.claim,
-                    check.status,
-                    check.details,
-                    check.samples,
-                )
-            )
-    return merged
+    return VerificationReport(suite, seed, [
+        check._replace(name=f"{report.suite}/{check.name}")
+        for report in reports for check in report.checks])

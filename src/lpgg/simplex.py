@@ -104,23 +104,18 @@ def vertex(frame: NullFrame, i: int) -> SimplexPoint:
 # -- simplicial matrices ----------------------------------------------------------------
 
 
-class SimplicialMatrix:
+class SimplicialMatrix(namedtuple("SimplicialMatrix", "frame rows barycentric")):
     """Vertex rows in null coordinates; barycentric mode checks rows."""
 
-    def __init__(self, frame: NullFrame, rows: list, barycentric: bool = True):
-        self.frame = frame
-        self.rows = rows
-        self.barycentric = barycentric
-        for row in rows:
-            if len(row) != frame.size:
-                raise ValueError(f"rows must have {frame.size} entries")
-        if barycentric:
-            for row in rows:
-                point = SimplexPoint(frame, tuple(row))
-                if not point.is_barycentric():
-                    raise ValueError(
-                        "barycentric rows must be nonnegative and sum to 1"
-                    )
+    __slots__ = ()
+
+    def __new__(cls, frame: NullFrame, rows: list, barycentric: bool = True):
+        if any(len(row) != frame.size for row in rows):
+            raise ValueError(f"rows must have {frame.size} entries")
+        if barycentric and not all(
+                SimplexPoint(frame, tuple(row)).is_barycentric() for row in rows):
+            raise ValueError("barycentric rows must be nonnegative and sum to 1")
+        return super().__new__(cls, frame, rows, barycentric)
 
     def vertices(self) -> list[Multivector]:
         return [

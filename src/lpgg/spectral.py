@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import AlgebraError, Multivector, combination
@@ -169,16 +170,9 @@ class BivectorOperator:
         return from_coefficient_matrix(self.frame, matrix)
 
 
-class SpectralDecomposition:
-    def __init__(self, root_minus, root_plus,
-                 idempotent_1: Multivector, idempotent_2: Multivector,
-                 claimed_discriminant, discriminant):
-        self.root_minus = root_minus
-        self.root_plus = root_plus
-        self.idempotent_1 = idempotent_1
-        self.idempotent_2 = idempotent_2
-        self.claimed_discriminant = claimed_discriminant
-        self.discriminant = discriminant
+class SpectralDecomposition(namedtuple("SpectralDecomposition", (
+        "root_minus root_plus idempotent_1 idempotent_2 claimed_discriminant discriminant"))):
+    __slots__ = ()
 
     @property
     def discriminant_corrected(self) -> bool:

@@ -9,6 +9,7 @@ from two such contractions up to the square of that factor.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import AlgebraError, Multivector, combination
@@ -32,13 +33,10 @@ def star_normalization(frame: NullFrame) -> Fraction:
     return Fraction(2, size * (size - 1))
 
 
-class AMatrix:
-    """Grid of products a_i g a_j for a fixed g."""
+class AMatrix(namedtuple("AMatrix", "frame element entries")):
+    """Grid of products a_i g a_j for a fixed g: (n+1) x (n+1) multivectors."""
 
-    def __init__(self, frame: NullFrame, element: Multivector, entries: list):
-        self.frame = frame
-        self.element = element
-        self.entries = entries  # (n+1) x (n+1) multivectors
+    __slots__ = ()
 
     def contraction(self) -> Multivector:
         """All-ones contraction: the sum of every entry, A g A."""

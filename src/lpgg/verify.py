@@ -81,8 +81,8 @@ def run_suite(name: str, n_max: int = DEFAULT_N_MAX,
 
 
 def _run_in_workers(n_max, seed):
-    """``{suite: [(name, claim, status, details, samples), ...]}`` of the
-    seven suites.
+    """``{suite: [tuple(check), ...]}`` of the seven suites; ``marshal``
+    takes exact tuples only, not the ``CheckResult`` named tuples.
 
     The indices into ``SCHEDULE`` wait in one pipe, in order.  Each of
     ``min(usable CPUs, 7)`` forked workers reads it one byte at a time until
@@ -140,8 +140,7 @@ def _work(schedule, out, n_max, seed):
         while index := os.read(schedule, 1):
             suite = SCHEDULE[index[0]]
             try:
-                checks = [(c.name, c.claim, c.status, c.details, c.samples)
-                          for c in run_suite(suite, n_max, seed).checks]
+                checks = [tuple(c) for c in run_suite(suite, n_max, seed).checks]
             except Exception as exc:
                 checks = f"{type(exc).__name__}: {exc}"
             results.append((suite, checks))

@@ -42,6 +42,17 @@ def test_multiplication_table(size, sign):
     assert report.checked == 16 * size * (size - 1) // 2
 
 
+@pytest.mark.parametrize("size, sign", [(3, 1), (4, -1)])
+def test_multiplication_table_checks_the_pair_products(size, sign):
+    """a_i a_j and a_j a_i are compared with s/2 +- a_i^a_j, not with
+    themselves: doubling a_1 breaks a_1 . a_j, so both cells fail."""
+    fr = frames.build_null_frame(size, sign)
+    doubled = frames.NullFrame(fr.algebra, fr.sign, (fr.vectors[0] * 2,) + fr.vectors[1:],
+                               fr.t_matrix, fr.t_inverse)
+    failed = {cell for _, _, cell in frames.verify_multiplication_table(doubled).violations}
+    assert {"a_i * a_j", "a_j * a_i"} <= failed
+
+
 def test_frame_size_limits():
     with pytest.raises(AlgebraError):
         frames.build_null_frame(1, 1)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from lpgg import atlas, frames, simplex, spectral
+from lpgg import atlas, frames, simplex, spectral, star
 from lpgg.reporting import CheckResult, VerificationReport
 
 
@@ -40,6 +40,11 @@ def test_frozen_records_reject_assignment(frame3):
         (frames.CoordinateRow((Fraction(1),) * 3, "null"), "basis"),
         (frames.TableReport(checked=1), "checked"),
         (simplex.centroid(frame3), "coordinates"),
+        (CheckResult("n", "claim", "pass"), "status"),
+        (spectral.spectral_decompose(spectral.BivectorOperator(frame3, {(1, 2): 1})),
+         "discriminant"),
+        (star.a_matrix(frame3, frame3.vectors[0]), "entries"),
+        (simplex.SimplicialMatrix(frame3, [[1, 2, 3]], barycentric=False), "rows"),
     ]
     for record, name in records:
         with pytest.raises(AttributeError):

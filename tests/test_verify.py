@@ -82,6 +82,7 @@ def test_all_in_workers_equals_the_suites_in_order(n_max, seed, suite_report, fo
             os.waitpid(pid, os.WNOHANG)
     assert report.to_json() == in_order(suite_report, n_max, seed).to_json()
     assert samples(report) == suite_samples(suite_report, n_max, seed)
+    assert report.checks == in_order(suite_report, n_max, seed).checks
 
 
 def test_one_usable_cpu_runs_every_suite_in_one_worker(monkeypatch, suite_report, forked):
@@ -89,12 +90,14 @@ def test_one_usable_cpu_runs_every_suite_in_one_worker(monkeypatch, suite_report
     report = verify.run_suite("all", n_max=4, seed=7)
     assert len(forked) == 1
     assert report.to_json() == in_order(suite_report, 4, 7).to_json()
+    assert report.checks == in_order(suite_report, 4, 7).checks
 
 
 def test_without_fork_the_suites_run_in_process(monkeypatch, suite_report):
     monkeypatch.delattr(os, "fork")
     report = verify.run_suite("all", n_max=4, seed=7)
     assert report.to_json() == in_order(suite_report, 4, 7).to_json()
+    assert report.checks == in_order(suite_report, 4, 7).checks
 
 
 @pytest.mark.parametrize("n_max", [4, verify.DEFAULT_N_MAX])
